@@ -39,7 +39,6 @@ from .index import (
     RetrievalConfig,
     RetrievalResult,
     VectorIndex,
-    cosine,
     embed,
 )
 from .layout import (
@@ -111,7 +110,6 @@ __all__ = [
     "build_prompt",
     "chart_csv_to_records",
     "combine_page_text",
-    "cosine",
     "cost_per_call",
     "cost_per_page",
     "count_tokens",

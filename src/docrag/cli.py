@@ -20,7 +20,7 @@ from .costs import DEFAULT_PRICING, PricingConfig, format_cost_report, load_pric
 from .embedding import HashingEmbedder
 from .errors import DocragError
 from .evaluation import load_dataset, run_eval, write_report
-from .generation import answer_question, retrieve
+from .generation import answer_question
 from .index import DEFAULT_K, IndexEntry, RetrievalConfig, VectorIndex, embed
 from .layout import parse_layout_payload
 from .preprocess import TABLE_FORMATS, preprocess_document
@@ -33,8 +33,6 @@ from .providers import (
     NullChartProvider,
 )
 from .tokens import DEFAULT_TOKENIZER
-
-logger = logging.getLogger(__name__)
 
 _HASH_TAG_PREFIX = "feature-hash-v1-"
 
@@ -81,8 +79,7 @@ def _embedder_for_index(index: VectorIndex):
         return HashingEmbedder(dimension=index.dimension)
     if tag == HttpEmbeddingProvider.tag:
         return HttpEmbeddingProvider(dimension=index.dimension)
-    logger.warning("unknown embedding provider tag %r; using local hashing", tag)
-    return HashingEmbedder(dimension=index.dimension)
+    raise ValueError(f"index was built with unknown embedding provider {tag!r}")
 
 
 def _llm_for(name: str, answers_path: str | None):
@@ -156,13 +153,12 @@ def cmd_query(args, config: dict) -> int:
     provider = _llm_for(_setting(args.provider, config, "provider", "lookup"), args.answers)
     model_tag = _setting(args.model_tag, config, "model_tag", None)
 
-    results = retrieve(args.question, index, retrieval, embedder)
     answer = answer_question(
         args.question, index, retrieval, provider, embedder, model_tag=model_tag
     )
     print(f"answer: {answer.text}")
     print("retrieved:")
-    for result in results:
+    for result in answer.retrieved:
         print(f"  {result.chunk.chunk_id}  {result.score:.6f}")
     return 0
 

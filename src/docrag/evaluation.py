@@ -172,9 +172,7 @@ def run_eval(
     All referenced documents must already be indexed; missing ones are
     reported up front, before any provider call.
     """
-    indexed_documents = {
-        index.get(chunk_id).chunk.metadata.document_id for chunk_id in index.chunk_ids()
-    }
+    indexed_documents = {chunk.metadata.document_id for chunk in index.chunks()}
     missing = sorted(
         {e.document_id for e in examples} - indexed_documents
     )

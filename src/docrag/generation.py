@@ -30,7 +30,6 @@ DEFAULT_MAX_OUTPUT_TOKENS = 256
 class PromptTemplate:
     preamble: str = PREAMBLE
     postamble: str = POSTAMBLE
-    context_slot: str = "{context}"
 
     def render(self, context: str) -> str:
         return f"{self.preamble}\n\n{context}\n\n{self.postamble}"
@@ -45,6 +44,7 @@ class Answer:
     model_tag: str
     prompt_token_count: int
     completion_token_count: int
+    retrieved: tuple[RetrievalResult, ...] = ()
 
     def __post_init__(self):
         if self.prompt_token_count < 0 or self.completion_token_count < 0:
@@ -79,7 +79,8 @@ def answer_question(
     model_tag: str | None = None,
     max_output_tokens: int = DEFAULT_MAX_OUTPUT_TOKENS,
 ) -> Answer:
-    """Embed the question, retrieve top-k, prompt the LLM once.
+    """Embed the question, retrieve top-k, prompt the LLM once. The answer
+    carries the retrieved results it was prompted with.
 
     Empty retrieval still calls the provider (with an empty context slot)
     and records a warning. Provider failures propagate with the prompt
@@ -102,4 +103,5 @@ def answer_question(
         model_tag=tag,
         prompt_token_count=count_tokens(prompt),
         completion_token_count=max(0, response.completion_tokens),
+        retrieved=tuple(results),
     )

@@ -1,10 +1,13 @@
 """In-memory vector index: exact filtered top-k cosine retrieval.
 
 A deliberate non-ANN design: corpora here are thousands of chunks, and a
-full scan is both fast enough and oracle-testable. Readers work on
-immutable snapshots; writers are serialized, so concurrent searches see a
-consistent index. Persistence is JSON-lines with a header line, written
-atomically.
+full scan over one contiguous matrix is both fast enough and
+oracle-testable. A snapshot holds each chunk once, in ascending chunk_id
+order: its id, the chunk, its metadata as a dict (built once, on insert)
+and its vector as a row of a float64 matrix, with the row norms beside it.
+Readers work on immutable snapshots; every write goes through one merge,
+serialized by a lock, so concurrent searches see a consistent index.
+Persistence is JSON-lines with a header line, written atomically.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import math
 import os
 import tempfile
 import threading
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -43,19 +47,6 @@ def embed(text: str, provider: EmbeddingProvider) -> EmbeddingVector:
     if not all(math.isfinite(v) for v in vector):
         raise ProviderError(f"provider {provider.tag} returned non-finite values")
     return vector
-
-
-def cosine(u: Sequence[float], v: Sequence[float]) -> float:
-    """Cosine similarity; an all-zero vector scores 0 and is flagged."""
-    if len(u) != len(v):
-        raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    dot = sum(a * b for a, b in zip(u, v))
-    norm_u = math.sqrt(sum(a * a for a in u))
-    norm_v = math.sqrt(sum(b * b for b in v))
-    if norm_u == 0.0 or norm_v == 0.0:
-        logger.warning("cosine against an all-zero vector; scoring 0")
-        return 0.0
-    return dot / (norm_u * norm_v)
 
 
 @dataclass(frozen=True)
@@ -87,10 +78,12 @@ class RetrievalResult:
 
 
 # Snapshot shared by concurrent readers; replaced wholesale on writes.
+# Position i of every field describes the chunk ids[i].
 @dataclass(frozen=True)
 class _Snapshot:
     ids: tuple[str, ...]
-    entries: dict[str, IndexEntry]
+    chunks: tuple[DocumentChunk, ...]
+    metadata: tuple[dict, ...]
     matrix: np.ndarray
     norms: np.ndarray
 
@@ -110,7 +103,8 @@ class VectorIndex:
         self._write_lock = threading.Lock()
         self._snapshot = _Snapshot(
             ids=(),
-            entries={},
+            chunks=(),
+            metadata=(),
             matrix=np.empty((0, dimension), dtype=np.float64),
             norms=np.empty((0,), dtype=np.float64),
         )
@@ -121,41 +115,50 @@ class VectorIndex:
     def chunk_ids(self) -> tuple[str, ...]:
         return self._snapshot.ids
 
+    def chunks(self) -> tuple[DocumentChunk, ...]:
+        """Every chunk, in chunk_id order."""
+        return self._snapshot.chunks
+
     def get(self, chunk_id: str) -> IndexEntry | None:
-        return self._snapshot.entries.get(chunk_id)
+        snapshot = self._snapshot
+        position = bisect_left(snapshot.ids, chunk_id)
+        if position == len(snapshot.ids) or snapshot.ids[position] != chunk_id:
+            return None
+        return IndexEntry(chunk=snapshot.chunks[position], vector=snapshot.matrix[position].tolist())
 
     def upsert(self, entry: IndexEntry) -> None:
         """Store an entry; a repeated chunk_id replaces the prior entry."""
-        if len(entry.vector) != self.dimension:
-            raise ValueError(
-                f"dimension mismatch: index is {self.dimension}, vector is {len(entry.vector)}"
-            )
-        with self._write_lock:
-            entries = dict(self._snapshot.entries)
-            entries[entry.chunk.chunk_id] = entry
-            self._publish(entries)
+        self.upsert_many([entry])
 
     def upsert_many(self, entries: Sequence[IndexEntry]) -> None:
+        """Store entries; for a repeated chunk_id the last one given wins."""
         for entry in entries:
             if len(entry.vector) != self.dimension:
                 raise ValueError(
                     f"dimension mismatch: index is {self.dimension}, "
                     f"vector is {len(entry.vector)}"
                 )
-        with self._write_lock:
-            merged = dict(self._snapshot.entries)
-            for entry in entries:
-                merged[entry.chunk.chunk_id] = entry
-            self._publish(merged)
+        rows = np.array([entry.vector for entry in entries], dtype=np.float64)
+        self._merge([entry.chunk for entry in entries], rows.reshape(len(entries), self.dimension))
 
-    def _publish(self, entries: dict[str, IndexEntry]) -> None:
-        ids = tuple(sorted(entries))
-        if ids:
-            matrix = np.array([entries[i].vector for i in ids], dtype=np.float64)
-        else:
-            matrix = np.empty((0, self.dimension), dtype=np.float64)
-        norms = np.linalg.norm(matrix, axis=1)
-        self._snapshot = _Snapshot(ids=ids, entries=entries, matrix=matrix, norms=norms)
+    def _merge(self, chunks: Sequence[DocumentChunk], rows: np.ndarray) -> None:
+        """Publish the current snapshot plus ``chunks`` (``rows`` holds their
+        vectors); for a repeated chunk_id the last row wins."""
+        with self._write_lock:
+            old = self._snapshot
+            ids = old.ids + tuple(chunk.chunk_id for chunk in chunks)
+            last = {chunk_id: position for position, chunk_id in enumerate(ids)}
+            sorted_ids = tuple(sorted(last))
+            order = [last[chunk_id] for chunk_id in sorted_ids]
+            all_chunks = old.chunks + tuple(chunks)
+            metadata = old.metadata + tuple(chunk.metadata.as_dict() for chunk in chunks)
+            self._snapshot = _Snapshot(
+                ids=sorted_ids,
+                chunks=tuple(all_chunks[p] for p in order),
+                metadata=tuple(metadata[p] for p in order),
+                matrix=np.concatenate([old.matrix, rows])[order],
+                norms=np.concatenate([old.norms, np.linalg.norm(rows, axis=1)])[order],
+            )
 
     def search(self, query_vector: Sequence[float], config: RetrievalConfig) -> list[RetrievalResult]:
         """Exact top-k by cosine among entries passing every metadata filter.
@@ -168,14 +171,12 @@ class VectorIndex:
                 f"dimension mismatch: index is {self.dimension}, query is {len(query_vector)}"
             )
         snapshot = self._snapshot
-        if not snapshot.ids:
-            return []
-
-        keep = []
-        for position, chunk_id in enumerate(snapshot.ids):
-            metadata = snapshot.entries[chunk_id].chunk.metadata.as_dict()
-            if all(metadata.get(name) == value for name, value in config.filters):
-                keep.append(position)
+        filters = config.filters
+        keep = [
+            position
+            for position, metadata in enumerate(snapshot.metadata)
+            if all(metadata.get(name) == value for name, value in filters)
+        ]
         if not keep:
             return []
 
@@ -194,17 +195,11 @@ class VectorIndex:
             scores = (rows @ query) / (safe_norms * query_norm)
             scores[zero_rows] = 0.0
 
-        ranked = sorted(
-            range(len(keep)),
-            key=lambda i: (-scores[i], snapshot.ids[keep[i]]),
-        )
-        results = []
-        for i in ranked[: config.k]:
-            chunk_id = snapshot.ids[keep[i]]
-            results.append(
-                RetrievalResult(chunk=snapshot.entries[chunk_id].chunk, score=float(scores[i]))
-            )
-        return results
+        # Rows are in chunk_id order, so a stable sort breaks ties by id.
+        ranked = np.argsort(-scores, kind="stable")[: config.k]
+        return [
+            RetrievalResult(chunk=snapshot.chunks[keep[i]], score=float(scores[i])) for i in ranked
+        ]
 
     def persist(self, path: str | Path) -> None:
         """Write the index as JSON-lines, atomically (temp file + rename)."""
@@ -222,14 +217,13 @@ class VectorIndex:
         try:
             with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
                 handle.write(json.dumps(header, ensure_ascii=False) + "\n")
-                for chunk_id in snapshot.ids:
-                    entry = snapshot.entries[chunk_id]
+                for chunk, metadata, vector in zip(snapshot.chunks, snapshot.metadata, snapshot.matrix):
                     record = {
-                        "chunk_id": chunk_id,
-                        "text": entry.chunk.text,
-                        "token_count": entry.chunk.token_count,
-                        "metadata": entry.chunk.metadata.as_dict(),
-                        "vector": list(entry.vector),
+                        "chunk_id": chunk.chunk_id,
+                        "text": chunk.text,
+                        "token_count": chunk.token_count,
+                        "metadata": metadata,
+                        "vector": vector.tolist(),
                     }
                     handle.write(json.dumps(record, ensure_ascii=False) + "\n")
             os.replace(temp_name, path)
@@ -255,7 +249,7 @@ class VectorIndex:
                 provider_tag=str(header.get("provider", "")),
             )
             offset = len(raw_header)
-            entries = []
+            chunks, rows = [], []
             while True:
                 raw = handle.readline()
                 if not raw:
@@ -269,16 +263,19 @@ class VectorIndex:
                             token_count=record["token_count"],
                             metadata=ChunkMetadata.from_dict(record["metadata"]),
                         )
-                        vector = tuple(float(v) for v in record["vector"])
-                        if len(vector) != dimension:
+                        vector = np.array(record["vector"], dtype=np.float64)
+                        if vector.shape != (dimension,):
                             raise ValueError(
-                                f"vector has {len(vector)} entries, header says {dimension}"
+                                f"vector has shape {vector.shape}, header says {dimension}"
                             )
-                        entries.append(IndexEntry(chunk=chunk, vector=vector))
+                        if not np.isfinite(vector).all():
+                            raise ValueError("vector entries must be finite")
                     except (ValueError, KeyError, TypeError) as exc:
                         raise IndexLoadError(offset, f"bad entry line: {exc}") from exc
+                    chunks.append(chunk)
+                    rows.append(vector)
                 offset += len(raw)
-        index.upsert_many(entries)
+        index._merge(chunks, np.array(rows, dtype=np.float64).reshape(len(rows), dimension))
         if len(index) != count:
             logger.warning(
                 "index header count %d disagrees with %d loaded entries", count, len(index)

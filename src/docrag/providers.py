@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol
 
-import requests
-
 from .errors import ProviderError
 from .tables import BoundingRegion
 from .tokens import count_tokens
@@ -37,6 +35,8 @@ _HTTP_TIMEOUT = 30.0
 
 
 def _post_json(url: str, body: dict, api_key: str | None) -> dict:
+    import requests  # imported here so offline runs never load it
+
     headers = {"Content-Type": "application/json"}
     if api_key:
         headers["Authorization"] = f"Bearer {api_key}"

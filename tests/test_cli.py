@@ -1,7 +1,13 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import docrag
 from docrag.cli import main
 from docrag.index import VectorIndex
 
@@ -45,6 +51,16 @@ def test_ingest_twice_is_byte_identical(corpus, tmp_path, capsys):
     )
     assert code == 0
     assert first.read_bytes() == again.read_bytes()
+
+
+def test_ingest_matches_golden_digest(corpus, tmp_path, capsys):
+    # Digest of the index file the fixture corpus gave before the index kept
+    # its vectors only as matrix rows; the persisted format must not move.
+    index_path, _ = ingest(corpus, tmp_path, capsys)
+    assert (
+        hashlib.sha256(index_path.read_bytes()).hexdigest()
+        == "5bed4487e00f72d6ef8b16178a47898b99a426c9190ba1a79d7652ef9c25fd3d"
+    )
 
 
 def test_ingest_empty_directory_fails(tmp_path, capsys):
@@ -165,6 +181,21 @@ def test_query_missing_index_file(tmp_path, capsys):
     assert code == 1
     error = json.loads(err)
     assert error["error"] in ("FileNotFoundError", "OSError")
+
+
+def test_query_unknown_embedding_provider_fails(corpus, tmp_path, capsys):
+    index_path, _ = ingest(corpus, tmp_path, capsys)
+    index = VectorIndex.load(index_path)
+    index.provider_tag = "bogus"
+    index.persist(index_path)
+    code, out, err = run(
+        capsys, "query", "--index", str(index_path), "--question", "anything"
+    )
+    assert code == 1
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "ValueError"
+    assert "'bogus'" in error["message"]
 
 
 def test_query_mock_provider_with_answers(corpus, tmp_path, capsys):
@@ -381,6 +412,15 @@ def test_unknown_provider_rejected_by_parser(corpus, tmp_path, capsys):
                 "oracle",
             ]
         )
+
+
+def test_cli_import_does_not_load_requests():
+    code = "import sys, docrag.cli; print('requests' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(docrag.__file__).resolve().parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
+    )
+    assert done.stdout.strip() == "False"
 
 
 def test_error_output_is_single_json_line(tmp_path, capsys):

@@ -130,6 +130,9 @@ def test_answer_question_with_lookup_provider(tiny_rig):
     )
     assert answer.text == "$ 903"
     assert answer.model_tag == "lookup"
+    assert answer.retrieved == tuple(
+        retrieve("What was the Total revenue this year?", index, RetrievalConfig(k=3), embedder)
+    )
 
 
 def test_answer_question_with_mock_provider(tiny_rig):

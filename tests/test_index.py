@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import sys
 import threading
 
 import pytest
@@ -12,7 +13,6 @@ from docrag.index import (
     RetrievalConfig,
     RetrievalResult,
     VectorIndex,
-    cosine,
     embed,
 )
 
@@ -32,7 +32,19 @@ def entry(chunk_id, vector, **meta):
     return IndexEntry(chunk=chunk(chunk_id, **meta), vector=tuple(vector))
 
 
-# --- cosine ---------------------------------------------------------------
+# --- cosine: the pure-Python oracle the search tests compare against ------
+
+def cosine(u, v):
+    """Cosine similarity; an all-zero vector scores 0."""
+    if len(u) != len(v):
+        raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
+    dot = sum(a * b for a, b in zip(u, v))
+    norm_u = math.sqrt(sum(a * a for a in u))
+    norm_v = math.sqrt(sum(b * b for b in v))
+    if norm_u == 0.0 or norm_v == 0.0:
+        return 0.0
+    return dot / (norm_u * norm_v)
+
 
 def test_cosine_identical_vectors():
     assert math.isclose(cosine([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]), 1.0, rel_tol=1e-12)
@@ -109,6 +121,31 @@ def test_upsert_replaces_same_id():
     index.upsert(entry("a:1:0", [0.0, 1.0]))
     assert len(index) == 1
     assert index.get("a:1:0").vector == (0.0, 1.0)
+
+
+def test_get_absent_ids_around_stored_ones():
+    index = VectorIndex(dimension=1)
+    index.upsert_many([entry("b:1:0", [1.0]), entry("d:1:0", [2.0])])
+    assert [index.get(cid) for cid in ("a:1:0", "c:1:0", "e:1:0")] == [None, None, None]
+    assert index.get("d:1:0").vector == (2.0,)
+
+
+def test_upsert_many_repeated_id_keeps_last():
+    index = VectorIndex(dimension=2)
+    index.upsert(entry("a:1:0", [1.0, 0.0], company="OLD"))
+    index.upsert_many([entry("a:1:0", [0.0, 1.0], company="MID"), entry("a:1:0", [1.0, 1.0], company="NEW")])
+    assert len(index) == 1
+    assert index.get("a:1:0").vector == (1.0, 1.0)
+    [result] = index.search([1.0, 1.0], RetrievalConfig(filters=(("company", "NEW"),)))
+    assert result.chunk.metadata.company == "NEW"
+    assert index.search([1.0, 1.0], RetrievalConfig(filters=(("company", "OLD"),))) == []
+
+
+def test_chunks_in_id_order():
+    index = VectorIndex(dimension=1)
+    index.upsert_many([entry("b:1:0", [1.0]), entry("a:1:0", [1.0])])
+    assert [c.chunk_id for c in index.chunks()] == ["a:1:0", "b:1:0"]
+    assert index.chunks()[0] == chunk("a:1:0")
 
 
 def test_chunk_ids_sorted():
@@ -381,6 +418,19 @@ def test_load_rejects_entry_with_wrong_vector_length(tmp_path):
         VectorIndex.load(path)
 
 
+def test_load_rejects_non_finite_vector_at_its_line(tmp_path):
+    path = tmp_path / "index.jsonl"
+    populated_index().persist(path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[2])
+    record["vector"][1] = float("nan")
+    lines[2] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(IndexLoadError, match="finite") as info:
+        VectorIndex.load(path)
+    assert info.value.byte_offset == len(lines[0]) + 1 + len(lines[1]) + 1
+
+
 def test_load_warns_on_count_mismatch(tmp_path, caplog):
     path = tmp_path / "index.jsonl"
     populated_index().persist(path)
@@ -448,3 +498,30 @@ def test_concurrent_reads_during_writes():
         t.join()
     assert errors == []
     assert len(index) == 300
+
+
+def test_concurrent_upsert_many_keeps_every_id():
+    # Writers race on disjoint ids with thread switches forced often; a merge
+    # that read the snapshot outside the write lock would drop some of them.
+    index = VectorIndex(dimension=2)
+    writers, batches, size = 4, 40, 3
+
+    def writer(w):
+        for b in range(batches):
+            index.upsert_many(
+                [entry(f"w{w}:{b + 1}:{i}", [1.0, float(i)]) for i in range(size)]
+            )
+
+    threads = [threading.Thread(target=writer, args=(w,), daemon=True) for w in range(writers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    expected = {f"w{w}:{b + 1}:{i}" for w in range(writers) for b in range(batches) for i in range(size)}
+    assert set(index.chunk_ids()) == expected
