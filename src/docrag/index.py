@@ -5,6 +5,17 @@ full scan over one contiguous matrix is both fast enough and
 oracle-testable. A snapshot holds each chunk once, in ascending chunk_id
 order: its id, the chunk, its metadata as a dict (built once, on insert)
 and its vector as a row of a float64 matrix, with the row norms beside it.
+Each metadata field is also kept as a column of int32 codes, one per
+row, with a table from value to code, so a filter is a mask over a
+column rather than a scan over the dicts.
+
+A filter ``(name, value)`` keeps the chunks whose ``metadata.get(name) ==
+value`` under Python equality: ``2021``, ``2021.0`` and ``True == 1``
+match as ``==`` says, a JSON object or array (such as a ``region`` dict)
+matches an equal one, and a name that is no metadata field reads ``None``
+in every chunk. Several filters must all hold. Results sort by
+descending cosine score, ties by ascending chunk_id.
+
 Readers work on immutable snapshots; every write goes through one merge,
 serialized by a lock, so concurrent searches see a consistent index.
 Persistence is JSON-lines with a header line, written atomically.
@@ -19,7 +30,7 @@ import os
 import tempfile
 import threading
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -55,8 +66,8 @@ class IndexEntry:
     vector: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "vector", tuple(float(v) for v in self.vector))
-        if not all(math.isfinite(v) for v in self.vector):
+        object.__setattr__(self, "vector", tuple(map(float, self.vector)))
+        if not all(map(math.isfinite, self.vector)):
             raise ValueError("vector entries must be finite")
 
 
@@ -77,8 +88,77 @@ class RetrievalResult:
     score: float
 
 
+# Every metadata field; a filter on any other name reads None in each chunk.
+_FIELDS = tuple(f.name for f in fields(ChunkMetadata))
+
+
+def _key(value):
+    """A hashable key for a metadata value, equal for equal values: JSON
+    objects and arrays are frozen. TypeError for other unhashable values."""
+    if isinstance(value, dict):
+        return (dict, frozenset((name, _key(item)) for name, item in value.items()))
+    if isinstance(value, list):
+        return (list, tuple(map(_key, value)))
+    hash(value)
+    return value
+
+
+class _Codebook:
+    """One metadata field's value -> code table. Equal values share a code;
+    a value without a key gets a code of its own. A merge extends a copy,
+    so a published snapshot's table never changes."""
+
+    def __init__(self, values=(), codes=None, loose=()):
+        self.values = list(values)  # code -> the first value given it
+        self.codes = dict(codes or {})  # _key(value) -> code
+        self.loose = list(loose)  # codes of values without a key
+
+    def copy(self) -> "_Codebook":
+        return _Codebook(self.values, self.codes, self.loose)
+
+    def encode(self, values: Sequence) -> np.ndarray:
+        """The codes of ``values``, giving each new value the next code."""
+        codes, encoded = self.codes, []
+        for value in values:
+            try:
+                code = codes[value]  # a hashable value is its own key
+            except (KeyError, TypeError):
+                code = self._add(value)
+            encoded.append(code)
+        return np.array(encoded, dtype=np.int32)
+
+    def _add(self, value) -> int:
+        try:
+            key = _key(value)
+        except TypeError:
+            self.loose.append(len(self.values))
+        else:
+            code = self.codes.get(key)
+            if code is not None:
+                return code
+            self.codes[key] = len(self.values)
+        self.values.append(value)
+        return len(self.values) - 1
+
+    def lookup(self, value) -> list[int]:
+        """The codes of the values ``== value``."""
+        try:
+            candidates = [self.codes[_key(value)], *self.loose]
+        except KeyError:
+            candidates = self.loose
+        except TypeError:
+            candidates = range(len(self.values))
+        return [code for code in candidates if self.values[code] == value]
+
+
+def _joined(old: np.ndarray, new: np.ndarray, take: np.ndarray | None) -> np.ndarray:
+    """``new``'s rows after ``old``'s, then the rows ``take`` (None: all)."""
+    joined = np.concatenate([old, new]) if len(old) else new
+    return joined if take is None else joined[take]
+
+
 # Snapshot shared by concurrent readers; replaced wholesale on writes.
-# Position i of every field describes the chunk ids[i].
+# Position i of every sequence describes the chunk ids[i].
 @dataclass(frozen=True)
 class _Snapshot:
     ids: tuple[str, ...]
@@ -86,6 +166,10 @@ class _Snapshot:
     metadata: tuple[dict, ...]
     matrix: np.ndarray
     norms: np.ndarray
+    safe_norms: np.ndarray  # norms with 0 replaced by 1: the score divisor
+    zero_rows: int  # rows whose norm is 0
+    books: dict[str, _Codebook]  # field -> its codebook
+    columns: dict[str, np.ndarray]  # field -> int32 code of each row
 
 
 class VectorIndex:
@@ -107,6 +191,10 @@ class VectorIndex:
             metadata=(),
             matrix=np.empty((0, dimension), dtype=np.float64),
             norms=np.empty((0,), dtype=np.float64),
+            safe_norms=np.empty((0,), dtype=np.float64),
+            zero_rows=0,
+            books={name: _Codebook() for name in _FIELDS},
+            columns={name: np.empty((0,), dtype=np.int32) for name in _FIELDS},
         )
 
     def __len__(self) -> int:
@@ -143,21 +231,36 @@ class VectorIndex:
 
     def _merge(self, chunks: Sequence[DocumentChunk], rows: np.ndarray) -> None:
         """Publish the current snapshot plus ``chunks`` (``rows`` holds their
-        vectors); for a repeated chunk_id the last row wins."""
+        vectors); for a repeated chunk_id the last row wins. Only the new
+        chunks' metadata is encoded; old codes are reordered with the rows."""
         with self._write_lock:
             old = self._snapshot
             ids = old.ids + tuple(chunk.chunk_id for chunk in chunks)
             last = {chunk_id: position for position, chunk_id in enumerate(ids)}
             sorted_ids = tuple(sorted(last))
             order = [last[chunk_id] for chunk_id in sorted_ids]
+            # Rows that arrive unrepeated and in id order stay where they are.
+            take = None if sorted_ids == ids else np.array(order, dtype=np.intp)
             all_chunks = old.chunks + tuple(chunks)
-            metadata = old.metadata + tuple(chunk.metadata.as_dict() for chunk in chunks)
+            added = tuple(chunk.metadata.as_dict() for chunk in chunks)
+            metadata = old.metadata + added
+            books, columns = {}, {}
+            for name in _FIELDS:
+                book = books[name] = old.books[name].copy()
+                codes = book.encode([row.get(name) for row in added])
+                columns[name] = _joined(old.columns[name], codes, take)
+            norms = _joined(old.norms, np.linalg.norm(rows, axis=1), take)
+            zero = norms == 0.0
             self._snapshot = _Snapshot(
                 ids=sorted_ids,
                 chunks=tuple(all_chunks[p] for p in order),
                 metadata=tuple(metadata[p] for p in order),
-                matrix=np.concatenate([old.matrix, rows])[order],
-                norms=np.concatenate([old.norms, np.linalg.norm(rows, axis=1)])[order],
+                matrix=_joined(old.matrix, rows, take),
+                norms=norms,
+                safe_norms=np.where(zero, 1.0, norms),
+                zero_rows=int(zero.sum()),
+                books=books,
+                columns=columns,
             )
 
     def search(self, query_vector: Sequence[float], config: RetrievalConfig) -> list[RetrievalResult]:
@@ -171,34 +274,51 @@ class VectorIndex:
                 f"dimension mismatch: index is {self.dimension}, query is {len(query_vector)}"
             )
         snapshot = self._snapshot
-        filters = config.filters
-        keep = [
-            position
-            for position, metadata in enumerate(snapshot.metadata)
-            if all(metadata.get(name) == value for name, value in filters)
-        ]
-        if not keep:
+        mask = None
+        for name, value in config.filters:
+            if name not in snapshot.columns:
+                if value is None:  # every chunk reads None for a field it lacks
+                    continue
+                return []
+            codes = snapshot.columns[name]
+            matches = snapshot.books[name].lookup(value)
+            hit = codes == matches[0] if len(matches) == 1 else np.isin(codes, matches)
+            mask = hit if mask is None else mask & hit
+        if mask is None:  # no copy: one product over the whole matrix
+            kept, rows, safe_norms = None, snapshot.matrix, snapshot.safe_norms
+        else:
+            kept = np.flatnonzero(mask)
+            rows, safe_norms = snapshot.matrix[kept], snapshot.safe_norms[kept]
+        if not len(rows):
             return []
 
         query = np.asarray(query_vector, dtype=np.float64)
         query_norm = float(np.linalg.norm(query))
-        rows = snapshot.matrix[keep]
-        norms = snapshot.norms[keep]
         if query_norm == 0.0:
             logger.warning("search with an all-zero query vector; all scores 0")
-            scores = np.zeros(len(keep))
+            scores = np.zeros(len(rows))
         else:
-            zero_rows = norms == 0.0
-            if zero_rows.any():
-                logger.warning("%d all-zero vectors in index scored 0", int(zero_rows.sum()))
-            safe_norms = np.where(zero_rows, 1.0, norms)
             scores = (rows @ query) / (safe_norms * query_norm)
-            scores[zero_rows] = 0.0
+            if snapshot.zero_rows:
+                zero_rows = (snapshot.norms if kept is None else snapshot.norms[kept]) == 0.0
+                if zero_rows.any():
+                    logger.warning("%d all-zero vectors in index scored 0", int(zero_rows.sum()))
+                scores[zero_rows] = 0.0
 
         # Rows are in chunk_id order, so a stable sort breaks ties by id.
-        ranked = np.argsort(-scores, kind="stable")[: config.k]
+        negated = -scores
+        if config.k >= len(negated):
+            ranked = np.argsort(negated, kind="stable")
+        else:
+            # Every row at least as good as the k-th best (all of them if
+            # that is NaN, which a full sort puts last), then sort those.
+            bound = np.partition(negated, config.k - 1)[config.k - 1]
+            candidates = np.flatnonzero(~(negated > bound))
+            ranked = candidates[np.argsort(negated[candidates], kind="stable")[: config.k]]
+        positions = ranked if kept is None else kept[ranked]
         return [
-            RetrievalResult(chunk=snapshot.chunks[keep[i]], score=float(scores[i])) for i in ranked
+            RetrievalResult(chunk=snapshot.chunks[p], score=float(scores[i]))
+            for p, i in zip(positions.tolist(), ranked.tolist())
         ]
 
     def persist(self, path: str | Path) -> None:
@@ -275,7 +395,9 @@ class VectorIndex:
                     chunks.append(chunk)
                     rows.append(vector)
                 offset += len(raw)
-        index._merge(chunks, np.array(rows, dtype=np.float64).reshape(len(rows), dimension))
+        matrix = np.array(rows, dtype=np.float64).reshape(len(rows), dimension)
+        del rows  # the per-line arrays: one copy of the vectors at a time
+        index._merge(chunks, matrix)
         if len(index) != count:
             logger.warning(
                 "index header count %d disagrees with %d loaded entries", count, len(index)

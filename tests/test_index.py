@@ -5,6 +5,8 @@ import sys
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from docrag.chunking import ChunkMetadata, DocumentChunk
 from docrag.errors import IndexLoadError, ProviderError
@@ -15,6 +17,7 @@ from docrag.index import (
     VectorIndex,
     embed,
 )
+from docrag.tables import BoundingRegion
 
 
 def chunk(chunk_id, text="text", **meta):
@@ -266,6 +269,109 @@ def test_result_is_plain_record():
     assert result.score == 0.5
 
 
+def test_filter_on_absent_field_matches_only_none():
+    index = small_index()
+    every = ["a:1:0", "c:1:0", "b:1:0"]
+    found = index.search([1.0, 0.0], RetrievalConfig(k=3, filters=(("colour", None),)))
+    assert [r.chunk.chunk_id for r in found] == every
+    for value in ("red", 0, False, ""):
+        assert index.search([1.0, 0.0], RetrievalConfig(k=3, filters=(("colour", value),))) == []
+
+
+@pytest.mark.parametrize(
+    "filters, expected",
+    [
+        ((("year", 2013.0),), ["a:1:0", "b:1:0"]),
+        ((("year", 2020.0), ("company", "ACME")), ["c:1:0"]),
+        ((("page_number", True),), ["a:1:0", "c:1:0", "b:1:0"]),
+        ((("page_number", 1.0),), ["a:1:0", "c:1:0", "b:1:0"]),
+        ((("page_number", False),), []),
+        ((("year", "2013"),), []),
+        ((("quarter", None),), ["a:1:0", "c:1:0", "b:1:0"]),
+        ((("quarter", "Q1"),), []),
+    ],
+)
+def test_filter_values_match_as_python_equality(filters, expected):
+    found = small_index().search([1.0, 0.0], RetrievalConfig(k=3, filters=filters))
+    assert [r.chunk.chunk_id for r in found] == expected
+
+
+def test_filter_by_region_dict():
+    square = BoundingRegion(page_number=2, polygon=((0, 0), (4, 0), (4, 4), (0, 4)))
+    index = VectorIndex(dimension=2)
+    index.upsert_many(
+        [
+            entry("a:2:0", [1.0, 0.0], page_number=2, region=square),
+            entry("a:2:1", [0.0, 1.0], page_number=2, region=square),
+            entry("b:1:0", [1.0, 1.0], region=BoundingRegion(page_number=1, polygon=((0, 0), (1, 0), (1, 1)))),
+            entry("c:1:0", [1.0, 1.0]),
+        ]
+    )
+    # As an eval dataset would give it: parsed JSON, integer coordinates.
+    region = {"page_number": 2, "polygon": [[0, 0], [4, 0], [4, 4], [0, 4]]}
+    found = index.search([1.0, 0.0], RetrievalConfig(k=4, filters=(("region", region),)))
+    assert [r.chunk.chunk_id for r in found] == ["a:2:0", "a:2:1"]
+    swapped = {"page_number": 2, "polygon": [[0, 4], [4, 4], [4, 0], [0, 0]]}
+    assert index.search([1.0, 0.0], RetrievalConfig(k=4, filters=(("region", swapped),))) == []
+    found = index.search([1.0, 0.0], RetrievalConfig(k=4, filters=(("region", None),)))
+    assert [r.chunk.chunk_id for r in found] == ["c:1:0"]
+
+
+def test_filter_value_never_seen():
+    index = small_index()
+    for filters in ((("company", "GAMMA"),), (("year", 1999),), (("company", "ACME"), ("year", 1999))):
+        assert index.search([1.0, 0.0], RetrievalConfig(k=3, filters=filters)) == []
+    # An unhashable value equal to nothing stored is never seen either.
+    assert index.search([1.0, 0.0], RetrievalConfig(k=3, filters=(("company", ["ACME"]),))) == []
+
+
+def test_filter_on_unhashable_non_json_values():
+    index = VectorIndex(dimension=1)
+    index.upsert_many(
+        [
+            entry("a:1:0", [1.0], company={"ACME"}),
+            entry("b:1:0", [1.0], company="ACME"),
+            entry("c:1:0", [1.0], company=frozenset({"ACME"})),
+        ]
+    )
+    for value in ({"ACME"}, frozenset({"ACME"})):
+        found = index.search([1.0], RetrievalConfig(k=3, filters=(("company", value),)))
+        assert [r.chunk.chunk_id for r in found] == ["a:1:0", "c:1:0"]
+
+
+def test_filter_sees_replaced_metadata_only():
+    index = small_index()
+    index.upsert(entry("a:1:0", [1.0, 0.0], company="BETA", year=2013))
+    acme = index.search([1.0, 0.0], RetrievalConfig(k=3, filters=(("company", "ACME"),)))
+    assert [r.chunk.chunk_id for r in acme] == ["c:1:0"]
+    beta = index.search([1.0, 0.0], RetrievalConfig(k=3, filters=(("company", "BETA"),)))
+    assert [r.chunk.chunk_id for r in beta] == ["a:1:0", "b:1:0"]
+
+
+def test_exact_ties_straddling_the_kth_position():
+    # Integer vectors against [1, 0] score exactly 1, 0 or -1, so each
+    # score is shared by several rows; ids are inserted out of order.
+    vectors = {"e": [2.0, 0.0], "b": [0.0, 3.0], "g": [1.0, 0.0], "a": [-1.0, 0.0],
+               "f": [0.0, 1.0], "c": [5.0, 0.0], "d": [-2.0, 0.0]}
+    index = VectorIndex(dimension=2)
+    index.upsert_many([entry(f"{name}:1:0", vector) for name, vector in vectors.items()])
+    ranked = sorted(vectors, key=lambda name: (-vectors[name][0] / math.hypot(*vectors[name]), name))
+    for k in range(1, len(vectors) + 3):
+        found = index.search([1.0, 0.0], RetrievalConfig(k=k))
+        assert [r.chunk.chunk_id[0] for r in found] == ranked[:k]
+        for filters in ((("page_number", 1),), (("page_number", 1), ("company", None))):
+            filtered = index.search([1.0, 0.0], RetrievalConfig(k=k, filters=filters))
+            assert filtered == found
+
+
+def test_non_finite_query_ranks_as_a_full_sort():
+    index = small_index()
+    every = index.search([math.nan, 0.0], RetrievalConfig(k=3))
+    for k in (1, 2):
+        found = index.search([math.nan, 0.0], RetrievalConfig(k=k))
+        assert [r.chunk.chunk_id for r in found] == [r.chunk.chunk_id for r in every[:k]]
+
+
 # --- numpy path vs pure-python oracle -----------------------------------------
 
 def brute_force(entries, query, k, filters=()):
@@ -320,6 +426,51 @@ def test_search_scores_match_pure_python_cosine():
     for result in index.search(query, RetrievalConfig(k=30)):
         expected = cosine(by_id[result.chunk.chunk_id].vector, query)
         assert math.isclose(result.score, expected, rel_tol=1e-12)
+
+
+FILTERS = [
+    ("company", "ACME"), ("company", "BETA"), ("company", None), ("company", "NOPE"),
+    ("year", 2020), ("year", 2021.0), ("year", None), ("quarter", "Q1"), ("quarter", None),
+    ("page_number", 1), ("page_number", True), ("page_number", 2.0), ("document_id", "d1"),
+    ("colour", None), ("colour", "red"),
+]
+
+stored_rows = st.lists(
+    st.tuples(
+        st.sampled_from(["ACME", "BETA", None]),
+        st.sampled_from([2020, 2021, None]),
+        st.sampled_from(["Q1", None]),
+        st.integers(1, 3),
+        st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=stored_rows,
+    filters=st.lists(st.sampled_from(FILTERS), min_size=1, max_size=2),
+    query=st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+    k=st.integers(1, 32),
+)
+def test_filtered_search_matches_bruteforce(rows, filters, query, k):
+    # Small integer vectors make numpy's and the oracle's scores bit-equal,
+    # ties included, so the comparison is exact.
+    entries = [
+        entry(f"d{i % 3}:{page}:{i}", map(float, vector), document_id=f"d{i % 3}",
+              page_number=page, company=company, year=year, quarter=quarter)
+        for i, (company, year, quarter, page, vector) in enumerate(rows)
+    ]
+    index = VectorIndex(dimension=4)
+    index.upsert_many(entries)
+    query = [float(x) for x in query]
+    found = index.search(query, RetrievalConfig(k=k, filters=tuple(filters)))
+    expected = brute_force(entries, query, k, filters)
+    assert [r.chunk.chunk_id for r in found] == expected
+    by_id = {e.chunk.chunk_id: e for e in entries}
+    assert [r.score for r in found] == [cosine(by_id[cid].vector, query) for cid in expected]
 
 
 # --- persistence ---------------------------------------------------------------
@@ -525,3 +676,61 @@ def test_concurrent_upsert_many_keeps_every_id():
     assert not any(t.is_alive() for t in threads)
     expected = {f"w{w}:{b + 1}:{i}" for w in range(writers) for b in range(batches) for i in range(size)}
     assert set(index.chunk_ids()) == expected
+
+
+def test_concurrent_filtered_search_during_upserts():
+    # Writers move ids between companies while readers filter on one; a
+    # result whose row came from another snapshot than its mask would leak
+    # another company. A thousand rows make numpy release the GIL mid-search.
+    companies = ("ACME", "BETA", "GAMMA")
+    writers, batches, size, per_writer = 4, 100, 3, 250
+    index = VectorIndex(dimension=2)
+    index.upsert_many(
+        [
+            entry(f"w{w}:1:{i}", [1.0, float(i % 5)], company=companies[i % 3])
+            for w in range(writers)
+            for i in range(per_writer)
+        ]
+    )
+    leaks, done = [], threading.Event()
+
+    def writer(w):
+        for b in range(batches):
+            index.upsert_many(
+                [
+                    entry(f"w{w}:1:{(7 * b + i) % per_writer}", [1.0, float(i)],
+                          company=companies[(b + i + w) % 3])
+                    for i in range(size)
+                ]
+            )
+
+    def reader():
+        config = RetrievalConfig(k=writers * per_writer, filters=(("company", "ACME"),))
+        try:
+            while not done.is_set():
+                for result in index.search([1.0, 0.5], config):
+                    if result.chunk.metadata.company != "ACME":
+                        leaks.append(result.chunk)
+        except Exception as exc:  # pragma: no cover - surfaced via leaks
+            leaks.append(exc)
+
+    threads = [threading.Thread(target=writer, args=(w,), daemon=True) for w in range(writers)]
+    readers = [threading.Thread(target=reader, daemon=True) for _ in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in readers + threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        done.set()
+        for t in readers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads + readers)
+    assert leaks == []
+    final = index.search([1.0, 0.5], RetrievalConfig(k=len(index), filters=(("company", "ACME"),)))
+    assert {r.chunk.chunk_id for r in final} == {
+        c.chunk_id for c in index.chunks() if c.metadata.company == "ACME"
+    }

@@ -107,6 +107,8 @@ def server():
     thread.start()
     yield f"http://127.0.0.1:{httpd.server_address[1]}"
     httpd.shutdown()
+    httpd.server_close()
+    thread.join()
 
 
 def request(prompt="What is it?\nAnswer:", model="gpt-4o"):
