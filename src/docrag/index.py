@@ -92,61 +92,42 @@ class RetrievalResult:
 _FIELDS = tuple(f.name for f in fields(ChunkMetadata))
 
 
-def _key(value):
-    """A hashable key for a metadata value, equal for equal values: JSON
-    objects and arrays are frozen. TypeError for other unhashable values."""
-    if isinstance(value, dict):
-        return (dict, frozenset((name, _key(item)) for name, item in value.items()))
-    if isinstance(value, list):
-        return (list, tuple(map(_key, value)))
-    hash(value)
-    return value
-
-
 class _Codebook:
-    """One metadata field's value -> code table. Equal values share a code;
-    a value without a key gets a code of its own. A merge extends a copy,
-    so a published snapshot's table never changes."""
+    """One metadata field's value -> code table. Equal hashable values share
+    a code; each unhashable value (a JSON object or array) gets a code of
+    its own. A merge extends a copy, so a published snapshot's table never
+    changes; values of replaced rows stay until ``_merge`` rebuilds the
+    table, once it holds more than twice as many values as the index rows."""
 
     def __init__(self, values=(), codes=None, loose=()):
         self.values = list(values)  # code -> the first value given it
-        self.codes = dict(codes or {})  # _key(value) -> code
-        self.loose = list(loose)  # codes of values without a key
+        self.codes = dict(codes or {})  # hashable value -> code
+        self.loose = list(loose)  # codes of unhashable values
 
     def copy(self) -> "_Codebook":
         return _Codebook(self.values, self.codes, self.loose)
 
     def encode(self, values: Sequence) -> np.ndarray:
         """The codes of ``values``, giving each new value the next code."""
-        codes, encoded = self.codes, []
+        encoded = []
         for value in values:
+            code = len(self.values)
             try:
-                code = codes[value]  # a hashable value is its own key
-            except (KeyError, TypeError):
-                code = self._add(value)
+                code = self.codes.setdefault(value, code)
+            except TypeError:
+                self.loose.append(code)
+            if code == len(self.values):
+                self.values.append(value)
             encoded.append(code)
         return np.array(encoded, dtype=np.int32)
-
-    def _add(self, value) -> int:
-        try:
-            key = _key(value)
-        except TypeError:
-            self.loose.append(len(self.values))
-        else:
-            code = self.codes.get(key)
-            if code is not None:
-                return code
-            self.codes[key] = len(self.values)
-        self.values.append(value)
-        return len(self.values) - 1
 
     def lookup(self, value) -> list[int]:
         """The codes of the values ``== value``."""
         try:
-            candidates = [self.codes[_key(value)], *self.loose]
+            candidates = [self.codes[value], *self.loose]
         except KeyError:
             candidates = self.loose
-        except TypeError:
+        except TypeError:  # an unhashable value is compared with every value
             candidates = range(len(self.values))
         return [code for code in candidates if self.values[code] == value]
 
@@ -244,17 +225,23 @@ class VectorIndex:
             all_chunks = old.chunks + tuple(chunks)
             added = tuple(chunk.metadata.as_dict() for chunk in chunks)
             metadata = old.metadata + added
+            metadata = tuple(metadata[p] for p in order)
             books, columns = {}, {}
             for name in _FIELDS:
                 book = books[name] = old.books[name].copy()
                 codes = book.encode([row.get(name) for row in added])
                 columns[name] = _joined(old.columns[name], codes, take)
+                if len(book.values) > 2 * len(sorted_ids):
+                    # Mostly values of replaced rows: encode the live rows
+                    # afresh (at most once per len(rows) values added).
+                    book = books[name] = _Codebook()
+                    columns[name] = book.encode([row.get(name) for row in metadata])
             norms = _joined(old.norms, np.linalg.norm(rows, axis=1), take)
             zero = norms == 0.0
             self._snapshot = _Snapshot(
                 ids=sorted_ids,
                 chunks=tuple(all_chunks[p] for p in order),
-                metadata=tuple(metadata[p] for p in order),
+                metadata=metadata,
                 matrix=_joined(old.matrix, rows, take),
                 norms=norms,
                 safe_norms=np.where(zero, 1.0, norms),
@@ -305,16 +292,14 @@ class VectorIndex:
                     logger.warning("%d all-zero vectors in index scored 0", int(zero_rows.sum()))
                 scores[zero_rows] = 0.0
 
-        # Rows are in chunk_id order, so a stable sort breaks ties by id.
+        # Every row at least as good as the k-th best (all of them if that
+        # is NaN, which a sort puts last), then a stable sort of those: rows
+        # are in chunk_id order, so ties break by id.
         negated = -scores
-        if config.k >= len(negated):
-            ranked = np.argsort(negated, kind="stable")
-        else:
-            # Every row at least as good as the k-th best (all of them if
-            # that is NaN, which a full sort puts last), then sort those.
-            bound = np.partition(negated, config.k - 1)[config.k - 1]
-            candidates = np.flatnonzero(~(negated > bound))
-            ranked = candidates[np.argsort(negated[candidates], kind="stable")[: config.k]]
+        k = min(config.k, len(negated))
+        bound = np.partition(negated, k - 1)[k - 1]
+        candidates = np.flatnonzero(~(negated > bound))
+        ranked = candidates[np.argsort(negated[candidates], kind="stable")[:k]]
         positions = ranked if kept is None else kept[ranked]
         return [
             RetrievalResult(chunk=snapshot.chunks[p], score=float(scores[i]))

@@ -348,6 +348,27 @@ def test_filter_sees_replaced_metadata_only():
     assert [r.chunk.chunk_id for r in beta] == ["a:1:0", "b:1:0"]
 
 
+def test_value_tables_stay_bounded_under_rewrites():
+    # Rewriting rows with ever-new values leaves stale ones in a field's
+    # table until it is rebuilt; filters must hold before and after.
+    index = VectorIndex(dimension=2)
+    for n in range(40):
+        region = BoundingRegion(page_number=1, polygon=((0, 0), (n + 1, 0), (0, 1)))
+        index.upsert_many(
+            [
+                entry("a:1:0", [1.0, 0.0], section_title=f"s{n}", region=region),
+                entry("b:1:0", [0.0, 1.0], section_title=f"s{n + 1}", region=region),
+            ]
+        )
+        for name in ("section_title", "region"):
+            assert len(index._snapshot.books[name].values) <= 2 * len(index)
+        found = index.search([1.0, 0.0], RetrievalConfig(k=2, filters=(("section_title", f"s{n + 1}"),)))
+        assert [r.chunk.chunk_id for r in found] == ["b:1:0"]
+        found = index.search([1.0, 0.0], RetrievalConfig(k=2, filters=(("region", region.to_dict()),)))
+        assert [r.chunk.chunk_id for r in found] == ["a:1:0", "b:1:0"]
+        assert index.search([1.0, 0.0], RetrievalConfig(k=2, filters=(("section_title", f"s{n - 1}"),))) == []
+
+
 def test_exact_ties_straddling_the_kth_position():
     # Integer vectors against [1, 0] score exactly 1, 0 or -1, so each
     # score is shared by several rows; ids are inserted out of order.
