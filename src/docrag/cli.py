@@ -32,7 +32,7 @@ from .providers import (
     MockLLM,
     NullChartProvider,
 )
-from .tokens import DEFAULT_TOKENIZER
+from .tokens import DEFAULT_TOKENIZER, resolve_tokenizer
 
 _HASH_TAG_PREFIX = "feature-hash-v1-"
 
@@ -74,9 +74,10 @@ def _parse_filters(pairs: list[str] | None) -> tuple[tuple[str, object], ...]:
 
 
 def _embedder_for_index(index: VectorIndex):
+    tokenizer = resolve_tokenizer(index.tokenizer_tag)
     tag = index.provider_tag
     if tag.startswith(_HASH_TAG_PREFIX):
-        return HashingEmbedder(dimension=index.dimension)
+        return HashingEmbedder(dimension=index.dimension, tokenizer=tokenizer)
     if tag == HttpEmbeddingProvider.tag:
         return HttpEmbeddingProvider(dimension=index.dimension)
     raise ValueError(f"index was built with unknown embedding provider {tag!r}")

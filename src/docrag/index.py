@@ -254,12 +254,16 @@ class VectorIndex:
         """Exact top-k by cosine among entries passing every metadata filter.
 
         Results sort by descending score, ties by ascending chunk_id. An
-        empty index (or one emptied by the filters) yields no results.
+        empty index (or one emptied by the filters) yields no results. A
+        query with a NaN or infinite component raises ``ValueError``.
         """
         if len(query_vector) != self.dimension:
             raise ValueError(
                 f"dimension mismatch: index is {self.dimension}, query is {len(query_vector)}"
             )
+        query = np.asarray(query_vector, dtype=np.float64)
+        if not np.isfinite(query).all():
+            raise ValueError("query vector has a non-finite component")
         snapshot = self._snapshot
         mask = None
         for name, value in config.filters:
@@ -279,7 +283,6 @@ class VectorIndex:
         if not len(rows):
             return []
 
-        query = np.asarray(query_vector, dtype=np.float64)
         query_norm = float(np.linalg.norm(query))
         if query_norm == 0.0:
             logger.warning("search with an all-zero query vector; all scores 0")

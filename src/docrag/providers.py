@@ -193,14 +193,28 @@ class LLMRequest:
 @dataclass(frozen=True)
 class LLMResponse:
     text: str
-    prompt_tokens: int
     completion_tokens: int
 
 
 class LLMProvider(Protocol):
+    """Completes one prompt.
+
+    The pipeline counts prompt tokens itself, so a provider reports only
+    its text and completion count.
+    """
+
     tag: str
 
     def complete(self, request: LLMRequest) -> LLMResponse: ...
+
+
+_QUESTION_RE = re.compile(r"Question: (?P<q>.*)\nAnswer:$", re.DOTALL)
+
+
+def _question_in(prompt: str) -> str:
+    """The prompt's trailing question line, or the whole prompt if it has none."""
+    match = _QUESTION_RE.search(prompt)
+    return match.group("q") if match else prompt
 
 
 class MockLLM:
@@ -211,21 +225,14 @@ class MockLLM:
     """
 
     tag = "mock"
-    _QUESTION_RE = re.compile(r"Question: (?P<q>.*)\nAnswer:$", re.DOTALL)
 
     def __init__(self, answers: dict[str, str], default: str = ""):
         self.answers = dict(answers)
         self.default = default
 
     def complete(self, request: LLMRequest) -> LLMResponse:
-        match = self._QUESTION_RE.search(request.prompt)
-        question = match.group("q") if match else request.prompt
-        text = self.answers.get(question, self.default)
-        return LLMResponse(
-            text=text,
-            prompt_tokens=count_tokens(request.prompt),
-            completion_tokens=count_tokens(text),
-        )
+        text = self.answers.get(_question_in(request.prompt), self.default)
+        return LLMResponse(text=text, completion_tokens=count_tokens(text))
 
 
 class ContextLookupLLM:
@@ -240,18 +247,8 @@ class ContextLookupLLM:
     _SKIP_KEYS = frozenset({"question", "answer"})
 
     def complete(self, request: LLMRequest) -> LLMResponse:
-        pairs = self._harvest(request.prompt)
-        question = self._question_of(request.prompt)
-        text = self._lookup(pairs, question)
-        return LLMResponse(
-            text=text,
-            prompt_tokens=count_tokens(request.prompt),
-            completion_tokens=count_tokens(text),
-        )
-
-    def _question_of(self, prompt: str) -> str:
-        match = MockLLM._QUESTION_RE.search(prompt)
-        return match.group("q") if match else prompt
+        text = self._lookup(self._harvest(request.prompt), _question_in(request.prompt))
+        return LLMResponse(text=text, completion_tokens=count_tokens(text))
 
     def _harvest(self, prompt: str) -> list[tuple[str, str]]:
         pairs: list[tuple[str, str]] = []
@@ -321,7 +318,6 @@ class HttpLLM:
         usage = payload.get("usage", {})
         return LLMResponse(
             text=str(text),
-            prompt_tokens=int(usage.get("prompt_tokens", count_tokens(request.prompt))),
             completion_tokens=int(usage.get("completion_tokens", count_tokens(str(text)))),
         )
 

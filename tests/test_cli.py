@@ -198,6 +198,21 @@ def test_query_unknown_embedding_provider_fails(corpus, tmp_path, capsys):
     assert "'bogus'" in error["message"]
 
 
+def test_query_unknown_tokenizer_fails(corpus, tmp_path, capsys):
+    index_path, _ = ingest(corpus, tmp_path, capsys)
+    index = VectorIndex.load(index_path)
+    index.tokenizer_tag = "bogus-tokenizer"
+    index.persist(index_path)
+    code, out, err = run(
+        capsys, "query", "--index", str(index_path), "--question", "anything"
+    )
+    assert code == 1
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "ValueError"
+    assert "'bogus-tokenizer'" in error["message"]
+
+
 def test_query_mock_provider_with_answers(corpus, tmp_path, capsys):
     index_path, _ = ingest(corpus, tmp_path, capsys)
     answers = tmp_path / "answers.json"

@@ -18,7 +18,7 @@ from docrag.generation import (
 from docrag.chunking import ChunkMetadata, DocumentChunk
 from docrag.index import IndexEntry, RetrievalConfig, VectorIndex
 from docrag.providers import ContextLookupLLM, LLMRequest, LLMResponse, MockLLM
-from docrag.tokens import count_tokens
+from docrag.tokens import DEFAULT_TOKENIZER, count_tokens
 
 
 def chunk(chunk_id, text):
@@ -157,11 +157,31 @@ def test_prompt_token_count_is_count_tokens_of_prompt(tiny_rig):
 
         def complete(self, request):
             self.prompt = request.prompt
-            return LLMResponse(text="ok", prompt_tokens=0, completion_tokens=1)
+            return LLMResponse(text="ok", completion_tokens=1)
 
     recorder = Recorder()
     answer = answer_question("Fleet size?", index, RetrievalConfig(k=2), recorder, embedder)
     assert answer.prompt_token_count == count_tokens(recorder.prompt)
+
+
+@pytest.mark.parametrize(
+    "llm", [ContextLookupLLM(), MockLLM({"Fleet size?": "77 vessels"})], ids=["lookup", "mock"]
+)
+def test_prompt_is_tokenized_once(tiny_rig, llm, monkeypatch):
+    index, embedder = tiny_rig
+    config = RetrievalConfig(k=2)
+    results = retrieve("Fleet size?", index, config, embedder)
+    prompt = build_prompt([r.chunk.text for r in results], "Fleet size?")
+    seen = []
+    spans = DEFAULT_TOKENIZER.spans
+
+    def recording(text):
+        seen.append(text)
+        return spans(text)
+
+    monkeypatch.setattr(DEFAULT_TOKENIZER, "spans", recording)
+    answer_question("Fleet size?", index, config, llm, embedder)
+    assert seen.count(prompt) == 1
 
 
 def test_context_chunks_appear_verbatim_in_prompt(tiny_rig):
@@ -173,7 +193,7 @@ def test_context_chunks_appear_verbatim_in_prompt(tiny_rig):
 
         def complete(self, request):
             Recorder.prompt = request.prompt
-            return LLMResponse(text="", prompt_tokens=0, completion_tokens=0)
+            return LLMResponse(text="", completion_tokens=0)
 
     results = retrieve("Fleet size?", index, RetrievalConfig(k=3), embedder)
     answer_question("Fleet size?", index, RetrievalConfig(k=3), Recorder(), embedder)
@@ -198,7 +218,7 @@ def test_empty_retrieval_warns_and_still_calls(tiny_rig, caplog):
 
         def complete(self, request):
             calls.append(request.prompt)
-            return LLMResponse(text="", prompt_tokens=0, completion_tokens=0)
+            return LLMResponse(text="", completion_tokens=0)
 
     with caplog.at_level(logging.WARNING, logger="docrag.generation"):
         answer_question(
@@ -237,7 +257,7 @@ def test_max_output_tokens_forwarded(tiny_rig):
 
         def complete(self, request: LLMRequest):
             seen.append(request.max_output_tokens)
-            return LLMResponse(text="", prompt_tokens=0, completion_tokens=0)
+            return LLMResponse(text="", completion_tokens=0)
 
     answer_question(
         "Fleet size?", index, RetrievalConfig(k=1), Probe(), embedder, max_output_tokens=42
@@ -252,7 +272,7 @@ def test_negative_completion_count_clamped(tiny_rig):
         tag = "liar"
 
         def complete(self, request):
-            return LLMResponse(text="x", prompt_tokens=1, completion_tokens=-5)
+            return LLMResponse(text="x", completion_tokens=-5)
 
     answer = answer_question("Fleet size?", index, RetrievalConfig(k=1), Liar(), embedder)
     assert answer.completion_token_count == 0

@@ -385,12 +385,12 @@ def test_exact_ties_straddling_the_kth_position():
             assert filtered == found
 
 
-def test_non_finite_query_ranks_as_a_full_sort():
+def test_non_finite_query_is_refused():
     index = small_index()
-    every = index.search([math.nan, 0.0], RetrievalConfig(k=3))
-    for k in (1, 2):
-        found = index.search([math.nan, 0.0], RetrievalConfig(k=k))
-        assert [r.chunk.chunk_id for r in found] == [r.chunk.chunk_id for r in every[:k]]
+    for bad in (math.nan, math.inf, -math.inf):
+        for filters in ((), (("company", "ACME"),), (("company", "NOBODY"),)):
+            with pytest.raises(ValueError, match="non-finite"):
+                index.search([bad, 0.0], RetrievalConfig(k=3, filters=filters))
 
 
 # --- numpy path vs pure-python oracle -----------------------------------------

@@ -120,7 +120,6 @@ def request(prompt="What is it?\nAnswer:", model="gpt-4o"):
 def test_http_llm_round_trip(server):
     response = HttpLLM(endpoint=f"{server}/chat").complete(request())
     assert response.text == "from-http"
-    assert response.prompt_tokens == 11
     assert response.completion_tokens == 2
 
 
@@ -138,7 +137,6 @@ def test_http_llm_counts_tokens_without_usage(server):
     response = HttpLLM(endpoint=f"{server}/chat-nousage").complete(request())
     assert response.text == "three plain words"
     assert response.completion_tokens == 3
-    assert response.prompt_tokens > 0
 
 
 def test_http_llm_bearer_auth(server):
@@ -317,7 +315,6 @@ def test_mock_llm_counts_tokens():
     llm = MockLLM({"Q?": "two words"})
     response = llm.complete(request(prompt=build_prompt(["ctx"], "Q?")))
     assert response.completion_tokens == 2
-    assert response.prompt_tokens > 0
 
 
 def test_lookup_llm_reads_json_records():
