@@ -33,7 +33,7 @@ from .evaluation import (
     run_eval,
     score_answer,
 )
-from .generation import Answer, PromptTemplate, answer_question, build_prompt, retrieve
+from .generation import Answer, answer_question, build_prompt, retrieve
 from .index import (
     IndexEntry,
     RetrievalConfig,
@@ -55,7 +55,6 @@ from .preprocess import (
     extract_figures,
     extract_layout,
     preprocess_document,
-    preprocess_documents,
 )
 from .tables import (
     BoundingRegion,
@@ -94,7 +93,6 @@ __all__ = [
     "MissingDocumentsError",
     "PageContent",
     "PricingConfig",
-    "PromptTemplate",
     "ProviderError",
     "QAExample",
     "RetrievalConfig",
@@ -122,7 +120,6 @@ __all__ = [
     "parse_layout_payload",
     "payload_to_dict",
     "preprocess_document",
-    "preprocess_documents",
     "retrieve",
     "run_eval",
     "savings_ratio",

@@ -24,7 +24,6 @@ class ChartExtraction:
 
     source_region: BoundingRegion
     csv_text: str
-    chart_kind_hint: str | None = None
 
 
 def chart_csv_to_records(extraction: ChartExtraction) -> list[FlatRecord]:

@@ -19,7 +19,7 @@ from .chunking import DEFAULT_CHUNK_SIZE, split_pages
 from .costs import DEFAULT_PRICING, PricingConfig, format_cost_report, load_pricing
 from .embedding import HashingEmbedder
 from .errors import DocragError
-from .evaluation import load_dataset, run_eval, write_report
+from .evaluation import DEFAULT_EVAL_WORKERS, load_dataset, run_eval, write_report
 from .generation import answer_question
 from .index import DEFAULT_K, IndexEntry, RetrievalConfig, VectorIndex, embed
 from .layout import parse_layout_payload
@@ -33,8 +33,6 @@ from .providers import (
     NullChartProvider,
 )
 from .tokens import DEFAULT_TOKENIZER, resolve_tokenizer
-
-_HASH_TAG_PREFIX = "feature-hash-v1-"
 
 
 def _load_config(path: str | None) -> dict:
@@ -74,13 +72,18 @@ def _parse_filters(pairs: list[str] | None) -> tuple[tuple[str, object], ...]:
 
 
 def _embedder_for_index(index: VectorIndex):
+    """The query embedder the index header names; any other header is refused."""
     tokenizer = resolve_tokenizer(index.tokenizer_tag)
     tag = index.provider_tag
-    if tag.startswith(_HASH_TAG_PREFIX):
-        return HashingEmbedder(dimension=index.dimension, tokenizer=tokenizer)
     if tag == HttpEmbeddingProvider.tag:
         return HttpEmbeddingProvider(dimension=index.dimension)
-    raise ValueError(f"index was built with unknown embedding provider {tag!r}")
+    embedder = HashingEmbedder(dimension=index.dimension, tokenizer=tokenizer)
+    if embedder.tag != tag:
+        raise ValueError(
+            f"index was built with unknown embedding provider {tag!r} "
+            f"for dimension {index.dimension}"
+        )
+    return embedder
 
 
 def _llm_for(name: str, answers_path: str | None):
@@ -177,7 +180,7 @@ def cmd_eval(args, config: dict) -> int:
         k=int(_setting(args.k, config, "k", DEFAULT_K)),
         model_tag=_setting(args.model_tag, config, "model_tag", None),
         pricing=_pricing_from(args, config),
-        max_workers=int(_setting(None, config, "eval_workers", 4)),
+        max_workers=int(_setting(None, config, "eval_workers", DEFAULT_EVAL_WORKERS)),
     )
     write_report(report, args.report)
     print(

@@ -18,21 +18,24 @@ EmbeddingVector = list[float]
 
 DEFAULT_DIMENSION = 256
 
+# The hash family is part of the tag's meaning: a vector is reproducible
+# from the tag, the dimension and the tokenizer only because this key is
+# a constant.
+_HASH_KEY = b"docrag-hash-v1"
+
 
 class HashingEmbedder:
-    """Seeded feature hashing over token n-grams, L2-normalized."""
+    """Keyed feature hashing over token n-grams, L2-normalized."""
 
     def __init__(
         self,
         dimension: int = DEFAULT_DIMENSION,
-        seed: str = "docrag-hash-v1",
         tokenizer: Tokenizer | str | None = None,
     ):
         if dimension < 1:
             raise ValueError("dimension must be >= 1")
         self.dimension = dimension
         self.tag = f"feature-hash-v1-{dimension}"
-        self._key = seed.encode("utf-8")
         self._tokenizer = resolve_tokenizer(tokenizer)
 
     def _features(self, text: str) -> list[str]:
@@ -46,7 +49,7 @@ class HashingEmbedder:
         values = [0.0] * self.dimension
         for feature in self._features(text):
             digest = hashlib.blake2b(
-                feature.encode("utf-8"), key=self._key, digest_size=8
+                feature.encode("utf-8"), key=_HASH_KEY, digest_size=8
             ).digest()
             bucket = int.from_bytes(digest, "big")
             sign = 1.0 if bucket & 1 else -1.0

@@ -169,7 +169,8 @@ def run_eval(
 ) -> EvalReport:
     """Answer and score every example; aggregate accuracy and call cost.
 
-    All referenced documents must already be indexed; missing ones are
+    ``max_workers`` threads (at least one) answer the examples; the report
+    follows the examples' order whatever the count. All referenced documents must already be indexed; missing ones are
     reported up front, before any provider call.
     """
     indexed_documents = {chunk.metadata.document_id for chunk in index.chunks()}
@@ -188,11 +189,8 @@ def run_eval(
         cost = cost_per_call(answer.model_tag, answer.prompt_token_count, pricing)
         return correct, cost
 
-    if examples and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            outcomes = list(pool.map(answer_one, examples))
-    else:
-        outcomes = [answer_one(example) for example in examples]
+    with ThreadPoolExecutor(max_workers=max_workers) as pool:
+        outcomes = list(pool.map(answer_one, examples))
 
     per_target: dict[str, dict[str, int]] = {}
     per_difficulty: dict[str, dict[str, int]] = {}

@@ -1,8 +1,9 @@
 """Prompt assembly and question answering over a vector index.
 
 The prompt wording is pinned and golden-tested; changing a byte of it
-invalidates recorded runs. The question goes after the template because
-the template itself only positions the context.
+invalidates recorded runs. The prompt is the preamble, the retrieved
+context and the postamble, each separated by a blank line, then the
+question as a trailing "Question: ... Answer:" block.
 """
 
 from __future__ import annotations
@@ -27,18 +28,6 @@ DEFAULT_MAX_OUTPUT_TOKENS = 256
 
 
 @dataclass(frozen=True)
-class PromptTemplate:
-    preamble: str = PREAMBLE
-    postamble: str = POSTAMBLE
-
-    def render(self, context: str) -> str:
-        return f"{self.preamble}\n\n{context}\n\n{self.postamble}"
-
-
-DEFAULT_TEMPLATE = PromptTemplate()
-
-
-@dataclass(frozen=True)
 class Answer:
     text: str
     model_tag: str
@@ -52,12 +41,12 @@ class Answer:
 
 
 def build_prompt(context_chunks: Sequence[str], question: str) -> str:
-    """Render the pinned prompt: template around the joined chunks, then
-    the question as a trailing "Question: ... Answer:" block."""
+    """Render the pinned prompt: preamble, the joined chunks and postamble,
+    then the question as a trailing "Question: ... Answer:" block."""
     if not question:
         raise ValueError("question must be non-empty")
     context = CONTEXT_SEPARATOR.join(context_chunks)
-    return f"{DEFAULT_TEMPLATE.render(context)}\n\nQuestion: {question}\nAnswer:"
+    return f"{PREAMBLE}\n\n{context}\n\n{POSTAMBLE}\n\nQuestion: {question}\nAnswer:"
 
 
 def retrieve(

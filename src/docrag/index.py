@@ -18,7 +18,8 @@ descending cosine score, ties by ascending chunk_id.
 
 Readers work on immutable snapshots; every write goes through one merge,
 serialized by a lock, so concurrent searches see a consistent index.
-Persistence is JSON-lines with a header line, written atomically.
+Persistence is JSON-lines with a header line, written atomically and
+synced to disk before it replaces the old file.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import json
 import logging
 import math
 import os
-import tempfile
 import threading
 from bisect import bisect_left
 from dataclasses import dataclass, field, fields
@@ -310,7 +310,9 @@ class VectorIndex:
         ]
 
     def persist(self, path: str | Path) -> None:
-        """Write the index as JSON-lines, atomically (temp file + rename)."""
+        """Write the index as JSON-lines, atomically and durably: the temp
+        file is synced before it is renamed over ``path``, and the
+        directory after. The file's mode is what ``open()`` would give."""
         path = Path(path)
         snapshot = self._snapshot
         header = {
@@ -319,9 +321,9 @@ class VectorIndex:
             "tokenizer": self.tokenizer_tag,
             "provider": self.provider_tag,
         }
-        descriptor, temp_name = tempfile.mkstemp(
-            dir=path.parent or Path("."), prefix=path.name, suffix=".tmp"
-        )
+        temp_name = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+        # Created as open() creates a file, so the umask sets its mode.
+        descriptor = os.open(temp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
                 handle.write(json.dumps(header, ensure_ascii=False) + "\n")
@@ -334,7 +336,14 @@ class VectorIndex:
                         "vector": vector.tolist(),
                     }
                     handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+                handle.flush()
+                os.fsync(handle.fileno())
             os.replace(temp_name, path)
+            directory = os.open(path.parent, os.O_RDONLY)
+            try:
+                os.fsync(directory)
+            finally:
+                os.close(directory)
         except BaseException:
             if os.path.exists(temp_name):
                 os.unlink(temp_name)
@@ -342,7 +351,12 @@ class VectorIndex:
 
     @classmethod
     def load(cls, path: str | Path) -> "VectorIndex":
-        """Read a persisted index; corruption errors carry a byte offset."""
+        """Read a persisted index; corruption errors carry a byte offset.
+
+        A file whose entry lines disagree in number with the header's
+        ``count`` (such as one cut at a line boundary) is refused at its
+        end offset.
+        """
         with open(path, "rb") as handle:
             raw_header = handle.readline()
             try:
@@ -383,11 +397,11 @@ class VectorIndex:
                     chunks.append(chunk)
                     rows.append(vector)
                 offset += len(raw)
+        if len(chunks) != count:
+            raise IndexLoadError(
+                offset, f"header count {count} but the file holds {len(chunks)} entry lines"
+            )
         matrix = np.array(rows, dtype=np.float64).reshape(len(rows), dimension)
         del rows  # the per-line arrays: one copy of the vectors at a time
         index._merge(chunks, matrix)
-        if len(index) != count:
-            logger.warning(
-                "index header count %d disagrees with %d loaded entries", count, len(index)
-            )
         return index

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -157,23 +156,3 @@ def preprocess_document(
         )
     return pages
 
-
-def preprocess_documents(
-    payloads: list[LayoutPayload],
-    chart_provider: ChartToTableProvider,
-    table_format: str = "json",
-    max_workers: int = 1,
-) -> list[list[PageContent]]:
-    """Pre-process several documents, optionally in parallel.
-
-    Results come back in input order regardless of completion order.
-    """
-    if max_workers < 1:
-        raise ValueError("max_workers must be >= 1")
-    if max_workers == 1 or len(payloads) <= 1:
-        return [preprocess_document(p, chart_provider, table_format) for p in payloads]
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        futures = [
-            pool.submit(preprocess_document, p, chart_provider, table_format) for p in payloads
-        ]
-        return [f.result() for f in futures]

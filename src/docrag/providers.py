@@ -12,10 +12,8 @@ variables only:
 from __future__ import annotations
 
 import json
-import logging
 import os
 import re
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol
@@ -23,8 +21,6 @@ from typing import Protocol
 from .errors import ProviderError
 from .tables import BoundingRegion
 from .tokens import count_tokens
-
-logger = logging.getLogger(__name__)
 
 ENV_LLM_ENDPOINT = "DOCRAG_LLM_ENDPOINT"
 ENV_LLM_KEY = "DOCRAG_LLM_KEY"
@@ -321,27 +317,3 @@ class HttpLLM:
             completion_tokens=int(usage.get("completion_tokens", count_tokens(str(text)))),
         )
 
-
-class RetryingLLM:
-    """Opt-in wrapper retrying transient failures with exponential backoff."""
-
-    def __init__(self, inner: LLMProvider, attempts: int = 3, base_delay: float = 0.5):
-        if attempts < 1:
-            raise ValueError("attempts must be >= 1")
-        self.inner = inner
-        self.attempts = attempts
-        self.base_delay = base_delay
-        self.tag = inner.tag
-
-    def complete(self, request: LLMRequest) -> LLMResponse:
-        delay = self.base_delay
-        for attempt in range(1, self.attempts + 1):
-            try:
-                return self.inner.complete(request)
-            except ProviderError as exc:
-                if not exc.transient or attempt == self.attempts:
-                    raise
-                logger.warning("transient provider error (attempt %d): %s", attempt, exc)
-                time.sleep(delay)
-                delay *= 2
-        raise AssertionError("unreachable")

@@ -213,6 +213,24 @@ def test_query_unknown_tokenizer_fails(corpus, tmp_path, capsys):
     assert "'bogus-tokenizer'" in error["message"]
 
 
+def test_query_refuses_dimension_that_disagrees_with_hash_tag(corpus, tmp_path, capsys):
+    # The header's dimension and hashing tag must name the same embedder;
+    # querying with either one alone would rank with the wrong vectors.
+    index_path, _ = ingest(corpus, tmp_path, capsys)
+    index = VectorIndex.load(index_path)
+    index.provider_tag = "feature-hash-v1-64"
+    index.persist(index_path)
+    code, out, err = run(
+        capsys, "query", "--index", str(index_path), "--question", "anything"
+    )
+    assert code == 1
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "ValueError"
+    assert "'feature-hash-v1-64'" in error["message"]
+    assert "256" in error["message"]
+
+
 def test_query_mock_provider_with_answers(corpus, tmp_path, capsys):
     index_path, _ = ingest(corpus, tmp_path, capsys)
     answers = tmp_path / "answers.json"
@@ -293,6 +311,29 @@ def test_eval_model_tag_prices_calls(corpus, tmp_path, capsys):
     assert code == 0
     report = json.loads(report_path.read_text(encoding="utf-8"))
     assert report["total_cost_usd"] > 0
+
+
+def test_eval_workers_must_be_positive(corpus, tmp_path, capsys):
+    index_path, _ = ingest(corpus, tmp_path, capsys)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"eval_workers": 0}), encoding="utf-8")
+    report_path = tmp_path / "report.json"
+    code, out, err = run(
+        capsys,
+        "--config",
+        str(config),
+        "eval",
+        "--index",
+        str(index_path),
+        "--dataset",
+        str(corpus["dataset"]),
+        "--report",
+        str(report_path),
+    )
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "ValueError"
+    assert not report_path.exists()
 
 
 def test_eval_missing_documents(corpus, tmp_path, capsys):

@@ -6,11 +6,9 @@ from docrag.embedding import HashingEmbedder
 from docrag.errors import ProviderError
 from docrag.generation import (
     CONTEXT_SEPARATOR,
-    DEFAULT_TEMPLATE,
     POSTAMBLE,
     PREAMBLE,
     Answer,
-    PromptTemplate,
     answer_question,
     build_prompt,
     retrieve,
@@ -77,12 +75,6 @@ def test_prompt_requires_question():
 def test_prompt_determinism():
     chunks = ["alpha", "beta"]
     assert build_prompt(chunks, "Q") == build_prompt(chunks, "Q")
-
-
-def test_template_render():
-    template = PromptTemplate(preamble="PRE", postamble="POST")
-    assert template.render("CTX") == "PRE\n\nCTX\n\nPOST"
-    assert DEFAULT_TEMPLATE.render("X") == f"{PREAMBLE}\n\nX\n\n{POSTAMBLE}"
 
 
 # --- Answer ------------------------------------------------------------------

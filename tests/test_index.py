@@ -1,6 +1,8 @@
 import json
 import math
+import os
 import random
+import stat
 import sys
 import threading
 
@@ -547,6 +549,48 @@ def test_persist_leaves_no_temp_files(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["index.jsonl"]
 
 
+def test_persist_file_mode_matches_open(tmp_path):
+    path = tmp_path / "index.jsonl"
+    populated_index().persist(path)
+    plain = tmp_path / "plain.txt"
+    with open(plain, "w", encoding="utf-8"):
+        pass
+    assert stat.S_IMODE(path.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
+
+
+def test_persist_syncs_file_before_rename_and_directory_after(tmp_path, monkeypatch):
+    calls = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        calls.append("fsync directory" if stat.S_ISDIR(os.fstat(fd).st_mode) else "fsync file")
+        real_fsync(fd)
+
+    def replace(src, dst):
+        calls.append("replace")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    populated_index().persist(tmp_path / "index.jsonl")
+    assert calls == ["fsync file", "replace", "fsync directory"]
+
+
+def test_persist_failure_keeps_old_file_and_no_temp(tmp_path, monkeypatch):
+    path = tmp_path / "index.jsonl"
+    populated_index().persist(path)
+    before = path.read_bytes()
+
+    def replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", replace)
+    with pytest.raises(OSError, match="disk full"):
+        VectorIndex(dimension=3).persist(path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["index.jsonl"]
+
+
 def test_persist_overwrites_atomically(tmp_path):
     path = tmp_path / "index.jsonl"
     populated_index().persist(path)
@@ -603,20 +647,17 @@ def test_load_rejects_non_finite_vector_at_its_line(tmp_path):
     assert info.value.byte_offset == len(lines[0]) + 1 + len(lines[1]) + 1
 
 
-def test_load_warns_on_count_mismatch(tmp_path, caplog):
+def test_load_refuses_count_mismatch(tmp_path):
+    # A file cut at a line boundary parses line by line; only the header's
+    # count can tell that entries are missing.
     path = tmp_path / "index.jsonl"
     populated_index().persist(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    header = json.loads(lines[0])
-    header["count"] = 7
-    lines[0] = json.dumps(header)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    import logging
-
-    with caplog.at_level(logging.WARNING, logger="docrag.index"):
-        loaded = VectorIndex.load(path)
-    assert len(loaded) == 3
-    assert any("disagrees" in rec.message for rec in caplog.records)
+    raw = path.read_bytes()
+    lines = raw.splitlines(keepends=True)
+    path.write_bytes(b"".join(lines[:-1]))
+    with pytest.raises(IndexLoadError, match="header count 3") as info:
+        VectorIndex.load(path)
+    assert info.value.byte_offset == len(raw) - len(lines[-1])
 
 
 def test_load_skips_blank_lines(tmp_path):

@@ -11,7 +11,6 @@ from docrag.preprocess import (
     extract_figures,
     extract_layout,
     preprocess_document,
-    preprocess_documents,
     write_figure_manifest,
 )
 from docrag.providers import DirectoryChartProvider, FileLayoutSource, NullChartProvider
@@ -185,21 +184,6 @@ def test_write_figure_manifest(tmp_path, chart_payload):
 
 def test_extract_figures_empty_for_figureless_doc(revenue_payload):
     assert extract_figures(parse_layout_payload(revenue_payload)) == []
-
-
-# --- batch processing ------------------------------------------------------------
-
-def test_preprocess_documents_preserves_order(revenue_payload, chart_payload):
-    payloads = [parse_layout_payload(revenue_payload), parse_layout_payload(chart_payload)]
-    serial = preprocess_documents(payloads, NullChartProvider(), max_workers=1)
-    parallel = preprocess_documents(payloads, NullChartProvider(), max_workers=4)
-    assert serial == parallel
-    assert [pages[0].document_id for pages in serial] == ["revenue-doc", "chart-doc"]
-
-
-def test_preprocess_documents_rejects_bad_worker_count(revenue_payload):
-    with pytest.raises(ValueError):
-        preprocess_documents([parse_layout_payload(revenue_payload)], NullChartProvider(), max_workers=0)
 
 
 def test_page_content_is_immutable(revenue_payload):

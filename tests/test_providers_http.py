@@ -18,7 +18,6 @@ from docrag.providers import (
     HttpLLM,
     LLMRequest,
     MockLLM,
-    RetryingLLM,
 )
 from docrag.tables import BoundingRegion
 
@@ -79,17 +78,6 @@ class StubHandler(BaseHTTPRequestHandler):
             self._send(200, {"csv": None})
         elif self.path == "/chart-badtype":
             self._send(200, {"csv": 7})
-        elif self.path.startswith("/flaky"):
-            if cls.calls[self.path] < 3:
-                self._send(503, {"error": "busy"})
-            else:
-                self._send(
-                    200,
-                    {
-                        "choices": [{"message": {"content": "eventually"}}],
-                        "usage": {"prompt_tokens": 1, "completion_tokens": 1},
-                    },
-                )
         elif self.path == "/error500":
             self._send(500, {"error": "boom"})
         elif self.path == "/error400":
@@ -189,40 +177,6 @@ def test_http_llm_requires_endpoint(monkeypatch):
     monkeypatch.delenv(ENV_LLM_ENDPOINT, raising=False)
     with pytest.raises(ProviderError, match=ENV_LLM_ENDPOINT):
         HttpLLM()
-
-
-# --- RetryingLLM ----------------------------------------------------------------
-
-def test_retrying_llm_retries_transient_until_success(server):
-    llm = RetryingLLM(HttpLLM(endpoint=f"{server}/flaky/ok"), attempts=3, base_delay=0.01)
-    response = llm.complete(request())
-    assert response.text == "eventually"
-    assert StubHandler.calls["/flaky/ok"] == 3
-
-
-def test_retrying_llm_gives_up_after_attempts(server):
-    llm = RetryingLLM(HttpLLM(endpoint=f"{server}/flaky/short"), attempts=2, base_delay=0.01)
-    with pytest.raises(ProviderError) as info:
-        llm.complete(request())
-    assert info.value.transient is True
-    assert StubHandler.calls["/flaky/short"] == 2
-
-
-def test_retrying_llm_does_not_retry_permanent(server):
-    StubHandler.calls.pop("/error400", None)
-    llm = RetryingLLM(HttpLLM(endpoint=f"{server}/error400"), attempts=3, base_delay=0.01)
-    with pytest.raises(ProviderError):
-        llm.complete(request())
-    assert StubHandler.calls["/error400"] == 1
-
-
-def test_retrying_llm_keeps_inner_tag(server):
-    assert RetryingLLM(HttpLLM(endpoint=f"{server}/chat")).tag == "http"
-
-
-def test_retrying_llm_validates_attempts(server):
-    with pytest.raises(ValueError):
-        RetryingLLM(HttpLLM(endpoint=f"{server}/chat"), attempts=0)
 
 
 # --- HttpEmbeddingProvider ----------------------------------------------------------
