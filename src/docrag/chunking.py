@@ -11,21 +11,18 @@ from __future__ import annotations
 
 import json
 import logging
-import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from .layout import DocumentAttributes
+from .layout import DocumentAttributes, check_quarter
 from .preprocess import PageContent
 from .tables import BoundingRegion
-from .tokens import Tokenizer, resolve_tokenizer
+from .tokens import DEFAULT_TOKENIZER
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_CHUNK_SIZE = 600
-
-_QUARTER_RE = re.compile(r"Q[1-4]")
 
 _SEPARATOR = "\n\n"
 
@@ -43,8 +40,7 @@ class ChunkMetadata:
     def __post_init__(self):
         if self.page_number < 1:
             raise ValueError("page_number must be >= 1")
-        if self.quarter is not None and not _QUARTER_RE.fullmatch(self.quarter):
-            raise ValueError(f"quarter must match Q1..Q4, got {self.quarter!r}")
+        check_quarter(self.quarter)
 
     def as_dict(self) -> dict:
         return {
@@ -123,13 +119,12 @@ def _protected_ranges(page: PageContent) -> list[tuple[int, int]]:
 def _split_page(
     page: PageContent,
     chunk_size: int,
-    tokenizer: Tokenizer,
     attributes: DocumentAttributes | None,
 ) -> list[DocumentChunk]:
     text = combine_page_text(page)
     if not text:
         return []
-    spans = tokenizer.spans(text)
+    spans = DEFAULT_TOKENIZER.spans(text)
     metadata = ChunkMetadata(
         document_id=page.document_id,
         page_number=page.page_number,
@@ -206,7 +201,6 @@ def _split_page(
 def split_pages(
     pages: Iterable[PageContent],
     chunk_size: int = DEFAULT_CHUNK_SIZE,
-    tokenizer: Tokenizer | str | None = None,
     attributes: DocumentAttributes | None = None,
 ) -> list[DocumentChunk]:
     """Split pages into chunks of at most chunk_size tokens.
@@ -216,10 +210,9 @@ def split_pages(
     """
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
-    tok = resolve_tokenizer(tokenizer)
     chunks: list[DocumentChunk] = []
     for page in pages:
-        chunks.extend(_split_page(page, chunk_size, tok, attributes))
+        chunks.extend(_split_page(page, chunk_size, attributes))
     return chunks
 
 

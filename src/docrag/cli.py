@@ -1,10 +1,11 @@
 """Command-line surface: ingest, query, eval, cost.
 
 Failures exit non-zero with a one-line JSON error object on stderr so
-calling scripts can parse them. Provider endpoints and API keys are read
-from environment variables only (DOCRAG_LLM_ENDPOINT, DOCRAG_LLM_KEY,
-DOCRAG_EMBED_ENDPOINT, DOCRAG_EMBED_KEY); flags never carry secrets.
-Setting precedence: CLI flag, then --config file, then built-in default.
+calling scripts can parse them. The HTTP LLM's endpoint and API key are
+read from environment variables only (DOCRAG_LLM_ENDPOINT,
+DOCRAG_LLM_KEY); flags never carry secrets. Setting precedence: CLI
+flag, then --config file, then built-in default. Queries embed with the
+one embedder an index header can name, and refuse any other header.
 """
 
 from __future__ import annotations
@@ -27,12 +28,11 @@ from .preprocess import TABLE_FORMATS, preprocess_document
 from .providers import (
     ContextLookupLLM,
     DirectoryChartProvider,
-    HttpEmbeddingProvider,
     HttpLLM,
     MockLLM,
     NullChartProvider,
 )
-from .tokens import DEFAULT_TOKENIZER, resolve_tokenizer
+from .tokens import DEFAULT_TOKENIZER
 
 
 def _load_config(path: str | None) -> dict:
@@ -71,16 +71,17 @@ def _parse_filters(pairs: list[str] | None) -> tuple[tuple[str, object], ...]:
     return tuple(filters)
 
 
-def _embedder_for_index(index: VectorIndex):
+def _embedder_for_index(index: VectorIndex) -> HashingEmbedder:
     """The query embedder the index header names; any other header is refused."""
-    tokenizer = resolve_tokenizer(index.tokenizer_tag)
-    tag = index.provider_tag
-    if tag == HttpEmbeddingProvider.tag:
-        return HttpEmbeddingProvider(dimension=index.dimension)
-    embedder = HashingEmbedder(dimension=index.dimension, tokenizer=tokenizer)
-    if embedder.tag != tag:
+    if index.tokenizer_tag != DEFAULT_TOKENIZER.tag:
         raise ValueError(
-            f"index was built with unknown embedding provider {tag!r} "
+            f"index was built with unknown tokenizer {index.tokenizer_tag!r}; "
+            f"expected {DEFAULT_TOKENIZER.tag!r}"
+        )
+    embedder = HashingEmbedder(dimension=index.dimension)
+    if embedder.tag != index.provider_tag:
+        raise ValueError(
+            f"index was built with unknown embedding provider {index.provider_tag!r} "
             f"for dimension {index.dimension}"
         )
     return embedder
@@ -168,6 +169,9 @@ def cmd_query(args, config: dict) -> int:
 
 
 def cmd_eval(args, config: dict) -> int:
+    workers = int(_setting(None, config, "eval_workers", DEFAULT_EVAL_WORKERS))
+    if workers < 1:
+        raise ValueError(f"eval_workers must be >= 1, got {workers}")
     index = VectorIndex.load(args.index)
     embedder = _embedder_for_index(index)
     examples = load_dataset(args.dataset)
@@ -180,7 +184,7 @@ def cmd_eval(args, config: dict) -> int:
         k=int(_setting(args.k, config, "k", DEFAULT_K)),
         model_tag=_setting(args.model_tag, config, "model_tag", None),
         pricing=_pricing_from(args, config),
-        max_workers=int(_setting(None, config, "eval_workers", DEFAULT_EVAL_WORKERS)),
+        max_workers=workers,
     )
     write_report(report, args.report)
     print(

@@ -4,7 +4,7 @@ The default provider hashes lowercased token unigrams and bigrams into a
 fixed number of signed buckets and L2-normalizes the result. It is not a
 learned embedding (similarity is lexical overlap), but it is seeded,
 offline, and byte-reproducible, which is what the test suite and the mock
-pipeline need. Production deployments swap in the HTTP adapter.
+pipeline need.
 """
 
 from __future__ import annotations
@@ -12,34 +12,29 @@ from __future__ import annotations
 import hashlib
 import math
 
-from .tokens import Tokenizer, resolve_tokenizer
+from .tokens import DEFAULT_TOKENIZER
 
 EmbeddingVector = list[float]
 
 DEFAULT_DIMENSION = 256
 
 # The hash family is part of the tag's meaning: a vector is reproducible
-# from the tag, the dimension and the tokenizer only because this key is
-# a constant.
+# from the tag and the dimension only because this key (like the one
+# tokenizer) is a constant.
 _HASH_KEY = b"docrag-hash-v1"
 
 
 class HashingEmbedder:
     """Keyed feature hashing over token n-grams, L2-normalized."""
 
-    def __init__(
-        self,
-        dimension: int = DEFAULT_DIMENSION,
-        tokenizer: Tokenizer | str | None = None,
-    ):
+    def __init__(self, dimension: int = DEFAULT_DIMENSION):
         if dimension < 1:
             raise ValueError("dimension must be >= 1")
         self.dimension = dimension
         self.tag = f"feature-hash-v1-{dimension}"
-        self._tokenizer = resolve_tokenizer(tokenizer)
 
     def _features(self, text: str) -> list[str]:
-        tokens = [text[s:e].lower() for s, e in self._tokenizer.spans(text)]
+        tokens = [text[s:e].lower() for s, e in DEFAULT_TOKENIZER.spans(text)]
         features = list(tokens)
         features.extend(f"{a}\x1f{b}" for a, b in zip(tokens, tokens[1:]))
         return features

@@ -379,12 +379,7 @@ class VectorIndex:
                 if raw.strip():
                     try:
                         record = json.loads(raw.decode("utf-8"))
-                        chunk = DocumentChunk(
-                            chunk_id=record["chunk_id"],
-                            text=record["text"],
-                            token_count=record["token_count"],
-                            metadata=ChunkMetadata.from_dict(record["metadata"]),
-                        )
+                        chunk = DocumentChunk.from_dict(record)
                         vector = np.array(record["vector"], dtype=np.float64)
                         if vector.shape != (dimension,):
                             raise ValueError(

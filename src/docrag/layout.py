@@ -28,6 +28,12 @@ class BlockRole(str, Enum):
 _QUARTER_RE = re.compile(r"Q[1-4]")
 
 
+def check_quarter(quarter: str | None) -> None:
+    """Refuse a quarter that is neither None nor one of Q1..Q4."""
+    if quarter is not None and not _QUARTER_RE.fullmatch(quarter):
+        raise ValueError(f"quarter must match Q1..Q4, got {quarter!r}")
+
+
 @dataclass(frozen=True)
 class TextBlock:
     role: BlockRole
@@ -52,8 +58,7 @@ class DocumentAttributes:
     quarter: str | None = None
 
     def __post_init__(self):
-        if self.quarter is not None and not _QUARTER_RE.fullmatch(self.quarter):
-            raise ValueError(f"quarter must match Q1..Q4, got {self.quarter!r}")
+        check_quarter(self.quarter)
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,13 @@
 """Adapters for the external model services the pipeline depends on.
 
 Every capability (layout OCR, chart-to-table, embeddings, LLM) is a small
-protocol with at least one deterministic offline implementation and one
-HTTP implementation. Endpoints and API keys come from environment
-variables only:
+protocol with at least one deterministic offline implementation. Layout,
+chart-to-table and the LLM also have an HTTP implementation. Embeddings
+have none: a query must be embedded exactly as its index was, and the
+index header names ``embedding.HashingEmbedder``. The LLM endpoint and
+API key come from environment variables only:
 
     DOCRAG_LLM_ENDPOINT / DOCRAG_LLM_KEY
-    DOCRAG_EMBED_ENDPOINT / DOCRAG_EMBED_KEY
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ from .tokens import count_tokens
 
 ENV_LLM_ENDPOINT = "DOCRAG_LLM_ENDPOINT"
 ENV_LLM_KEY = "DOCRAG_LLM_KEY"
-ENV_EMBED_ENDPOINT = "DOCRAG_EMBED_ENDPOINT"
-ENV_EMBED_KEY = "DOCRAG_EMBED_KEY"
 
 _HTTP_TIMEOUT = 30.0
 
@@ -145,38 +144,6 @@ class EmbeddingProvider(Protocol):
     dimension: int
 
     def embed(self, text: str) -> list[float]: ...
-
-
-class HttpEmbeddingProvider:
-    """OpenAI-style embeddings endpoint; the text passes through verbatim."""
-
-    tag = "http-embedding"
-
-    def __init__(
-        self,
-        endpoint: str | None = None,
-        api_key: str | None = None,
-        model: str = "text-embedding-ada-002",
-        dimension: int = 1536,
-    ):
-        self.endpoint = endpoint or os.environ.get(ENV_EMBED_ENDPOINT)
-        if not self.endpoint:
-            raise ProviderError(f"no embedding endpoint; set {ENV_EMBED_ENDPOINT}")
-        self.api_key = api_key if api_key is not None else os.environ.get(ENV_EMBED_KEY)
-        self.model = model
-        self.dimension = dimension
-
-    def embed(self, text: str) -> list[float]:
-        payload = _post_json(self.endpoint, {"model": self.model, "input": [text]}, self.api_key)
-        try:
-            vector = [float(v) for v in payload["data"][0]["embedding"]]
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
-            raise ProviderError(f"malformed embedding response: {exc}") from exc
-        if len(vector) != self.dimension:
-            raise ProviderError(
-                f"embedding dimension mismatch: expected {self.dimension}, got {len(vector)}"
-            )
-        return vector
 
 
 @dataclass(frozen=True)

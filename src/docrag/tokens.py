@@ -1,39 +1,29 @@
 """Token segmentation used for chunk sizing and prompt accounting.
 
-The default tokenizer segments on Unicode whitespace and splits runs of
+The one tokenizer segments on Unicode whitespace and splits runs of
 punctuation or symbol characters into their own tokens, so ``"Q1/23E
 Core"`` yields ``Q1``, ``/``, ``23E``, ``Core``. It is deliberately
-model-agnostic; a BPE-faithful tokenizer can be swapped in through the
-same ``spans()`` interface.
+model-agnostic. Chunk sizes, stored token counts, embedding features and
+prompt prices all come from ``DEFAULT_TOKENIZER``; an index header names
+its tag (``ws-punct-v1``), and an index naming any other tag is refused.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Protocol, runtime_checkable
 
 # A token is a maximal run of word characters or a maximal run of
 # non-word, non-whitespace characters (punctuation/symbols).
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]+", re.UNICODE)
 
 
-@runtime_checkable
-class Tokenizer(Protocol):
-    """Anything that can map text to non-overlapping token spans."""
-
-    tag: str
-
-    def spans(self, text: str) -> list[tuple[int, int]]:
-        """Return (start, end) character offsets of each token, in order."""
-        ...
-
-
 class WhitespacePunctTokenizer:
-    """Default tokenizer: whitespace segmentation + punctuation splitting."""
+    """Whitespace segmentation + punctuation splitting."""
 
     tag = "ws-punct-v1"
 
     def spans(self, text: str) -> list[tuple[int, int]]:
+        """Return (start, end) character offsets of each token, in order."""
         return [m.span() for m in _TOKEN_RE.finditer(text)]
 
     def tokens(self, text: str) -> list[str]:
@@ -42,27 +32,7 @@ class WhitespacePunctTokenizer:
 
 DEFAULT_TOKENIZER = WhitespacePunctTokenizer()
 
-_REGISTRY: dict[str, Tokenizer] = {DEFAULT_TOKENIZER.tag: DEFAULT_TOKENIZER}
 
-
-def register_tokenizer(tokenizer: Tokenizer) -> None:
-    """Make a tokenizer resolvable by its tag (e.g. from a persisted index)."""
-    _REGISTRY[tokenizer.tag] = tokenizer
-
-
-def resolve_tokenizer(tokenizer: Tokenizer | str | None) -> Tokenizer:
-    """Accept a tokenizer instance, a registered tag, or None for the default."""
-    if tokenizer is None:
-        return DEFAULT_TOKENIZER
-    if isinstance(tokenizer, str):
-        try:
-            return _REGISTRY[tokenizer]
-        except KeyError:
-            raise ValueError(f"unknown tokenizer tag {tokenizer!r}") from None
-    return tokenizer
-
-
-def count_tokens(text: str, tokenizer: Tokenizer | None = None) -> int:
-    """Count tokens in ``text`` with the given (default) tokenizer."""
-    tok = tokenizer if tokenizer is not None else DEFAULT_TOKENIZER
-    return len(tok.spans(text))
+def count_tokens(text: str) -> int:
+    """Count tokens in ``text``."""
+    return len(DEFAULT_TOKENIZER.spans(text))

@@ -231,6 +231,24 @@ def test_query_refuses_dimension_that_disagrees_with_hash_tag(corpus, tmp_path, 
     assert "256" in error["message"]
 
 
+def test_query_refuses_http_embedding_tag(corpus, tmp_path, capsys, monkeypatch):
+    # No command writes this tag and it records no model, so a query must
+    # not reach an embeddings endpoint for it: the header is refused first.
+    monkeypatch.setenv("DOCRAG_EMBED_ENDPOINT", "http://127.0.0.1:9/embed")
+    index_path, _ = ingest(corpus, tmp_path, capsys)
+    index = VectorIndex.load(index_path)
+    index.provider_tag = "http-embedding"
+    index.persist(index_path)
+    code, out, err = run(
+        capsys, "query", "--index", str(index_path), "--question", "anything"
+    )
+    assert code == 1
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "ValueError"
+    assert "'http-embedding'" in error["message"]
+
+
 def test_query_mock_provider_with_answers(corpus, tmp_path, capsys):
     index_path, _ = ingest(corpus, tmp_path, capsys)
     answers = tmp_path / "answers.json"
@@ -332,7 +350,9 @@ def test_eval_workers_must_be_positive(corpus, tmp_path, capsys):
     )
     assert code == 1
     assert out == ""
-    assert json.loads(err)["error"] == "ValueError"
+    error = json.loads(err)
+    assert error["error"] == "ValueError"
+    assert "eval_workers" in error["message"]
     assert not report_path.exists()
 
 

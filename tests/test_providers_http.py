@@ -7,13 +7,11 @@ import pytest
 from docrag.errors import ProviderError
 from docrag.generation import build_prompt
 from docrag.providers import (
-    ENV_EMBED_ENDPOINT,
     ENV_LLM_ENDPOINT,
     ContextLookupLLM,
     DirectoryChartProvider,
     FileLayoutSource,
     HttpChartProvider,
-    HttpEmbeddingProvider,
     HttpLayoutSource,
     HttpLLM,
     LLMRequest,
@@ -64,12 +62,6 @@ class StubHandler(BaseHTTPRequestHandler):
             self._send(200, {"choices": [{"message": {"content": "three plain words"}}]})
         elif self.path == "/chat-bad":
             self._send(200, {"unexpected": True})
-        elif self.path == "/embed":
-            self._send(200, {"data": [{"embedding": [0.5] * 8}]})
-        elif self.path == "/embed-short":
-            self._send(200, {"data": [{"embedding": [0.5] * 3}]})
-        elif self.path == "/embed-bad":
-            self._send(200, {"data": []})
         elif self.path == "/layout":
             self._send(200, LAYOUT_DOC)
         elif self.path == "/chart":
@@ -177,37 +169,6 @@ def test_http_llm_requires_endpoint(monkeypatch):
     monkeypatch.delenv(ENV_LLM_ENDPOINT, raising=False)
     with pytest.raises(ProviderError, match=ENV_LLM_ENDPOINT):
         HttpLLM()
-
-
-# --- HttpEmbeddingProvider ----------------------------------------------------------
-
-def test_http_embedding_round_trip(server):
-    provider = HttpEmbeddingProvider(endpoint=f"{server}/embed", dimension=8)
-    assert provider.embed("some text") == [0.5] * 8
-    assert StubHandler.last_body == {"model": "text-embedding-ada-002", "input": ["some text"]}
-
-
-def test_http_embedding_dimension_mismatch(server):
-    provider = HttpEmbeddingProvider(endpoint=f"{server}/embed-short", dimension=8)
-    with pytest.raises(ProviderError, match="dimension mismatch"):
-        provider.embed("text")
-
-
-def test_http_embedding_malformed_response(server):
-    provider = HttpEmbeddingProvider(endpoint=f"{server}/embed-bad", dimension=8)
-    with pytest.raises(ProviderError, match="malformed"):
-        provider.embed("text")
-
-
-def test_http_embedding_endpoint_from_environment(server, monkeypatch):
-    monkeypatch.setenv(ENV_EMBED_ENDPOINT, f"{server}/embed")
-    assert HttpEmbeddingProvider(dimension=8).embed("x") == [0.5] * 8
-
-
-def test_http_embedding_requires_endpoint(monkeypatch):
-    monkeypatch.delenv(ENV_EMBED_ENDPOINT, raising=False)
-    with pytest.raises(ProviderError, match=ENV_EMBED_ENDPOINT):
-        HttpEmbeddingProvider()
 
 
 # --- layout and chart adapters --------------------------------------------------------

@@ -1,14 +1,7 @@
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from docrag.tokens import (
-    DEFAULT_TOKENIZER,
-    WhitespacePunctTokenizer,
-    count_tokens,
-    register_tokenizer,
-    resolve_tokenizer,
-)
+from docrag.tokens import DEFAULT_TOKENIZER, count_tokens
 
 
 def test_empty_string_has_no_tokens():
@@ -41,31 +34,6 @@ def test_unicode_words():
 
 def test_tag_is_stable():
     assert DEFAULT_TOKENIZER.tag == "ws-punct-v1"
-
-
-def test_resolve_tokenizer_accepts_none_tag_and_instance():
-    assert resolve_tokenizer(None) is DEFAULT_TOKENIZER
-    assert resolve_tokenizer("ws-punct-v1") is DEFAULT_TOKENIZER
-    custom = WhitespacePunctTokenizer()
-    assert resolve_tokenizer(custom) is custom
-
-
-def test_resolve_tokenizer_rejects_unknown_tag():
-    with pytest.raises(ValueError):
-        resolve_tokenizer("no-such-tokenizer")
-
-
-def test_register_tokenizer_makes_tag_resolvable():
-    class Tagged:
-        tag = "test-tagged-v0"
-
-        def spans(self, text):
-            return [(0, len(text))] if text else []
-
-    tokenizer = Tagged()
-    register_tokenizer(tokenizer)
-    assert resolve_tokenizer("test-tagged-v0") is tokenizer
-    assert count_tokens("anything at all", tokenizer) == 1
 
 
 @given(st.text(max_size=200))
