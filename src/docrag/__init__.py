@@ -50,12 +50,7 @@ from .layout import (
     parse_layout_payload,
     payload_to_dict,
 )
-from .preprocess import (
-    PageContent,
-    extract_figures,
-    extract_layout,
-    preprocess_document,
-)
+from .preprocess import PageContent, preprocess_document
 from .tables import (
     BoundingRegion,
     CellKind,
@@ -112,8 +107,6 @@ __all__ = [
     "cost_per_page",
     "count_tokens",
     "embed",
-    "extract_figures",
-    "extract_layout",
     "flatten_table",
     "load_dataset",
     "merge_column_headers",

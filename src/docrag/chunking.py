@@ -9,10 +9,8 @@ that joining a page's chunks reproduces the page string byte for byte.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable
 
 from .layout import DocumentAttributes, check_quarter
@@ -215,17 +213,3 @@ def split_pages(
         chunks.extend(_split_page(page, chunk_size, attributes))
     return chunks
 
-
-def write_chunks_jsonl(chunks: Iterable[DocumentChunk], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for chunk in chunks:
-            handle.write(json.dumps(chunk.as_dict(), ensure_ascii=False) + "\n")
-
-
-def read_chunks_jsonl(path: str | Path) -> list[DocumentChunk]:
-    chunks = []
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            if line.strip():
-                chunks.append(DocumentChunk.from_dict(json.loads(line)))
-    return chunks

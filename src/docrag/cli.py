@@ -11,6 +11,7 @@ one embedder an index header can name, and refuse any other header.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -35,6 +36,11 @@ from .providers import (
 from .tokens import DEFAULT_TOKENIZER
 
 
+# The type each recognized config key must hold.
+_CONFIG_TYPES = {"chunk_size": int, "k": int, "eval_workers": int, "table_format": str,
+                 "charts": str, "provider": str, "model_tag": str, "pricing": str}
+
+
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
@@ -42,6 +48,10 @@ def _load_config(path: str | None) -> dict:
         config = json.load(handle)
     if not isinstance(config, dict):
         raise ValueError("config file must hold a JSON object")
+    for key, kind in _CONFIG_TYPES.items():
+        if key in config and type(config[key]) is not kind:
+            expected = "an integer" if kind is int else "a string"
+            raise ValueError(f"config key {key!r} must be {expected}, got {config[key]!r}")
     return config
 
 
@@ -106,20 +116,14 @@ def _pricing_from(args, config: dict) -> PricingConfig:
     pricing = load_pricing(path) if path else DEFAULT_PRICING
     tokens = getattr(args, "tokens_per_page", None)
     if tokens is not None:
-        pricing = PricingConfig(
-            tokens_per_page=tokens,
-            per_token=pricing.per_token,
-            per_call_flat=pricing.per_call_flat,
-            per_page=pricing.per_page,
-            credits=pricing.credits,
-        )
+        pricing = dataclasses.replace(pricing, tokens_per_page=tokens)
     return pricing
 
 
 def cmd_ingest(args, config: dict) -> int:
     layout_dir = Path(args.layout)
     table_format = _setting(args.table_format, config, "table_format", "json")
-    chunk_size = int(_setting(args.chunk_size, config, "chunk_size", DEFAULT_CHUNK_SIZE))
+    chunk_size = _setting(args.chunk_size, config, "chunk_size", DEFAULT_CHUNK_SIZE)
     payload_paths = sorted(layout_dir.glob("*.json"))
     if not payload_paths:
         raise ValueError(f"no layout payloads (*.json) found in {layout_dir}")
@@ -153,7 +157,7 @@ def cmd_ingest(args, config: dict) -> int:
 def cmd_query(args, config: dict) -> int:
     index = VectorIndex.load(args.index)
     embedder = _embedder_for_index(index)
-    k = int(_setting(args.k, config, "k", DEFAULT_K))
+    k = _setting(args.k, config, "k", DEFAULT_K)
     retrieval = RetrievalConfig(k=k, filters=_parse_filters(args.filter))
     provider = _llm_for(_setting(args.provider, config, "provider", "lookup"), args.answers)
     model_tag = _setting(args.model_tag, config, "model_tag", None)
@@ -169,7 +173,7 @@ def cmd_query(args, config: dict) -> int:
 
 
 def cmd_eval(args, config: dict) -> int:
-    workers = int(_setting(None, config, "eval_workers", DEFAULT_EVAL_WORKERS))
+    workers = _setting(None, config, "eval_workers", DEFAULT_EVAL_WORKERS)
     if workers < 1:
         raise ValueError(f"eval_workers must be >= 1, got {workers}")
     index = VectorIndex.load(args.index)
@@ -181,7 +185,7 @@ def cmd_eval(args, config: dict) -> int:
         index,
         provider,
         embedder,
-        k=int(_setting(args.k, config, "k", DEFAULT_K)),
+        k=_setting(args.k, config, "k", DEFAULT_K),
         model_tag=_setting(args.model_tag, config, "model_tag", None),
         pricing=_pricing_from(args, config),
         max_workers=workers,

@@ -10,6 +10,7 @@ published.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
@@ -135,29 +136,48 @@ def savings_ratio(
     return baseline_cost / candidate_cost
 
 
+def _object(value, key: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"pricing {key} must be a JSON object, got {value!r}")
+    return value
+
+
+def _number(value, key: str) -> float:
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise ValueError(f"pricing {key} must be a finite number, got {value!r}")
+    return number
+
+
 def load_pricing(path: str | Path) -> PricingConfig:
-    """Read pricing overrides from a JSON file and merge onto the defaults."""
+    """Read pricing overrides from a JSON file and merge onto the defaults.
+
+    A malformed value raises ``ValueError`` naming its key."""
     with open(path, encoding="utf-8") as handle:
-        data = json.load(handle)
-    per_token = _default_per_token()
-    per_token.update({str(k): float(v) for k, v in data.get("per_token", {}).items()})
-    per_call_flat = _default_per_call_flat()
-    per_call_flat.update({str(k): float(v) for k, v in data.get("per_call_flat", {}).items()})
-    per_page = _default_per_page()
-    per_page.update({str(k): float(v) for k, v in data.get("per_page", {}).items()})
+        data = _object(json.load(handle), "file")
+    groups = {
+        "per_token": _default_per_token(),
+        "per_call_flat": _default_per_call_flat(),
+        "per_page": _default_per_page(),
+    }
+    for group, rates in groups.items():
+        for name, rate in _object(data.get(group, {}), group).items():
+            rates[str(name)] = _number(rate, f"{group}.{name}")
     credits = _default_credits()
-    for name, spec in data.get("credits", {}).items():
+    for name, spec in _object(data.get("credits", {}), "credits").items():
+        where = f"credits.{name}"
+        spec = _object(spec, where)
         credits[str(name)] = CreditRate(
-            credits_per_page=float(spec["credits_per_page"]),
-            usd_per_credit=float(spec["usd_per_credit"]),
+            credits_per_page=_number(spec.get("credits_per_page"), f"{where}.credits_per_page"),
+            usd_per_credit=_number(spec.get("usd_per_credit"), f"{where}.usd_per_credit"),
         )
-    return PricingConfig(
-        tokens_per_page=int(data.get("tokens_per_page", 600)),
-        per_token=per_token,
-        per_call_flat=per_call_flat,
-        per_page=per_page,
-        credits=credits,
-    )
+    tokens = data.get("tokens_per_page", 600)
+    if type(tokens) is not int:
+        raise ValueError(f"pricing tokens_per_page must be an integer, got {tokens!r}")
+    return PricingConfig(tokens_per_page=tokens, credits=credits, **groups)
 
 
 def format_cost_report(pricing: PricingConfig = DEFAULT_PRICING) -> str:

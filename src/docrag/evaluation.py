@@ -92,10 +92,13 @@ def load_dataset(path: str | Path) -> list[QAExample]:
                 raise SchemaError(where, f"invalid JSON: {exc}") from exc
             if not isinstance(record, dict):
                 raise SchemaError(where, "expected an object")
+            filters = record.get("filters") or {}
+            if not isinstance(filters, dict):
+                raise SchemaError(where, f"filters: expected an object, got {filters!r}")
+            count = record.get("reference_count", 1)
+            if type(count) is not int:
+                raise SchemaError(where, f"reference_count: expected an integer, got {count!r}")
             try:
-                filters = tuple(
-                    (str(name), value) for name, value in (record.get("filters") or {}).items()
-                )
                 examples.append(
                     QAExample(
                         question=str(record["question"]),
@@ -103,8 +106,8 @@ def load_dataset(path: str | Path) -> list[QAExample]:
                         difficulty=Difficulty(record["difficulty"]),
                         target=Target(record["target"]),
                         document_id=str(record["document_id"]),
-                        reference_count=int(record.get("reference_count", 1)),
-                        filters=filters,
+                        reference_count=count,
+                        filters=tuple((str(name), value) for name, value in filters.items()),
                     )
                 )
             except KeyError as exc:
@@ -170,8 +173,9 @@ def run_eval(
     """Answer and score every example; aggregate accuracy and call cost.
 
     ``max_workers`` threads (at least one) answer the examples; the report
-    follows the examples' order whatever the count. All referenced documents must already be indexed; missing ones are
-    reported up front, before any provider call.
+    follows the examples' order whatever the count. All referenced
+    documents must already be indexed; missing ones are reported up
+    front, before any provider call.
     """
     indexed_documents = {chunk.metadata.document_id for chunk in index.chunks()}
     missing = sorted(

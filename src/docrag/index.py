@@ -3,11 +3,10 @@
 A deliberate non-ANN design: corpora here are thousands of chunks, and a
 full scan over one contiguous matrix is both fast enough and
 oracle-testable. A snapshot holds each chunk once, in ascending chunk_id
-order: its id, the chunk, its metadata as a dict (built once, on insert)
-and its vector as a row of a float64 matrix, with the row norms beside it.
-Each metadata field is also kept as a column of int32 codes, one per
-row, with a table from value to code, so a filter is a mask over a
-column rather than a scan over the dicts.
+order: its id, the chunk and its vector as a row of a float64 matrix,
+with the row norms beside it. Each metadata field is also kept as a
+column of int32 codes, one per row, with a table from value to code, so
+a filter is a mask over a column rather than a scan over the chunks.
 
 A filter ``(name, value)`` keeps the chunks whose ``metadata.get(name) ==
 value`` under Python equality: ``2021``, ``2021.0`` and ``True == 1``
@@ -144,7 +143,6 @@ def _joined(old: np.ndarray, new: np.ndarray, take: np.ndarray | None) -> np.nda
 class _Snapshot:
     ids: tuple[str, ...]
     chunks: tuple[DocumentChunk, ...]
-    metadata: tuple[dict, ...]
     matrix: np.ndarray
     norms: np.ndarray
     safe_norms: np.ndarray  # norms with 0 replaced by 1: the score divisor
@@ -169,7 +167,6 @@ class VectorIndex:
         self._snapshot = _Snapshot(
             ids=(),
             chunks=(),
-            metadata=(),
             matrix=np.empty((0, dimension), dtype=np.float64),
             norms=np.empty((0,), dtype=np.float64),
             safe_norms=np.empty((0,), dtype=np.float64),
@@ -223,9 +220,8 @@ class VectorIndex:
             # Rows that arrive unrepeated and in id order stay where they are.
             take = None if sorted_ids == ids else np.array(order, dtype=np.intp)
             all_chunks = old.chunks + tuple(chunks)
-            added = tuple(chunk.metadata.as_dict() for chunk in chunks)
-            metadata = old.metadata + added
-            metadata = tuple(metadata[p] for p in order)
+            live = tuple(all_chunks[p] for p in order)
+            added = [chunk.metadata.as_dict() for chunk in chunks]
             books, columns = {}, {}
             for name in _FIELDS:
                 book = books[name] = old.books[name].copy()
@@ -235,13 +231,14 @@ class VectorIndex:
                     # Mostly values of replaced rows: encode the live rows
                     # afresh (at most once per len(rows) values added).
                     book = books[name] = _Codebook()
-                    columns[name] = book.encode([row.get(name) for row in metadata])
+                    columns[name] = book.encode(
+                        [chunk.metadata.as_dict()[name] for chunk in live]
+                    )
             norms = _joined(old.norms, np.linalg.norm(rows, axis=1), take)
             zero = norms == 0.0
             self._snapshot = _Snapshot(
                 ids=sorted_ids,
-                chunks=tuple(all_chunks[p] for p in order),
-                metadata=metadata,
+                chunks=live,
                 matrix=_joined(old.matrix, rows, take),
                 norms=norms,
                 safe_norms=np.where(zero, 1.0, norms),
@@ -327,14 +324,8 @@ class VectorIndex:
         try:
             with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
                 handle.write(json.dumps(header, ensure_ascii=False) + "\n")
-                for chunk, metadata, vector in zip(snapshot.chunks, snapshot.metadata, snapshot.matrix):
-                    record = {
-                        "chunk_id": chunk.chunk_id,
-                        "text": chunk.text,
-                        "token_count": chunk.token_count,
-                        "metadata": metadata,
-                        "vector": vector.tolist(),
-                    }
+                for chunk, vector in zip(snapshot.chunks, snapshot.matrix):
+                    record = {**chunk.as_dict(), "vector": vector.tolist()}
                     handle.write(json.dumps(record, ensure_ascii=False) + "\n")
                 handle.flush()
                 os.fsync(handle.fileno())

@@ -1,21 +1,21 @@
-"""Document pre-processing: orchestrates providers into per-page text.
+"""Document pre-processing: one layout payload into per-page text.
 
-Takes a validated LayoutPayload, flattens its tables, asks the chart
-provider for CSV behind each figure, and emits one PageContent per page.
-All downstream stages (chunking, indexing) consume PageContent only.
+Takes a LayoutPayload already validated by ``parse_layout_payload``,
+flattens its tables, asks the chart provider for CSV behind each figure,
+and emits one PageContent per page. A page keeps its figure regions in
+``figure_manifest``; no file is written. All downstream stages
+(chunking, indexing) consume PageContent only.
 """
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
-from pathlib import Path
 
 from .charts import ChartExtraction, chart_csv_to_records
 from .errors import ChartExtractionError, ProviderError
-from .layout import BlockRole, LayoutPayload, parse_layout_payload
-from .providers import ChartToTableProvider, LayoutSource
+from .layout import BlockRole, LayoutPayload
+from .providers import ChartToTableProvider
 from .tables import BoundingRegion, flatten_table, serialize_dataframe, serialize_json
 
 logger = logging.getLogger(__name__)
@@ -36,64 +36,6 @@ class PageContent:
     section_title: str | None = None
 
 
-@dataclass(frozen=True)
-class FigureManifestEntry:
-    """One figure awaiting external cropping (pixel work is out of scope)."""
-
-    document_id: str
-    page_number: int
-    figure_index: int
-    polygon: tuple[tuple[float, float], ...]
-    suggested_crop_path: str
-
-    def to_dict(self) -> dict:
-        return {
-            "document_id": self.document_id,
-            "page_number": self.page_number,
-            "figure_index": self.figure_index,
-            "polygon": [list(point) for point in self.polygon],
-            "suggested_crop_path": self.suggested_crop_path,
-        }
-
-
-def extract_layout(document_locator: str, provider: LayoutSource) -> LayoutPayload:
-    """Fetch and validate a layout payload; invalid responses are rejected."""
-    raw = provider.fetch(document_locator)
-    return parse_layout_payload(raw)
-
-
-def extract_figures(payload: LayoutPayload) -> list[FigureManifestEntry]:
-    entries = []
-    for page in payload.pages:
-        for index, region in enumerate(page.figures):
-            entries.append(
-                FigureManifestEntry(
-                    document_id=payload.document_id,
-                    page_number=page.page_number,
-                    figure_index=index,
-                    polygon=region.polygon,
-                    suggested_crop_path=(
-                        f"{payload.document_id}/p{page.page_number}_f{index}.png"
-                    ),
-                )
-            )
-    return entries
-
-
-def write_figure_manifest(entries: list[FigureManifestEntry], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for entry in entries:
-            handle.write(json.dumps(entry.to_dict(), ensure_ascii=False) + "\n")
-
-
-def _serialize_records(records, table_format: str) -> str:
-    if table_format == "json":
-        return serialize_json(records)
-    if table_format == "dataframe":
-        return serialize_dataframe(records)
-    raise ValueError(f"unknown table format {table_format!r}; expected one of {TABLE_FORMATS}")
-
-
 def preprocess_document(
     payload: LayoutPayload,
     chart_provider: ChartToTableProvider,
@@ -107,6 +49,7 @@ def preprocess_document(
     """
     if table_format not in TABLE_FORMATS:
         raise ValueError(f"unknown table format {table_format!r}; expected one of {TABLE_FORMATS}")
+    serialize = serialize_json if table_format == "json" else serialize_dataframe
     pages: list[PageContent] = []
     section_title: str | None = None
     for page in payload.pages:
@@ -116,9 +59,7 @@ def preprocess_document(
                 narrative_parts.append(block.content)
             if block.role is BlockRole.SECTION_TITLE:
                 section_title = block.content
-        table_texts = tuple(
-            _serialize_records(flatten_table(table), table_format) for table in page.tables
-        )
+        table_texts = tuple(serialize(flatten_table(table)) for table in page.tables)
         chart_texts = []
         for index, region in enumerate(page.figures):
             try:
@@ -142,7 +83,7 @@ def preprocess_document(
                     payload.document_id, page.page_number, index, exc,
                 )
                 continue
-            chart_texts.append(_serialize_records(records, table_format))
+            chart_texts.append(serialize(records))
         pages.append(
             PageContent(
                 document_id=payload.document_id,

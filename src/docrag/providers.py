@@ -1,9 +1,10 @@
 """Adapters for the external model services the pipeline depends on.
 
-Every capability (layout OCR, chart-to-table, embeddings, LLM) is a small
-protocol with at least one deterministic offline implementation. Layout,
-chart-to-table and the LLM also have an HTTP implementation. Embeddings
-have none: a query must be embedded exactly as its index was, and the
+Chart-to-table, embeddings and the LLM are each a small protocol with at
+least one deterministic offline implementation. Only the LLM has an HTTP
+implementation. Layout payloads are no provider: ``docrag ingest`` reads
+them from files. Chart CSVs come from a fixture directory or from
+nowhere. A query must be embedded exactly as its index was, and the
 index header names ``embedding.HashingEmbedder``. The LLM endpoint and
 API key come from environment variables only:
 
@@ -29,61 +30,6 @@ ENV_LLM_KEY = "DOCRAG_LLM_KEY"
 _HTTP_TIMEOUT = 30.0
 
 
-def _post_json(url: str, body: dict, api_key: str | None) -> dict:
-    import requests  # imported here so offline runs never load it
-
-    headers = {"Content-Type": "application/json"}
-    if api_key:
-        headers["Authorization"] = f"Bearer {api_key}"
-    try:
-        response = requests.post(url, json=body, headers=headers, timeout=_HTTP_TIMEOUT)
-    except requests.RequestException as exc:
-        raise ProviderError(f"request to {url} failed: {exc}", transient=True) from exc
-    if response.status_code >= 500:
-        raise ProviderError(f"{url} returned {response.status_code}", transient=True)
-    if response.status_code >= 400:
-        raise ProviderError(f"{url} returned {response.status_code}: {response.text[:200]}")
-    try:
-        return response.json()
-    except ValueError as exc:
-        raise ProviderError(f"{url} returned non-JSON body") from exc
-
-
-class LayoutSource(Protocol):
-    """Produces raw layout-analysis JSON for a document locator."""
-
-    def fetch(self, document_locator: str) -> dict: ...
-
-
-class FileLayoutSource:
-    """Reads layout payloads from disk.
-
-    The locator is either a path to a payload JSON file or a document id
-    resolved as <root>/<id>.json.
-    """
-
-    def __init__(self, root: str | Path | None = None):
-        self.root = Path(root) if root is not None else None
-
-    def fetch(self, document_locator: str) -> dict:
-        path = Path(document_locator)
-        if not path.is_file() and self.root is not None:
-            path = self.root / f"{document_locator}.json"
-        if not path.is_file():
-            raise ProviderError(f"layout fixture not found for {document_locator!r}")
-        with open(path, encoding="utf-8") as handle:
-            return json.load(handle)
-
-
-class HttpLayoutSource:
-    def __init__(self, endpoint: str, api_key: str | None = None):
-        self.endpoint = endpoint
-        self.api_key = api_key
-
-    def fetch(self, document_locator: str) -> dict:
-        return _post_json(self.endpoint, {"document": document_locator}, self.api_key)
-
-
 class ChartToTableProvider(Protocol):
     """Turns a figure (chart image) into CSV text, or declines with None."""
 
@@ -97,7 +43,7 @@ class ChartToTableProvider(Protocol):
 
 
 class NullChartProvider:
-    """Declines every figure; pages keep a manifest entry only."""
+    """Declines every figure; pages keep it in ``figure_manifest`` only."""
 
     def csv_for(self, document_id, page_number, figure_index, region) -> str | None:
         return None
@@ -118,25 +64,6 @@ class DirectoryChartProvider:
         if not path.is_file():
             return None
         return path.read_text(encoding="utf-8")
-
-
-class HttpChartProvider:
-    def __init__(self, endpoint: str, api_key: str | None = None):
-        self.endpoint = endpoint
-        self.api_key = api_key
-
-    def csv_for(self, document_id, page_number, figure_index, region) -> str | None:
-        body = {
-            "document_id": document_id,
-            "page_number": page_number,
-            "figure_index": figure_index,
-            "region": region.to_dict(),
-        }
-        payload = _post_json(self.endpoint, body, self.api_key)
-        csv_text = payload.get("csv")
-        if csv_text is not None and not isinstance(csv_text, str):
-            raise ProviderError("chart provider returned non-text csv field")
-        return csv_text
 
 
 class EmbeddingProvider(Protocol):
@@ -263,24 +190,39 @@ class HttpLLM:
         self.api_key = api_key if api_key is not None else os.environ.get(ENV_LLM_KEY)
 
     def complete(self, request: LLMRequest) -> LLMResponse:
+        import requests  # imported here so offline runs never load it
+
+        url, prompt = self.endpoint, request.prompt
         body = {
             "model": request.model_tag,
-            "messages": [{"role": "user", "content": request.prompt}],
+            "messages": [{"role": "user", "content": prompt}],
             "max_tokens": request.max_output_tokens,
         }
+        headers = {"Content-Type": "application/json"}
+        if self.api_key:
+            headers["Authorization"] = f"Bearer {self.api_key}"
         try:
-            payload = _post_json(self.endpoint, body, self.api_key)
-        except ProviderError as exc:
-            raise ProviderError(str(exc), transient=exc.transient, prompt=request.prompt) from exc
-        try:
-            text = payload["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, TypeError) as exc:
+            response = requests.post(url, json=body, headers=headers, timeout=_HTTP_TIMEOUT)
+        except requests.RequestException as exc:
             raise ProviderError(
-                f"malformed completion response: {exc}", prompt=request.prompt
+                f"request to {url} failed: {exc}", transient=True, prompt=prompt
             ) from exc
-        usage = payload.get("usage", {})
-        return LLMResponse(
-            text=str(text),
-            completion_tokens=int(usage.get("completion_tokens", count_tokens(str(text)))),
-        )
+        status = response.status_code
+        if status >= 500:
+            raise ProviderError(f"{url} returned {status}", transient=True, prompt=prompt)
+        if status >= 400:
+            raise ProviderError(f"{url} returned {status}: {response.text[:200]}", prompt=prompt)
+        try:
+            payload = response.json()
+            text = payload["choices"][0]["message"]["content"]
+        except ValueError as exc:
+            raise ProviderError(f"{url} returned non-JSON body", prompt=prompt) from exc
+        except (KeyError, IndexError, TypeError) as exc:
+            raise ProviderError(f"malformed completion response: {exc}", prompt=prompt) from exc
+        text = str(text)
+        usage = payload.get("usage") or {}  # none reported: count the completion locally
+        count = usage.get("completion_tokens", count_tokens(text)) if type(usage) is dict else None
+        if type(count) is not int or count < 0:
+            raise ProviderError(f"malformed usage in completion response: {usage!r}", prompt=prompt)
+        return LLMResponse(text=text, completion_tokens=count)
 

@@ -9,9 +9,7 @@ from docrag.chunking import (
     ChunkMetadata,
     DocumentChunk,
     combine_page_text,
-    read_chunks_jsonl,
     split_pages,
-    write_chunks_jsonl,
 )
 from docrag.layout import DocumentAttributes
 from docrag.preprocess import PageContent
@@ -196,19 +194,6 @@ def test_metadata_validation():
 def test_metadata_dict_round_trip():
     meta = ChunkMetadata(document_id="d", page_number=2, company="X", year=2020, quarter="Q2")
     assert ChunkMetadata.from_dict(meta.as_dict()) == meta
-
-
-# --- JSONL persistence ---------------------------------------------------------------
-
-def test_chunks_jsonl_round_trip(tmp_path):
-    attrs = DocumentAttributes(company="ACME", year=2013, quarter="Q4")
-    chunks = split_pages(
-        [page(narrative=words(1500), tables=("T one",), section_title="S")],
-        attributes=attrs,
-    )
-    path = tmp_path / "chunks.jsonl"
-    write_chunks_jsonl(chunks, path)
-    assert read_chunks_jsonl(path) == chunks
 
 
 def test_chunk_dict_round_trip():

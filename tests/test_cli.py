@@ -75,6 +75,20 @@ def test_ingest_empty_directory_fails(tmp_path, capsys):
     assert "no layout payloads" in error["message"]
 
 
+def test_ingest_rejects_invalid_payload(revenue_payload, tmp_path, capsys):
+    del revenue_payload["document_id"]
+    layout = tmp_path / "layout"
+    layout.mkdir()
+    (layout / "doc.json").write_text(json.dumps(revenue_payload), encoding="utf-8")
+    code, out, err = run(
+        capsys, "ingest", "--layout", str(layout), "--index", str(tmp_path / "i")
+    )
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "SchemaError"
+    assert not (tmp_path / "i").exists()
+
+
 def test_ingest_charts_dir_autodetected(corpus, tmp_path, capsys):
     # corpus charts live at <layout>/charts, so chart text must be indexed
     index_path, _ = ingest(corpus, tmp_path, capsys)
@@ -472,6 +486,91 @@ def test_config_must_be_object(tmp_path, capsys):
     code, _, err = run(capsys, "--config", str(config), "cost")
     assert code == 1
     assert "JSON object" in json.loads(err)["message"]
+
+
+def _qa_line(**fields):
+    record = {
+        "question": "q",
+        "gold_answer": "a",
+        "difficulty": "low",
+        "target": "text",
+        "document_id": "alpha-10k",
+        **fields,
+    }
+    return json.dumps(record) + "\n"
+
+
+# (command the file feeds, file content, error type, text the message must hold)
+MALFORMED_INPUTS = {
+    "dataset-filters-list": (
+        "dataset", _qa_line(filters=["company", "ALPHA"]), "SchemaError", "filters"
+    ),
+    "dataset-filters-string": ("dataset", _qa_line(filters="ALPHA"), "SchemaError", "filters"),
+    "dataset-null-reference-count": (
+        "dataset", _qa_line(reference_count=None), "SchemaError", "reference_count"
+    ),
+    "pricing-not-object": ("pricing", "[1]", "ValueError", "pricing file"),
+    "pricing-group-not-object": ("pricing", {"per_token": [1]}, "ValueError", "per_token"),
+    "pricing-null-rate": (
+        "pricing", {"per_page": {"chart-to-table": None}}, "ValueError", "chart-to-table"
+    ),
+    "pricing-credits-no-rate": (
+        "pricing", {"credits": {"x": {"usd_per_credit": 0.1}}}, "ValueError", "credits_per_page"
+    ),
+    "pricing-nan-rate": ("pricing", '{"per_token": {"gpt-4o": NaN}}', "ValueError", "gpt-4o"),
+    "pricing-null-tokens-per-page": (
+        "pricing", {"tokens_per_page": None}, "ValueError", "tokens_per_page"
+    ),
+    "pricing-fractional-tokens-per-page": (
+        "pricing", {"tokens_per_page": 2.5}, "ValueError", "tokens_per_page"
+    ),
+    "config-null-k": ("config query", {"k": None}, "ValueError", "'k'"),
+    "config-float-k": ("config query", {"k": 2.5}, "ValueError", "'k'"),
+    "config-list-model-tag": ("config query", {"model_tag": ["gpt-4o"]}, "ValueError", "model_tag"),
+    "config-null-chunk-size": ("config ingest", {"chunk_size": None}, "ValueError", "chunk_size"),
+    "config-int-charts": ("config ingest", {"charts": 5}, "ValueError", "charts"),
+    "config-null-eval-workers": (
+        "config eval", {"eval_workers": None}, "ValueError", "eval_workers"
+    ),
+    "config-string-eval-workers": (
+        "config eval", {"eval_workers": "2"}, "ValueError", "eval_workers"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_INPUTS)
+def test_malformed_input_file_fails_with_one_json_error(corpus, tmp_path, capsys, case):
+    command, content, error, key = MALFORMED_INPUTS[case]
+    path = tmp_path / "input.json"
+    path.write_text(content if isinstance(content, str) else json.dumps(content), encoding="utf-8")
+    index_path = tmp_path / "corpus.index"
+    if command not in ("pricing", "config ingest"):
+        ingest(corpus, tmp_path, capsys)
+    report = str(tmp_path / "report.json")
+    argv = {
+        "dataset": ["eval", "--index", str(index_path), "--dataset", str(path), "--report", report],
+        "pricing": ["cost", "--pricing", str(path)],
+        "config query": [
+            "--config", str(path), "query", "--index", str(index_path), "--question", "q",
+        ],
+        "config ingest": [
+            "--config", str(path), "ingest", "--layout", str(corpus["layout_dir"]),
+            "--index", str(index_path),
+        ],
+        "config eval": [
+            "--config", str(path), "eval", "--index", str(index_path),
+            "--dataset", str(corpus["dataset"]), "--report", report,
+        ],
+    }[command]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    message = json.loads(err)
+    assert message["error"] == error
+    assert key in message["message"]
+    if command == "dataset":
+        assert message["message"].startswith("line 1:")
 
 
 def test_unknown_provider_rejected_by_parser(corpus, tmp_path, capsys):

@@ -3,17 +3,10 @@ import logging
 
 import pytest
 
-from docrag.errors import ProviderError, SchemaError
+from docrag.errors import ProviderError
 from docrag.layout import parse_layout_payload
-from docrag.preprocess import (
-    FigureManifestEntry,
-    PageContent,
-    extract_figures,
-    extract_layout,
-    preprocess_document,
-    write_figure_manifest,
-)
-from docrag.providers import DirectoryChartProvider, FileLayoutSource, NullChartProvider
+from docrag.preprocess import PageContent, preprocess_document
+from docrag.providers import DirectoryChartProvider, NullChartProvider
 
 
 class StaticChartProvider:
@@ -31,23 +24,6 @@ class StaticChartProvider:
 class FailingChartProvider:
     def csv_for(self, document_id, page_number, figure_index, region):
         raise ProviderError("chart endpoint down", transient=True)
-
-
-# --- extract_layout --------------------------------------------------------
-
-def test_extract_layout_from_file(tmp_path, revenue_payload):
-    path = tmp_path / "doc.json"
-    path.write_text(json.dumps(revenue_payload), encoding="utf-8")
-    payload = extract_layout(str(path), FileLayoutSource())
-    assert payload.document_id == "revenue-doc"
-
-
-def test_extract_layout_rejects_invalid(tmp_path, revenue_payload):
-    del revenue_payload["document_id"]
-    path = tmp_path / "doc.json"
-    path.write_text(json.dumps(revenue_payload), encoding="utf-8")
-    with pytest.raises(SchemaError):
-        extract_layout(str(path), FileLayoutSource())
 
 
 # --- narrative assembly -----------------------------------------------------
@@ -153,37 +129,6 @@ def test_preprocess_is_deterministic(revenue_payload, chart_payload, chart_csv):
     for data in (revenue_payload, chart_payload):
         payload = parse_layout_payload(data)
         assert preprocess_document(payload, provider) == preprocess_document(payload, provider)
-
-
-# --- figure manifest ------------------------------------------------------------
-
-def test_extract_figures(chart_payload):
-    entries = extract_figures(parse_layout_payload(chart_payload))
-    assert len(entries) == 1
-    entry = entries[0]
-    assert entry == FigureManifestEntry(
-        document_id="chart-doc",
-        page_number=1,
-        figure_index=0,
-        polygon=entry.polygon,
-        suggested_crop_path="chart-doc/p1_f0.png",
-    )
-    assert len(entry.polygon) >= 3
-
-
-def test_write_figure_manifest(tmp_path, chart_payload):
-    entries = extract_figures(parse_layout_payload(chart_payload))
-    path = tmp_path / "figures.jsonl"
-    write_figure_manifest(entries, path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    assert len(lines) == 1
-    record = json.loads(lines[0])
-    assert record["suggested_crop_path"] == "chart-doc/p1_f0.png"
-    assert record["figure_index"] == 0
-
-
-def test_extract_figures_empty_for_figureless_doc(revenue_payload):
-    assert extract_figures(parse_layout_payload(revenue_payload)) == []
 
 
 def test_page_content_is_immutable(revenue_payload):

@@ -1,6 +1,7 @@
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from urllib.parse import quote, unquote
 
 import pytest
 
@@ -10,9 +11,6 @@ from docrag.providers import (
     ENV_LLM_ENDPOINT,
     ContextLookupLLM,
     DirectoryChartProvider,
-    FileLayoutSource,
-    HttpChartProvider,
-    HttpLayoutSource,
     HttpLLM,
     LLMRequest,
     MockLLM,
@@ -20,11 +18,6 @@ from docrag.providers import (
 from docrag.tables import BoundingRegion
 
 REGION = BoundingRegion(page_number=1, polygon=((0.0, 0.0), (10.0, 0.0), (10.0, 10.0)))
-
-LAYOUT_DOC = {
-    "document_id": "remote-doc",
-    "pages": [{"page_number": 1, "text_blocks": [], "tables": [], "figures": []}],
-}
 
 
 class StubHandler(BaseHTTPRequestHandler):
@@ -60,16 +53,19 @@ class StubHandler(BaseHTTPRequestHandler):
             )
         elif self.path == "/chat-nousage":
             self._send(200, {"choices": [{"message": {"content": "three plain words"}}]})
+        elif self.path == "/chat-nullusage":
+            self._send(
+                200, {"choices": [{"message": {"content": "three plain words"}}], "usage": None}
+            )
+        elif self.path.startswith("/chat-badusage?"):
+            # the query string is the JSON completion_tokens value to report
+            count = json.loads(unquote(self.path.partition("?")[2]))
+            self._send(
+                200,
+                {"choices": [{"message": {"content": "x"}}], "usage": {"completion_tokens": count}},
+            )
         elif self.path == "/chat-bad":
             self._send(200, {"unexpected": True})
-        elif self.path == "/layout":
-            self._send(200, LAYOUT_DOC)
-        elif self.path == "/chart":
-            self._send(200, {"csv": "k\nv\n"})
-        elif self.path == "/chart-none":
-            self._send(200, {"csv": None})
-        elif self.path == "/chart-badtype":
-            self._send(200, {"csv": 7})
         elif self.path == "/error500":
             self._send(500, {"error": "boom"})
         elif self.path == "/error400":
@@ -117,6 +113,21 @@ def test_http_llm_counts_tokens_without_usage(server):
     response = HttpLLM(endpoint=f"{server}/chat-nousage").complete(request())
     assert response.text == "three plain words"
     assert response.completion_tokens == 3
+
+
+def test_http_llm_null_usage_counts_tokens_locally(server):
+    response = HttpLLM(endpoint=f"{server}/chat-nullusage").complete(request())
+    assert response.text == "three plain words"
+    assert response.completion_tokens == 3
+
+
+@pytest.mark.parametrize("count", ["null", '"2"', "2.5", "-1", "true"])
+def test_http_llm_non_integer_usage_keeps_prompt(server, count):
+    llm = HttpLLM(endpoint=f"{server}/chat-badusage?{quote(count)}")
+    with pytest.raises(ProviderError, match="malformed usage") as info:
+        llm.complete(request(prompt="keep"))
+    assert info.value.prompt == "keep"
+    assert info.value.transient is False
 
 
 def test_http_llm_bearer_auth(server):
@@ -171,42 +182,7 @@ def test_http_llm_requires_endpoint(monkeypatch):
         HttpLLM()
 
 
-# --- layout and chart adapters --------------------------------------------------------
-
-def test_http_layout_source(server):
-    assert HttpLayoutSource(f"{server}/layout").fetch("remote-doc") == LAYOUT_DOC
-
-
-def test_file_layout_source_by_path(tmp_path):
-    path = tmp_path / "doc.json"
-    path.write_text(json.dumps(LAYOUT_DOC), encoding="utf-8")
-    assert FileLayoutSource().fetch(str(path)) == LAYOUT_DOC
-
-
-def test_file_layout_source_by_id(tmp_path):
-    (tmp_path / "remote-doc.json").write_text(json.dumps(LAYOUT_DOC), encoding="utf-8")
-    assert FileLayoutSource(root=tmp_path).fetch("remote-doc") == LAYOUT_DOC
-
-
-def test_file_layout_source_missing():
-    with pytest.raises(ProviderError, match="not found"):
-        FileLayoutSource().fetch("/nonexistent/nowhere.json")
-
-
-def test_http_chart_provider(server):
-    provider = HttpChartProvider(f"{server}/chart")
-    assert provider.csv_for("d", 1, 0, REGION) == "k\nv\n"
-    assert StubHandler.last_body["region"]["page_number"] == 1
-
-
-def test_http_chart_provider_declines_with_none(server):
-    assert HttpChartProvider(f"{server}/chart-none").csv_for("d", 1, 0, REGION) is None
-
-
-def test_http_chart_provider_rejects_non_text(server):
-    with pytest.raises(ProviderError, match="non-text"):
-        HttpChartProvider(f"{server}/chart-badtype").csv_for("d", 1, 0, REGION)
-
+# --- chart adapters --------------------------------------------------------
 
 def test_directory_chart_provider_missing_file(tmp_path):
     assert DirectoryChartProvider(tmp_path).csv_for("d", 1, 0, REGION) is None
