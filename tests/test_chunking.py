@@ -1,4 +1,6 @@
+import hashlib
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -251,3 +253,45 @@ def test_property_fitting_blocks_stay_whole(p, chunk_size):
         if 0 < count_tokens(segment) <= chunk_size:
             # cut points sit at token starts, so judge by the token span
             assert any(segment.strip() in c.text for c in chunks)
+
+
+# --- golden digest over seeded random pages -----------------------------------------
+
+_GOLDEN_PIECES = ("rev", "Q4", "2013", "café", "営業", "$", "1,234.5", "%", "(", ")", "—", "...")
+_GOLDEN_GAPS = ("", " ", " ", " ", "\n", "\t", "  \n ")
+
+
+def _golden_segment(rng) -> str:
+    # Empty, whitespace-only, or up to 24 tokens: wider than every chunk
+    # size drawn below, so oversized tables and charts occur often.
+    kind = rng.random()
+    if kind < 0.1:
+        return ""
+    if kind < 0.25:
+        return rng.choice((" ", "\n", " \t\n "))
+    parts = [rng.choice(("", " ", "\n"))]
+    for _ in range(rng.randint(1, 16)):
+        parts += [rng.choice(_GOLDEN_PIECES), rng.choice(_GOLDEN_GAPS)]
+    return "".join(parts)
+
+
+def _golden_page(rng, number) -> PageContent:
+    narrative = "" if rng.random() < 0.3 else _golden_segment(rng)
+    tables = [_golden_segment(rng) for _ in range(rng.randint(0, 3))]
+    charts = [_golden_segment(rng) for _ in range(rng.randint(0, 2))]
+    return page(narrative=narrative, tables=tables, charts=charts, page_number=number)
+
+
+def test_chunk_boundaries_match_golden_digest():
+    # sha256 over (chunk_id, text, token_count) of every chunk split from
+    # 2,000 seeded pages at chunk sizes 1-10; the cut points must not move.
+    rng = random.Random(20131231)
+    hasher = hashlib.sha256()
+    total = 0
+    for number in range(1, 2001):
+        p = _golden_page(rng, number)
+        for chunk in split_pages([p], chunk_size=rng.randint(1, 10)):
+            hasher.update(json.dumps([chunk.chunk_id, chunk.text, chunk.token_count]).encode())
+            total += 1
+    assert total == 15708
+    assert hasher.hexdigest() == "38497012685c90d84a7a74b8473ec87e1344913b99336df48f68380fc37cdff7"
