@@ -48,7 +48,6 @@ from .layout import (
     LayoutPayload,
     TextBlock,
     parse_layout_payload,
-    payload_to_dict,
 )
 from .preprocess import PageContent, preprocess_document
 from .tables import (
@@ -111,7 +110,6 @@ __all__ = [
     "load_dataset",
     "merge_column_headers",
     "parse_layout_payload",
-    "payload_to_dict",
     "preprocess_document",
     "retrieve",
     "run_eval",

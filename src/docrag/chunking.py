@@ -1,15 +1,19 @@
-"""Page-scoped chunking: split PageContent into ≤600-token pieces.
+"""Page-scoped chunking: split PageContent into chunks of at most 600 tokens.
 
-Chunks never cross pages. Within a page the narrative, serialized tables,
-and serialized charts are joined by blank lines into one string, then cut
-greedily at token boundaries. A serialized table or chart that fits in a
-single chunk is kept whole; cutting happens at character offsets chosen so
-that joining a page's chunks reproduces the page string byte for byte.
+Chunks never cross pages. A page's segments, in page order, are its
+narrative (when not empty), its serialized tables and its serialized
+charts; blank lines join them into one page string. The packer fills each
+chunk greedily: a table or chart of at most ``chunk_size`` tokens that does
+not fit in the current chunk moves to the next one whole, and every other
+token (narrative, or an oversized table or chart) packs one at a time.
+Each cut falls at the start of a token, so joining a page's chunks
+reproduces the page string byte for byte. A whitespace-only page is one
+zero-token chunk; an empty page yields none.
 """
 
 from __future__ import annotations
 
-import logging
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -17,8 +21,6 @@ from .layout import DocumentAttributes, check_quarter
 from .preprocess import PageContent
 from .tables import BoundingRegion
 from .tokens import DEFAULT_TOKENIZER
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_CHUNK_SIZE = 600
 
@@ -90,28 +92,16 @@ class DocumentChunk:
         )
 
 
+def _segments(page: PageContent) -> list[tuple[str, bool]]:
+    # The page's segments in page order, each marked whether it is protected.
+    segments = [(page.narrative_text, False)] if page.narrative_text else []
+    segments += [(text, True) for text in (*page.table_texts, *page.chart_texts)]
+    return segments
+
+
 def combine_page_text(page: PageContent) -> str:
     """Join a page's narrative, table, and chart texts with blank lines."""
-    segments = []
-    if page.narrative_text:
-        segments.append(page.narrative_text)
-    segments.extend(page.table_texts)
-    segments.extend(page.chart_texts)
-    return _SEPARATOR.join(segments)
-
-
-def _protected_ranges(page: PageContent) -> list[tuple[int, int]]:
-    # Character ranges of serialized table/chart segments within the page string.
-    ranges = []
-    offset = len(page.narrative_text) if page.narrative_text else 0
-    first = not page.narrative_text
-    for segment in list(page.table_texts) + list(page.chart_texts):
-        if not first:
-            offset += len(_SEPARATOR)
-        first = False
-        ranges.append((offset, offset + len(segment)))
-        offset += len(segment)
-    return ranges
+    return _SEPARATOR.join(text for text, _ in _segments(page))
 
 
 def _split_page(
@@ -122,7 +112,33 @@ def _split_page(
     text = combine_page_text(page)
     if not text:
         return []
-    spans = DEFAULT_TOKENIZER.spans(text)
+    starts = [start for start, _ in DEFAULT_TOKENIZER.spans(text)]
+
+    cuts = [0]  # token index opening each chunk
+    count = offset = 0
+    for segment, protected in _segments(page):
+        first = bisect_left(starts, offset)
+        offset += len(segment)
+        last = bisect_left(starts, offset)
+        offset += len(_SEPARATOR)
+        size = last - first
+        if protected and size <= chunk_size:
+            # A table or chart that fits in one chunk moves to a chunk whole.
+            if count + size > chunk_size:
+                cuts.append(first)
+                count = 0
+            count += size
+            continue
+        for token in range(first, last):
+            if count == chunk_size:
+                cuts.append(token)
+                count = 0
+            count += 1
+
+    # The first chunk opens at the page start and the last closes at its
+    # end, so a whitespace-only page is one zero-token chunk.
+    char_cuts = [0, *(starts[token] for token in cuts[1:]), len(text)]
+    token_cuts = [*cuts, len(starts)]
     metadata = ChunkMetadata(
         document_id=page.document_id,
         page_number=page.page_number,
@@ -131,69 +147,15 @@ def _split_page(
         quarter=attributes.quarter if attributes else None,
         section_title=page.section_title,
     )
-
-    def make(ordinal: int, piece: str, token_count: int) -> DocumentChunk:
-        return DocumentChunk(
+    return [
+        DocumentChunk(
             chunk_id=f"{page.document_id}:{page.page_number}:{ordinal}",
-            text=piece,
-            token_count=token_count,
+            text=text[char_cuts[ordinal]:char_cuts[ordinal + 1]],
+            token_count=token_cuts[ordinal + 1] - token_cuts[ordinal],
             metadata=metadata,
         )
-
-    if not spans:
-        # Whitespace-only page: one zero-token chunk keeps reassembly exact.
-        return [make(0, text, 0)]
-
-    # Units: a run of tokens that must stay together. A protected segment
-    # that fits in one chunk forms a single unit; an oversized one
-    # decomposes to per-token units, so it splits like plain text.
-    blocks = _protected_ranges(page)
-    units: list[tuple[int, int]] = []  # (first token index, token count)
-    i = 0
-    for block_start, block_end in blocks:
-        while i < len(spans) and spans[i][0] < block_start:
-            units.append((i, 1))
-            i += 1
-        j = i
-        while j < len(spans) and spans[j][0] < block_end:
-            j += 1
-        if 0 < j - i <= chunk_size:
-            units.append((i, j - i))
-        else:
-            units.extend((k, 1) for k in range(i, j))
-        i = j
-    units.extend((k, 1) for k in range(i, len(spans)))
-
-    cut_tokens = [0]  # token index opening each chunk
-    count = 0
-    for first_token, size in units:
-        if size > chunk_size:
-            # Indivisible unit wider than a chunk: isolate it, never drop it.
-            logger.warning(
-                "unit of %d tokens exceeds chunk_size=%d on %s page %d",
-                size, chunk_size, page.document_id, page.page_number,
-            )
-            if count:
-                cut_tokens.append(first_token)
-            count = size
-            continue
-        if count + size > chunk_size:
-            cut_tokens.append(first_token)
-            count = 0
-        count += size
-
-    chunks = []
-    for ordinal, start_token in enumerate(cut_tokens):
-        char_start = 0 if start_token == 0 else spans[start_token][0]
-        if ordinal + 1 < len(cut_tokens):
-            next_token = cut_tokens[ordinal + 1]
-            char_end = spans[next_token][0]
-            token_count = next_token - start_token
-        else:
-            char_end = len(text)
-            token_count = len(spans) - start_token
-        chunks.append(make(ordinal, text[char_start:char_end], token_count))
-    return chunks
+        for ordinal in range(len(cuts))
+    ]
 
 
 def split_pages(

@@ -139,18 +139,23 @@ def cmd_ingest(args, config: dict) -> int:
         tokenizer_tag=DEFAULT_TOKENIZER.tag,
         provider_tag=embedder.tag,
     )
-    documents = 0
+    sources: dict[str, Path] = {}  # document_id -> the payload file that holds it
     for path in payload_paths:
         with open(path, encoding="utf-8") as handle:
             payload = parse_layout_payload(json.load(handle))
+        if payload.document_id in sources:
+            raise ValueError(
+                f"document_id {payload.document_id!r} is in both "
+                f"{sources[payload.document_id]} and {path}"
+            )
+        sources[payload.document_id] = path
         pages = preprocess_document(payload, chart_provider, table_format)
         chunks = split_pages(pages, chunk_size=chunk_size, attributes=payload.attributes)
         index.upsert_many(
             [IndexEntry(chunk=c, vector=tuple(embed(c.text, embedder))) for c in chunks]
         )
-        documents += 1
     index.persist(args.index)
-    print(f"indexed {len(index)} chunks from {documents} documents into {args.index}")
+    print(f"indexed {len(index)} chunks from {len(sources)} documents into {args.index}")
     return 0
 
 

@@ -10,7 +10,6 @@ still score as wrong.
 from __future__ import annotations
 
 import json
-import logging
 import math
 import re
 from concurrent.futures import ThreadPoolExecutor
@@ -24,8 +23,6 @@ from .generation import answer_question
 from .index import RetrievalConfig, VectorIndex
 from .providers import EmbeddingProvider, LLMProvider
 from .tokens import DEFAULT_TOKENIZER
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_EVAL_WORKERS = 4
 
@@ -92,20 +89,23 @@ def load_dataset(path: str | Path) -> list[QAExample]:
                 raise SchemaError(where, f"invalid JSON: {exc}") from exc
             if not isinstance(record, dict):
                 raise SchemaError(where, "expected an object")
-            filters = record.get("filters") or {}
+            filters = {} if record.get("filters") is None else record["filters"]
             if not isinstance(filters, dict):
                 raise SchemaError(where, f"filters: expected an object, got {filters!r}")
+            for key in ("question", "gold_answer", "document_id"):
+                if key in record and not isinstance(record[key], str):
+                    raise SchemaError(where, f"{key}: expected a string, got {record[key]!r}")
             count = record.get("reference_count", 1)
             if type(count) is not int:
                 raise SchemaError(where, f"reference_count: expected an integer, got {count!r}")
             try:
                 examples.append(
                     QAExample(
-                        question=str(record["question"]),
-                        gold_answer=str(record["gold_answer"]),
+                        question=record["question"],
+                        gold_answer=record["gold_answer"],
                         difficulty=Difficulty(record["difficulty"]),
                         target=Target(record["target"]),
-                        document_id=str(record["document_id"]),
+                        document_id=record["document_id"],
                         reference_count=count,
                         filters=tuple((str(name), value) for name, value in filters.items()),
                     )

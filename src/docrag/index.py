@@ -344,25 +344,30 @@ class VectorIndex:
     def load(cls, path: str | Path) -> "VectorIndex":
         """Read a persisted index; corruption errors carry a byte offset.
 
-        A file whose entry lines disagree in number with the header's
-        ``count`` (such as one cut at a line boundary) is refused at its
-        end offset.
+        A header ``dimension`` or ``count`` that is not a JSON integer
+        (``dimension`` >= 1, ``count`` >= 0) is refused at offset 0, an
+        entry line that repeats an earlier ``chunk_id`` at its own offset,
+        and a file whose entry lines disagree in number with the header's
+        ``count`` (such as one cut at a line boundary) at its end offset.
         """
         with open(path, "rb") as handle:
             raw_header = handle.readline()
             try:
                 header = json.loads(raw_header.decode("utf-8"))
-                dimension = int(header["dimension"])
-                count = int(header["count"])
+                dimension, count = header["dimension"], header["count"]
             except (ValueError, KeyError, TypeError) as exc:
                 raise IndexLoadError(0, f"bad header line: {exc}") from exc
+            if type(dimension) is not int or dimension < 1:
+                raise IndexLoadError(0, f"header dimension must be an integer >= 1, got {dimension!r}")
+            if type(count) is not int or count < 0:
+                raise IndexLoadError(0, f"header count must be an integer >= 0, got {count!r}")
             index = cls(
                 dimension=dimension,
                 tokenizer_tag=str(header.get("tokenizer", "")),
                 provider_tag=str(header.get("provider", "")),
             )
             offset = len(raw_header)
-            chunks, rows = [], []
+            chunks, rows, seen = [], [], set()
             while True:
                 raw = handle.readline()
                 if not raw:
@@ -380,6 +385,11 @@ class VectorIndex:
                             raise ValueError("vector entries must be finite")
                     except (ValueError, KeyError, TypeError) as exc:
                         raise IndexLoadError(offset, f"bad entry line: {exc}") from exc
+                    if chunk.chunk_id in seen:
+                        raise IndexLoadError(
+                            offset, f"chunk_id {chunk.chunk_id!r} repeats an earlier entry line"
+                        )
+                    seen.add(chunk.chunk_id)
                     chunks.append(chunk)
                     rows.append(vector)
                 offset += len(raw)

@@ -210,44 +210,3 @@ def parse_layout_payload(data: Any) -> LayoutPayload:
     except ValueError as exc:
         raise SchemaError("pages", str(exc)) from exc
 
-
-def payload_to_dict(payload: LayoutPayload) -> dict:
-    """Serialize a payload back to its JSON document form (round-trips)."""
-    doc: dict[str, Any] = {"document_id": payload.document_id}
-    if payload.attributes is not None:
-        attrs = payload.attributes
-        doc["attributes"] = {"company": attrs.company, "year": attrs.year, "quarter": attrs.quarter}
-    doc["pages"] = []
-    for page in payload.pages:
-        doc["pages"].append(
-            {
-                "page_number": page.page_number,
-                "text_blocks": [
-                    {"role": b.role.value, "content": b.content, "region": b.region.to_dict()}
-                    for b in page.text_blocks
-                ],
-                "tables": [
-                    {
-                        "row_count": t.row_count,
-                        "column_count": t.column_count,
-                        "caption": t.caption,
-                        "region": t.region.to_dict() if t.region else None,
-                        "cells": [
-                            {
-                                "row_index": c.row_index,
-                                "column_index": c.column_index,
-                                "row_span": c.row_span,
-                                "column_span": c.column_span,
-                                "kind": c.kind.value,
-                                "content": c.content,
-                                "region": c.region.to_dict() if c.region else None,
-                            }
-                            for c in t.cells
-                        ],
-                    }
-                    for t in page.tables
-                ],
-                "figures": [f.to_dict() for f in page.figures],
-            }
-        )
-    return doc

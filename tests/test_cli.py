@@ -89,6 +89,28 @@ def test_ingest_rejects_invalid_payload(revenue_payload, tmp_path, capsys):
     assert not (tmp_path / "i").exists()
 
 
+def test_ingest_refuses_repeated_document_id(corpus, tmp_path, capsys):
+    # Left unchecked, two payload files under one document_id would merge
+    # page by page into one document.
+    layout = tmp_path / "twins"
+    layout.mkdir()
+    source = sorted(corpus["layout_dir"].glob("*.json"))[0]
+    for name in ("a.json", "b.json"):
+        (layout / name).write_bytes(source.read_bytes())
+    code, out, err = run(
+        capsys, "ingest", "--layout", str(layout), "--index", str(tmp_path / "i")
+    )
+    assert code == 1
+    assert out == ""
+    error = json.loads(err)
+    document_id = json.loads(source.read_text(encoding="utf-8"))["document_id"]
+    assert error["error"] == "ValueError"
+    assert repr(document_id) in error["message"]
+    assert str(layout / "a.json") in error["message"]
+    assert str(layout / "b.json") in error["message"]
+    assert not (tmp_path / "i").exists()
+
+
 def test_ingest_charts_dir_autodetected(corpus, tmp_path, capsys):
     # corpus charts live at <layout>/charts, so chart text must be indexed
     index_path, _ = ingest(corpus, tmp_path, capsys)
@@ -506,8 +528,17 @@ MALFORMED_INPUTS = {
         "dataset", _qa_line(filters=["company", "ALPHA"]), "SchemaError", "filters"
     ),
     "dataset-filters-string": ("dataset", _qa_line(filters="ALPHA"), "SchemaError", "filters"),
+    "dataset-filters-empty-list": ("dataset", _qa_line(filters=[]), "SchemaError", "filters"),
+    "dataset-filters-false": ("dataset", _qa_line(filters=False), "SchemaError", "filters"),
     "dataset-null-reference-count": (
         "dataset", _qa_line(reference_count=None), "SchemaError", "reference_count"
+    ),
+    "dataset-null-gold-answer": (
+        "dataset", _qa_line(gold_answer=None), "SchemaError", "gold_answer"
+    ),
+    "dataset-number-question": ("dataset", _qa_line(question=7), "SchemaError", "question"),
+    "dataset-list-document-id": (
+        "dataset", _qa_line(document_id=["alpha-10k"]), "SchemaError", "document_id"
     ),
     "pricing-not-object": ("pricing", "[1]", "ValueError", "pricing file"),
     "pricing-group-not-object": ("pricing", {"per_token": [1]}, "ValueError", "per_token"),

@@ -660,6 +660,48 @@ def test_load_refuses_count_mismatch(tmp_path):
     assert info.value.byte_offset == len(raw) - len(lines[-1])
 
 
+def test_load_refuses_repeated_chunk_id_at_its_line(tmp_path):
+    # Upsert semantics would keep the last copy and load one entry fewer
+    # than the header's count with no error.
+    path = tmp_path / "index.jsonl"
+    populated_index().persist(path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    header = json.loads(lines[0])
+    header["count"] += 1
+    lines[0] = json.dumps(header).encode() + b"\n"
+    lines.append(lines[1])
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(IndexLoadError, match="repeats") as info:
+        VectorIndex.load(path)
+    assert info.value.byte_offset == sum(len(line) for line in lines[:-1])
+
+
+@pytest.mark.parametrize(
+    ("field", "value"),
+    [
+        ("dimension", "3"),
+        ("dimension", 3.0),
+        ("dimension", True),
+        ("dimension", 0),
+        ("dimension", None),
+        ("count", "3"),
+        ("count", -1),
+        ("count", 3.5),
+    ],
+)
+def test_load_refuses_header_field_that_is_not_a_valid_integer(tmp_path, field, value):
+    path = tmp_path / "index.jsonl"
+    populated_index().persist(path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    header = json.loads(lines[0])
+    header[field] = value
+    lines[0] = json.dumps(header).encode() + b"\n"
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(IndexLoadError, match=f"header {field}") as info:
+        VectorIndex.load(path)
+    assert info.value.byte_offset == 0
+
+
 def test_load_skips_blank_lines(tmp_path):
     path = tmp_path / "index.jsonl"
     populated_index().persist(path)

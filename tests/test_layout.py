@@ -12,7 +12,6 @@ from docrag.layout import (
     LayoutPage,
     LayoutPayload,
     parse_layout_payload,
-    payload_to_dict,
 )
 from docrag.tables import CellKind
 
@@ -48,22 +47,9 @@ def test_chart_payload_parses(chart_payload):
     assert payload.pages[0].figures[0].page_number == 1
 
 
-def test_round_trip_is_lossless(revenue_payload, chart_payload):
-    for data in (revenue_payload, chart_payload):
-        parsed = parse_layout_payload(data)
-        again = parse_layout_payload(payload_to_dict(parsed))
-        assert again == parsed
-        assert payload_to_dict(again) == payload_to_dict(parsed)
-
-
 def test_fixtures_satisfy_schema(revenue_payload, chart_payload):
     jsonschema.validate(revenue_payload, SCHEMA)
     jsonschema.validate(chart_payload, SCHEMA)
-
-
-def test_serialized_payload_satisfies_schema(revenue_payload):
-    doc = payload_to_dict(parse_layout_payload(revenue_payload))
-    jsonschema.validate(doc, SCHEMA)
 
 
 # --- both validators reject the same broken payloads ---------------------
@@ -191,7 +177,6 @@ def test_optional_attributes_absent(revenue_payload):
     del data["attributes"]
     payload = parse_layout_payload(data)
     assert payload.attributes is None
-    assert "attributes" not in payload_to_dict(payload)
 
 
 def test_parsed_cell_kinds(revenue_payload):
