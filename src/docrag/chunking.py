@@ -8,23 +8,35 @@ not fit in the current chunk moves to the next one whole, and every other
 token (narrative, or an oversized table or chart) packs one at a time.
 Each cut falls at the start of a token, so joining a page's chunks
 reproduces the page string byte for byte. A whitespace-only page is one
-zero-token chunk; an empty page yields none.
+zero-token chunk; an empty page yields none. Chunk records are typed: a
+field of the wrong kind, such as a ``year`` of ``"2013"``, raises TypeError.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable
 
 from .layout import DocumentAttributes, check_quarter
 from .preprocess import PageContent
-from .tables import BoundingRegion
 from .tokens import DEFAULT_TOKENIZER
 
 DEFAULT_CHUNK_SIZE = 600
 
+# The metadata fields that hold integers; every other one holds a string.
+INTEGER_FIELDS = ("page_number", "year")
+
 _SEPARATOR = "\n\n"
+
+
+def _check_types(record, types: tuple) -> None:
+    """Raise TypeError naming the first field of ``record`` whose value's
+    exact type (so a bool is no int) is none of its ``types``."""
+    for name, allowed in types:
+        value = getattr(record, name)
+        if type(value) not in allowed:
+            raise TypeError(f"{name} must be {' or '.join(t.__name__ for t in allowed)}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -35,36 +47,31 @@ class ChunkMetadata:
     year: int | None = None
     quarter: str | None = None
     section_title: str | None = None
-    region: BoundingRegion | None = None
 
     def __post_init__(self):
+        _check_types(self, _METADATA_TYPES)
         if self.page_number < 1:
             raise ValueError("page_number must be >= 1")
         check_quarter(self.quarter)
 
     def as_dict(self) -> dict:
-        return {
-            "document_id": self.document_id,
-            "page_number": self.page_number,
-            "company": self.company,
-            "year": self.year,
-            "quarter": self.quarter,
-            "section_title": self.section_title,
-            "region": self.region.to_dict() if self.region else None,
-        }
+        # "region" stays in the record, always null, so index files keep their bytes.
+        return {**{name: getattr(self, name) for name, _ in _METADATA_TYPES}, "region": None}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ChunkMetadata":
-        region = data.get("region")
-        return cls(
-            document_id=data["document_id"],
-            page_number=data["page_number"],
-            company=data.get("company"),
-            year=data.get("year"),
-            quarter=data.get("quarter"),
-            section_title=data.get("section_title"),
-            region=BoundingRegion.from_dict(region) if region else None,
-        )
+        if data.get("region") is not None:
+            raise ValueError(f"region must be null, got {data['region']!r}")
+        return cls(**{name: data.get(name) for name, _ in _METADATA_TYPES})
+
+
+# Each metadata field in record order with the types it may hold: int for
+# an integer field, str for any other, and None as well if it has a default.
+_METADATA_TYPES = tuple(
+    (item.name, (kind, type(None)) if item.default is None else (kind,))
+    for item in fields(ChunkMetadata)
+    for kind in [int if item.name in INTEGER_FIELDS else str]
+)
 
 
 @dataclass(frozen=True)
@@ -73,6 +80,12 @@ class DocumentChunk:
     text: str
     token_count: int
     metadata: ChunkMetadata
+
+    def __post_init__(self):
+        _check_types(self, (("chunk_id", (str,)), ("text", (str,)), ("token_count", (int,)),
+                            ("metadata", (ChunkMetadata,))))
+        if self.token_count < 0:
+            raise ValueError("token_count must be >= 0")
 
     def as_dict(self) -> dict:
         return {

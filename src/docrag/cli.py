@@ -17,7 +17,7 @@ import logging
 import sys
 from pathlib import Path
 
-from .chunking import DEFAULT_CHUNK_SIZE, split_pages
+from .chunking import DEFAULT_CHUNK_SIZE, INTEGER_FIELDS, split_pages
 from .costs import DEFAULT_PRICING, PricingConfig, format_cost_report, load_pricing
 from .embedding import HashingEmbedder
 from .errors import DocragError
@@ -63,21 +63,19 @@ def _setting(flag_value, config: dict, key: str, default):
     return default
 
 
-def _coerce_filter_value(value: str):
-    # integer-looking values compare against integer metadata (year, page)
-    try:
-        return int(value)
-    except ValueError:
-        return value
-
-
 def _parse_filters(pairs: list[str] | None) -> tuple[tuple[str, object], ...]:
+    """KEY=VALUE pairs as filters; only an integer field's value is an int."""
     filters = []
     for pair in pairs or []:
         name, sep, value = pair.partition("=")
         if not sep or not name:
             raise ValueError(f"bad filter {pair!r}; expected key=value")
-        filters.append((name, _coerce_filter_value(value)))
+        if name in INTEGER_FIELDS:
+            try:
+                value = int(value)
+            except ValueError:
+                raise ValueError(f"filter {name} must be an integer, got {value!r}") from None
+        filters.append((name, value))
     return tuple(filters)
 
 
@@ -232,7 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--filter",
         action="append",
         metavar="KEY=VALUE",
-        help="metadata equality filter; repeatable; integer-looking values compare as integers",
+        help="metadata equality filter; repeatable; the value of "
+        f"{' or '.join(INTEGER_FIELDS)} must be an integer, any other is a string",
     )
     query.add_argument("--provider", choices=("lookup", "mock", "http"))
     query.add_argument("--answers", help="JSON question-to-answer mapping for --provider mock")

@@ -174,7 +174,7 @@ def load_pricing(path: str | Path) -> PricingConfig:
             credits_per_page=_number(spec.get("credits_per_page"), f"{where}.credits_per_page"),
             usd_per_credit=_number(spec.get("usd_per_credit"), f"{where}.usd_per_credit"),
         )
-    tokens = data.get("tokens_per_page", 600)
+    tokens = data.get("tokens_per_page", PricingConfig.tokens_per_page)
     if type(tokens) is not int:
         raise ValueError(f"pricing tokens_per_page must be an integer, got {tokens!r}")
     return PricingConfig(tokens_per_page=tokens, credits=credits, **groups)

@@ -20,7 +20,7 @@ from pathlib import Path
 from .costs import DEFAULT_PRICING, PricingConfig, cost_per_call
 from .errors import MissingDocumentsError, SchemaError
 from .generation import answer_question
-from .index import RetrievalConfig, VectorIndex
+from .index import DEFAULT_K, RetrievalConfig, VectorIndex, check_filter_value
 from .providers import EmbeddingProvider, LLMProvider
 from .tokens import DEFAULT_TOKENIZER
 
@@ -53,6 +53,8 @@ class QAExample:
         if self.reference_count < 1:
             raise ValueError("reference_count must be >= 1")
         object.__setattr__(self, "filters", tuple((f, v) for f, v in self.filters))
+        for name, value in self.filters:
+            check_filter_value(name, value)
 
 
 @dataclass(frozen=True)
@@ -165,7 +167,7 @@ def run_eval(
     index: VectorIndex,
     llm: LLMProvider,
     embedder: EmbeddingProvider,
-    k: int = 3,
+    k: int = DEFAULT_K,
     model_tag: str | None = None,
     pricing: PricingConfig = DEFAULT_PRICING,
     max_workers: int = DEFAULT_EVAL_WORKERS,

@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .errors import ProviderError
 from .index import RetrievalConfig, RetrievalResult, VectorIndex, embed
-from .providers import EmbeddingProvider, LLMProvider, LLMRequest
+from .providers import DEFAULT_MAX_OUTPUT_TOKENS, EmbeddingProvider, LLMProvider, LLMRequest
 from .tokens import count_tokens
 
 logger = logging.getLogger(__name__)
@@ -23,8 +23,6 @@ PREAMBLE = "Comprehend the following context and answer the questions in one lin
 POSTAMBLE = "Do not add extra information on your own."
 
 CONTEXT_SEPARATOR = "\n\n"
-
-DEFAULT_MAX_OUTPUT_TOKENS = 256
 
 
 @dataclass(frozen=True)

@@ -4,16 +4,18 @@ A deliberate non-ANN design: corpora here are thousands of chunks, and a
 full scan over one contiguous matrix is both fast enough and
 oracle-testable. A snapshot holds each chunk once, in ascending chunk_id
 order: its id, the chunk and its vector as a row of a float64 matrix,
-with the row norms beside it. Each metadata field is also kept as a
-column of int32 codes, one per row, with a table from value to code, so
-a filter is a mask over a column rather than a scan over the chunks.
+with the row norms beside it. Chunk metadata is typed (a str, an int or
+None), so each field keeps a dict from value to code and a column of
+int32 codes, one per row: a filter is one dict lookup and a mask over a
+column rather than a scan over the chunks.
 
-A filter ``(name, value)`` keeps the chunks whose ``metadata.get(name) ==
-value`` under Python equality: ``2021``, ``2021.0`` and ``True == 1``
-match as ``==`` says, a JSON object or array (such as a ``region`` dict)
-matches an equal one, and a name that is no metadata field reads ``None``
-in every chunk. Several filters must all hold. Results sort by
-descending cosine score, ties by ascending chunk_id.
+A filter ``(name, value)`` keeps the chunks whose metadata field ``name``
+equals ``value`` under Python equality: ``2021``, ``2021.0`` and ``True
+== 1`` match as ``==`` says, and a name that is no metadata field reads
+``None`` in every chunk. A filter value must be a str, int, float, bool
+or None; any other kind could match nothing and is refused. Several
+filters must all hold. Results sort by descending cosine score, ties by
+ascending chunk_id.
 
 Readers work on immutable snapshots; every write goes through one merge,
 serialized by a lock, so concurrent searches see a consistent index.
@@ -70,6 +72,13 @@ class IndexEntry:
             raise ValueError("vector entries must be finite")
 
 
+def check_filter_value(name: str, value) -> None:
+    """Refuse a value no metadata field can equal: one that is not a str,
+    int, float, bool or None."""
+    if value is not None and not isinstance(value, (str, int, float)):
+        raise ValueError(f"filter {name!r} must be a string, number, boolean or null, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RetrievalConfig:
     k: int = DEFAULT_K
@@ -79,6 +88,8 @@ class RetrievalConfig:
         if self.k < 1:
             raise ValueError("k must be >= 1")
         object.__setattr__(self, "filters", tuple((f, v) for f, v in self.filters))
+        for name, value in self.filters:
+            check_filter_value(name, value)
 
 
 @dataclass(frozen=True)
@@ -91,44 +102,9 @@ class RetrievalResult:
 _FIELDS = tuple(f.name for f in fields(ChunkMetadata))
 
 
-class _Codebook:
-    """One metadata field's value -> code table. Equal hashable values share
-    a code; each unhashable value (a JSON object or array) gets a code of
-    its own. A merge extends a copy, so a published snapshot's table never
-    changes; values of replaced rows stay until ``_merge`` rebuilds the
-    table, once it holds more than twice as many values as the index rows."""
-
-    def __init__(self, values=(), codes=None, loose=()):
-        self.values = list(values)  # code -> the first value given it
-        self.codes = dict(codes or {})  # hashable value -> code
-        self.loose = list(loose)  # codes of unhashable values
-
-    def copy(self) -> "_Codebook":
-        return _Codebook(self.values, self.codes, self.loose)
-
-    def encode(self, values: Sequence) -> np.ndarray:
-        """The codes of ``values``, giving each new value the next code."""
-        encoded = []
-        for value in values:
-            code = len(self.values)
-            try:
-                code = self.codes.setdefault(value, code)
-            except TypeError:
-                self.loose.append(code)
-            if code == len(self.values):
-                self.values.append(value)
-            encoded.append(code)
-        return np.array(encoded, dtype=np.int32)
-
-    def lookup(self, value) -> list[int]:
-        """The codes of the values ``== value``."""
-        try:
-            candidates = [self.codes[value], *self.loose]
-        except KeyError:
-            candidates = self.loose
-        except TypeError:  # an unhashable value is compared with every value
-            candidates = range(len(self.values))
-        return [code for code in candidates if self.values[code] == value]
+def _encode(book: dict, values: Sequence) -> np.ndarray:
+    """The codes of ``values`` in ``book``, giving each new value the next code."""
+    return np.array([book.setdefault(value, len(book)) for value in values], dtype=np.int32)
 
 
 def _joined(old: np.ndarray, new: np.ndarray, take: np.ndarray | None) -> np.ndarray:
@@ -147,7 +123,7 @@ class _Snapshot:
     norms: np.ndarray
     safe_norms: np.ndarray  # norms with 0 replaced by 1: the score divisor
     zero_rows: int  # rows whose norm is 0
-    books: dict[str, _Codebook]  # field -> its codebook
+    books: dict[str, dict]  # field -> {value: code}; a merge copies, never edits
     columns: dict[str, np.ndarray]  # field -> int32 code of each row
 
 
@@ -171,7 +147,7 @@ class VectorIndex:
             norms=np.empty((0,), dtype=np.float64),
             safe_norms=np.empty((0,), dtype=np.float64),
             zero_rows=0,
-            books={name: _Codebook() for name in _FIELDS},
+            books={name: {} for name in _FIELDS},
             columns={name: np.empty((0,), dtype=np.int32) for name in _FIELDS},
         )
 
@@ -221,19 +197,16 @@ class VectorIndex:
             take = None if sorted_ids == ids else np.array(order, dtype=np.intp)
             all_chunks = old.chunks + tuple(chunks)
             live = tuple(all_chunks[p] for p in order)
-            added = [chunk.metadata.as_dict() for chunk in chunks]
             books, columns = {}, {}
             for name in _FIELDS:
-                book = books[name] = old.books[name].copy()
-                codes = book.encode([row.get(name) for row in added])
+                book = books[name] = dict(old.books[name])
+                codes = _encode(book, [getattr(chunk.metadata, name) for chunk in chunks])
                 columns[name] = _joined(old.columns[name], codes, take)
-                if len(book.values) > 2 * len(sorted_ids):
+                if len(book) > 2 * len(sorted_ids):
                     # Mostly values of replaced rows: encode the live rows
                     # afresh (at most once per len(rows) values added).
-                    book = books[name] = _Codebook()
-                    columns[name] = book.encode(
-                        [chunk.metadata.as_dict()[name] for chunk in live]
-                    )
+                    book = books[name] = {}
+                    columns[name] = _encode(book, [getattr(chunk.metadata, name) for chunk in live])
             norms = _joined(old.norms, np.linalg.norm(rows, axis=1), take)
             zero = norms == 0.0
             self._snapshot = _Snapshot(
@@ -264,13 +237,14 @@ class VectorIndex:
         snapshot = self._snapshot
         mask = None
         for name, value in config.filters:
-            if name not in snapshot.columns:
+            if name not in snapshot.books:
                 if value is None:  # every chunk reads None for a field it lacks
                     continue
                 return []
-            codes = snapshot.columns[name]
-            matches = snapshot.books[name].lookup(value)
-            hit = codes == matches[0] if len(matches) == 1 else np.isin(codes, matches)
+            code = snapshot.books[name].get(value)
+            if code is None:  # no chunk holds this value
+                return []
+            hit = snapshot.columns[name] == code
             mask = hit if mask is None else mask & hit
         if mask is None:  # no copy: one product over the whole matrix
             kept, rows, safe_norms = None, snapshot.matrix, snapshot.safe_norms
@@ -346,7 +320,8 @@ class VectorIndex:
 
         A header ``dimension`` or ``count`` that is not a JSON integer
         (``dimension`` >= 1, ``count`` >= 0) is refused at offset 0, an
-        entry line that repeats an earlier ``chunk_id`` at its own offset,
+        entry line that repeats an earlier ``chunk_id`` or breaks the chunk
+        record's field types (``chunking.DocumentChunk``) at its own offset,
         and a file whose entry lines disagree in number with the header's
         ``count`` (such as one cut at a line boundary) at its end offset.
         """

@@ -29,6 +29,8 @@ ENV_LLM_KEY = "DOCRAG_LLM_KEY"
 
 _HTTP_TIMEOUT = 30.0
 
+DEFAULT_MAX_OUTPUT_TOKENS = 256
+
 
 class ChartToTableProvider(Protocol):
     """Turns a figure (chart image) into CSV text, or declines with None."""
@@ -77,7 +79,7 @@ class EmbeddingProvider(Protocol):
 class LLMRequest:
     model_tag: str
     prompt: str
-    max_output_tokens: int = 256
+    max_output_tokens: int = DEFAULT_MAX_OUTPUT_TOKENS
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from docrag.chunking import (
@@ -201,6 +201,89 @@ def test_metadata_dict_round_trip():
 def test_chunk_dict_round_trip():
     chunk = split_pages([page(narrative="hello world")])[0]
     assert DocumentChunk.from_dict(json.loads(json.dumps(chunk.as_dict()))) == chunk
+
+
+_OPTIONAL_TEXT = st.none() | st.text(max_size=20)
+
+typed_chunks = st.builds(
+    DocumentChunk,
+    chunk_id=st.text(max_size=20),
+    text=st.text(max_size=200),
+    token_count=st.integers(min_value=0),
+    metadata=st.builds(
+        ChunkMetadata,
+        document_id=st.text(max_size=20),
+        page_number=st.integers(min_value=1),
+        company=_OPTIONAL_TEXT,
+        year=st.none() | st.integers(),
+        quarter=st.none() | st.sampled_from(["Q1", "Q2", "Q3", "Q4"]),
+        section_title=_OPTIONAL_TEXT,
+    ),
+)
+
+
+@settings(max_examples=200)
+@given(typed_chunks)
+@example(
+    DocumentChunk(
+        chunk_id="umsätze-2013:1:0",
+        text="Umsatz — € 159 ½ 売上高 \u00a0",
+        token_count=6,
+        metadata=ChunkMetadata(document_id="umsätze-2013", page_number=1, company="Société"),
+    )
+)
+def test_typed_chunk_survives_a_json_round_trip(chunk):
+    # As the index writes and reads an entry line.
+    record = json.loads(json.dumps(chunk.as_dict(), ensure_ascii=False))
+    assert record["metadata"]["region"] is None
+    assert DocumentChunk.from_dict(record) == chunk
+
+
+@pytest.mark.parametrize(
+    ("field", "value"),
+    [
+        ("document_id", None),
+        ("page_number", True),
+        ("page_number", "1"),
+        ("company", 7),
+        ("year", "2013"),
+        ("year", 2013.0),
+        ("quarter", 2),
+        ("section_title", ["Revenues"]),
+    ],
+)
+def test_metadata_refuses_mistyped_field(field, value):
+    with pytest.raises(TypeError, match=field):
+        ChunkMetadata(**{"document_id": "d", "page_number": 1, field: value})
+
+
+@pytest.mark.parametrize(
+    ("field", "value"),
+    [
+        ("chunk_id", 5),
+        ("text", None),
+        ("token_count", "3"),
+        ("token_count", True),
+        ("metadata", {"document_id": "d", "page_number": 1}),
+    ],
+)
+def test_chunk_refuses_mistyped_field(field, value):
+    record = {"chunk_id": "d:1:0", "text": "a b c", "token_count": 3,
+              "metadata": ChunkMetadata(document_id="d", page_number=1)}
+    with pytest.raises(TypeError, match=field):
+        DocumentChunk(**{**record, field: value})
+
+
+def test_chunk_refuses_negative_token_count():
+    with pytest.raises(ValueError, match="token_count"):
+        DocumentChunk("d:1:0", "", -1, ChunkMetadata(document_id="d", page_number=1))
+
+
+def test_metadata_record_refuses_a_region():
+    record = ChunkMetadata(document_id="d", page_number=1).as_dict()
+    record["region"] = {"page_number": 1, "polygon": [[0, 0], [1, 0], [1, 1]]}
+    with pytest.raises(ValueError, match="region must be null"):
+        ChunkMetadata.from_dict(record)
 
 
 # --- properties over random pages -----------------------------------------------------

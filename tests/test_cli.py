@@ -194,6 +194,51 @@ def test_query_filter_coerces_integers(corpus, tmp_path, capsys):
     assert out.splitlines()[0] == "answer: 912"
 
 
+def _one_page_payload(document_id, company, section_title):
+    box = {"page_number": 1, "polygon": [[0, 0], [10, 0], [10, 10]]}
+    return {
+        "document_id": document_id,
+        "attributes": {"company": company, "year": 2021},
+        "pages": [{
+            "page_number": 1,
+            "text_blocks": [
+                {"role": "section_title", "content": section_title, "region": box},
+                {"role": "paragraph", "content": f"{company} staff count.", "region": box},
+            ],
+            "tables": [],
+            "figures": [],
+        }],
+    }
+
+
+def test_query_filter_converts_integers_only_for_integer_fields(tmp_path, capsys):
+    # A string field's integer-looking value must stay a string to match.
+    layout = tmp_path / "layout"
+    layout.mkdir()
+    for payload in (_one_page_payload("bond", "007", "2023"), _one_page_payload("q", "MI6", "Gadgets")):
+        (layout / f"{payload['document_id']}.json").write_text(json.dumps(payload), encoding="utf-8")
+    index_path = tmp_path / "two.index"
+    assert run(capsys, "ingest", "--layout", str(layout), "--index", str(index_path))[0] == 0
+    expected = {"company=007": ["bond:1:0"], "section_title=2023": ["bond:1:0"],
+                "year=2021": ["bond:1:0", "q:1:0"]}
+    for pair, ids in expected.items():
+        code, out, err = run(
+            capsys, "query", "--index", str(index_path), "--question", "staff count",
+            "--k", "2", "--filter", pair, "--filter", "page_number=1",
+        )
+        assert code == 0, err
+        assert sorted(line.split()[0] for line in out.splitlines()[2:]) == ids, pair
+    for pair in ("year=2021.0", "page_number=one", "year="):
+        code, out, err = run(
+            capsys, "query", "--index", str(index_path), "--question", "q", "--filter", pair
+        )
+        assert code == 1
+        assert out == ""
+        error = json.loads(err)
+        assert error["error"] == "ValueError"
+        assert pair.split("=")[0] in error["message"] and "integer" in error["message"]
+
+
 def test_query_bad_filter_syntax(corpus, tmp_path, capsys):
     index_path, _ = ingest(corpus, tmp_path, capsys)
     code, _, err = run(
@@ -530,6 +575,12 @@ MALFORMED_INPUTS = {
     "dataset-filters-string": ("dataset", _qa_line(filters="ALPHA"), "SchemaError", "filters"),
     "dataset-filters-empty-list": ("dataset", _qa_line(filters=[]), "SchemaError", "filters"),
     "dataset-filters-false": ("dataset", _qa_line(filters=False), "SchemaError", "filters"),
+    "dataset-list-filter-value": (
+        "dataset", _qa_line(filters={"company": ["ALPHA"]}), "SchemaError", "'company'"
+    ),
+    "dataset-object-filter-value": (
+        "dataset", _qa_line(filters={"year": {"eq": 2021}}), "SchemaError", "'year'"
+    ),
     "dataset-null-reference-count": (
         "dataset", _qa_line(reference_count=None), "SchemaError", "reference_count"
     ),
