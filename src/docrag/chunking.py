@@ -74,6 +74,20 @@ _METADATA_TYPES = tuple(
 )
 
 
+def check_filter(name: str, value) -> None:
+    """Refuse a filter that no chunk can match by its shape: a name that is
+    no metadata field (a typo such as ``compnay``), or a value of a type its
+    field never holds (such as a ``year`` of ``"2013"``)."""
+    allowed = dict(_METADATA_TYPES).get(name)
+    if allowed is None:
+        names = ", ".join(field for field, _ in _METADATA_TYPES)
+        raise ValueError(f"filter {name!r} is not a metadata field; the fields are {names}")
+    if type(value) not in allowed:
+        raise ValueError(
+            f"filter {name!r} must be {' or '.join(t.__name__ for t in allowed)}, got {value!r}"
+        )
+
+
 @dataclass(frozen=True)
 class DocumentChunk:
     chunk_id: str

@@ -5,12 +5,27 @@ fixed number of signed buckets and L2-normalizes the result. It is not a
 learned embedding (similarity is lexical overlap), but it is seeded,
 offline, and byte-reproducible, which is what the test suite and the mock
 pipeline need.
+
+A feature's bucket and sign are a pure function of the feature, so each
+embedder keeps a memo from feature to signed bucket code and hashes a
+feature only the first time it sees it. The memo is per embedder and
+bounded: it starts again once it holds ``_MEMO_LIMIT`` (2**16) features,
+about 8 MB at ~130 B a feature. One embedder may be shared between
+threads: a lookup is one dict operation, a fill checks the bound and stores
+under a lock so the bound holds exactly, and two threads that race to fill
+one feature store the same code.
+Each term of a bucket's sum is +1 or -1, so summing the codes with one
+``np.bincount`` gives exactly the floats a sequential sum would, and the
+vectors are the same bits as hashing every occurrence.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import threading
+
+import numpy as np
 
 from .tokens import DEFAULT_TOKENIZER
 
@@ -23,6 +38,28 @@ DEFAULT_DIMENSION = 256
 # tokenizer) is a constant.
 _HASH_KEY = b"docrag-hash-v1"
 
+# Most features one embedder's memo holds before it is cleared.
+_MEMO_LIMIT = 2**16
+
+
+class _FeatureCodes(dict):
+    """feature -> 2 * bucket + (1 if the feature adds, 0 if it subtracts)."""
+
+    def __init__(self, dimension: int):
+        super().__init__()
+        self.dimension = dimension
+        self._fill = threading.Lock()  # makes the bound check and the store one step
+
+    def __missing__(self, feature: str) -> int:
+        digest = hashlib.blake2b(feature.encode("utf-8"), key=_HASH_KEY, digest_size=8).digest()
+        bucket = int.from_bytes(digest, "big")
+        code = (bucket >> 1) % self.dimension * 2 + (bucket & 1)
+        with self._fill:
+            if len(self) >= _MEMO_LIMIT:
+                self.clear()
+            self[feature] = code
+        return code
+
 
 class HashingEmbedder:
     """Keyed feature hashing over token n-grams, L2-normalized."""
@@ -32,24 +69,23 @@ class HashingEmbedder:
             raise ValueError("dimension must be >= 1")
         self.dimension = dimension
         self.tag = f"feature-hash-v1-{dimension}"
+        self._codes = _FeatureCodes(dimension)
 
     def _features(self, text: str) -> list[str]:
-        tokens = [text[s:e].lower() for s, e in DEFAULT_TOKENIZER.spans(text)]
+        # Lowercase each token, never the text first: "İ".lower() is "i" plus a
+        # combining mark, which the tokenizer would cut into two tokens.
+        tokens = list(map(str.lower, DEFAULT_TOKENIZER.tokens(text)))
         features = list(tokens)
         features.extend(f"{a}\x1f{b}" for a, b in zip(tokens, tokens[1:]))
         return features
 
     def embed(self, text: str) -> EmbeddingVector:
         """Empty input embeds to the zero vector (flagged downstream)."""
-        values = [0.0] * self.dimension
-        for feature in self._features(text):
-            digest = hashlib.blake2b(
-                feature.encode("utf-8"), key=_HASH_KEY, digest_size=8
-            ).digest()
-            bucket = int.from_bytes(digest, "big")
-            sign = 1.0 if bucket & 1 else -1.0
-            values[(bucket >> 1) % self.dimension] += sign
-        norm = math.sqrt(sum(v * v for v in values))
+        features = self._features(text)
+        codes = np.fromiter(map(self._codes.__getitem__, features), np.intp, len(features))
+        counts = np.bincount(codes, minlength=2 * self.dimension)
+        values = counts[1::2] - counts[0::2]
+        norm = math.sqrt(int(values @ values))
         if norm == 0.0:
-            return values
-        return [v / norm for v in values]
+            return [0.0] * self.dimension
+        return (values / norm).tolist()

@@ -36,14 +36,11 @@ class ChartExtractionError(DocragError):
 class ProviderError(DocragError):
     """An external provider call failed.
 
-    ``transient`` distinguishes retryable failures (timeouts, 5xx,
-    connection resets) from permanent ones (bad request, auth).
     ``prompt`` is set when an LLM call fails so the request can be
     replayed.
     """
 
-    def __init__(self, message: str, *, transient: bool = False, prompt: str | None = None):
-        self.transient = transient
+    def __init__(self, message: str, *, prompt: str | None = None):
         self.prompt = prompt
         super().__init__(message)
 

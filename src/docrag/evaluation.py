@@ -17,10 +17,11 @@ from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
+from .chunking import check_filter
 from .costs import DEFAULT_PRICING, PricingConfig, cost_per_call
 from .errors import MissingDocumentsError, SchemaError
 from .generation import answer_question
-from .index import DEFAULT_K, RetrievalConfig, VectorIndex, check_filter_value
+from .index import DEFAULT_K, RetrievalConfig, VectorIndex
 from .providers import EmbeddingProvider, LLMProvider
 from .tokens import DEFAULT_TOKENIZER
 
@@ -54,7 +55,7 @@ class QAExample:
             raise ValueError("reference_count must be >= 1")
         object.__setattr__(self, "filters", tuple((f, v) for f, v in self.filters))
         for name, value in self.filters:
-            check_filter_value(name, value)
+            check_filter(name, value)
 
 
 @dataclass(frozen=True)

@@ -56,7 +56,7 @@ def embed(text: str, provider: EmbeddingProvider) -> EmbeddingVector:
             f"dimension mismatch: provider {provider.tag} declared {provider.dimension}, "
             f"returned {len(vector)}"
         )
-    if not all(math.isfinite(v) for v in vector):
+    if not all(map(math.isfinite, vector)):
         raise ProviderError(f"provider {provider.tag} returned non-finite values")
     return vector
 

@@ -206,12 +206,10 @@ class HttpLLM:
         try:
             response = requests.post(url, json=body, headers=headers, timeout=_HTTP_TIMEOUT)
         except requests.RequestException as exc:
-            raise ProviderError(
-                f"request to {url} failed: {exc}", transient=True, prompt=prompt
-            ) from exc
+            raise ProviderError(f"request to {url} failed: {exc}", prompt=prompt) from exc
         status = response.status_code
         if status >= 500:
-            raise ProviderError(f"{url} returned {status}", transient=True, prompt=prompt)
+            raise ProviderError(f"{url} returned {status}", prompt=prompt)
         if status >= 400:
             raise ProviderError(f"{url} returned {status}: {response.text[:200]}", prompt=prompt)
         try:

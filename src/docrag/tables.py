@@ -44,9 +44,6 @@ class BoundingRegion:
             if x < 0 or y < 0:
                 raise ValueError("polygon coordinates must be non-negative")
 
-    def to_dict(self) -> dict:
-        return {"page_number": self.page_number, "polygon": [[x, y] for x, y in self.polygon]}
-
     @classmethod
     def from_dict(cls, data: dict) -> "BoundingRegion":
         return cls(page_number=data["page_number"], polygon=tuple((p[0], p[1]) for p in data["polygon"]))

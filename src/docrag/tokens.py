@@ -27,7 +27,8 @@ class WhitespacePunctTokenizer:
         return [m.span() for m in _TOKEN_RE.finditer(text)]
 
     def tokens(self, text: str) -> list[str]:
-        return [m.group() for m in _TOKEN_RE.finditer(text)]
+        """The tokens themselves: ``[text[s:e] for s, e in spans(text)]``."""
+        return _TOKEN_RE.findall(text)  # the pattern has no groups
 
 
 DEFAULT_TOKENIZER = WhitespacePunctTokenizer()
@@ -35,4 +36,4 @@ DEFAULT_TOKENIZER = WhitespacePunctTokenizer()
 
 def count_tokens(text: str) -> int:
     """Count tokens in ``text``."""
-    return len(DEFAULT_TOKENIZER.spans(text))
+    return len(_TOKEN_RE.findall(text))

@@ -255,6 +255,18 @@ def test_query_bad_filter_syntax(corpus, tmp_path, capsys):
     assert json.loads(err)["error"] == "ValueError"
 
 
+def test_query_refuses_filter_on_no_metadata_field(corpus, tmp_path, capsys):
+    index_path, _ = ingest(corpus, tmp_path, capsys)
+    code, out, err = run(
+        capsys, "query", "--index", str(index_path), "--question", "q", "--filter", "compnay=ALPHA"
+    )
+    assert code == 1
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "ValueError"
+    assert "'compnay'" in error["message"] and "company" in error["message"]
+
+
 def test_query_missing_index_file(tmp_path, capsys):
     code, _, err = run(
         capsys, "query", "--index", str(tmp_path / "absent.index"), "--question", "q"
@@ -580,6 +592,18 @@ MALFORMED_INPUTS = {
     ),
     "dataset-object-filter-value": (
         "dataset", _qa_line(filters={"year": {"eq": 2021}}), "SchemaError", "'year'"
+    ),
+    "dataset-misspelt-filter-name": (
+        "dataset", _qa_line(filters={"compnay": "ALPHA"}), "SchemaError", "'compnay'"
+    ),
+    "dataset-string-year-filter": (
+        "dataset", _qa_line(filters={"year": "2013"}), "SchemaError", "'year'"
+    ),
+    "dataset-boolean-year-filter": (
+        "dataset", _qa_line(filters={"year": True}), "SchemaError", "'year'"
+    ),
+    "dataset-null-document-id-filter": (
+        "dataset", _qa_line(filters={"document_id": None}), "SchemaError", "'document_id'"
     ),
     "dataset-null-reference-count": (
         "dataset", _qa_line(reference_count=None), "SchemaError", "reference_count"

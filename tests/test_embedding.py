@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -8,10 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from docrag.chunking import split_pages
+from docrag import embedding
 from docrag.embedding import DEFAULT_DIMENSION, HashingEmbedder
 from docrag.layout import parse_layout_payload
 from docrag.preprocess import preprocess_document
 from docrag.providers import DirectoryChartProvider
+from docrag.tokens import DEFAULT_TOKENIZER
 
 
 def test_default_dimension_and_tag():
@@ -126,3 +130,100 @@ def test_vectors_match_golden_digest(corpus, dimension, digest):
     for text in texts:
         hasher.update(np.asarray(embedder.embed(text), dtype=np.float64).tobytes())
     assert hasher.hexdigest() == digest
+
+
+def reference_embed(text: str, dimension: int) -> list[float]:
+    """Feature hashing written out: one keyed blake2b per feature occurrence,
+    summed one term at a time into Python floats."""
+    tokens = [text[s:e].lower() for s, e in DEFAULT_TOKENIZER.spans(text)]
+    features = tokens + [f"{a}\x1f{b}" for a, b in zip(tokens, tokens[1:])]
+    values = [0.0] * dimension
+    for feature in features:
+        digest = hashlib.blake2b(
+            feature.encode("utf-8"), key=b"docrag-hash-v1", digest_size=8
+        ).digest()
+        bucket = int.from_bytes(digest, "big")
+        values[(bucket >> 1) % dimension] += 1.0 if bucket & 1 else -1.0
+    norm = math.sqrt(sum(v * v for v in values))
+    return values if norm == 0.0 else [v / norm for v in values]
+
+
+# Case-folding traps (dotted capital I, sharp s, final sigma), combining
+# marks and punctuation, mixed with arbitrary characters.
+_TRICKY = st.text(
+    alphabet=st.one_of(
+        st.sampled_from(
+            ["İ", "ß", "ẞ", "Σ", "ς", "ı", "\u0301", "\u0307", "\u0338", "½", "%", ",", "-", " ", "\n"]
+        ),
+        st.characters(),
+    ),
+    max_size=200,
+)
+
+# One long-lived embedder, so later examples hit a memo that earlier ones filled.
+_WARM = HashingEmbedder(dimension=64)
+
+
+@settings(max_examples=300)
+@given(st.lists(_TRICKY, min_size=1, max_size=3))
+def test_property_warm_memo_matches_reference(texts):
+    for text in texts + texts:
+        assert _WARM.embed(text) == reference_embed(text, 64)
+
+
+def test_lowercases_each_token_not_the_text():
+    # "İSTANBUL".lower() tokenizes as "i", "\u0307", "stanbul"; per token it is one.
+    embedder = HashingEmbedder()
+    assert embedder._features("İSTANBUL") == ["i\u0307stanbul"]
+    assert embedder.embed("İSTANBUL ß") == reference_embed("İSTANBUL ß", 256)
+
+
+def test_memo_is_per_embedder():
+    warm = HashingEmbedder()
+    warm.embed("revenue growth in asia")
+    assert len(warm._codes) == 7
+    assert len(HashingEmbedder()._codes) == 0
+
+
+def test_memo_stays_bounded_and_vectors_unchanged():
+    limit = embedding._MEMO_LIMIT
+    words = [f"w{n}" for n in range(limit)]  # limit unigrams + limit - 1 bigrams
+    flood = " ".join(words)
+    probes = _PINNED_TEXTS + ["revenue growth in asia", flood[:5000]]
+    embedder = HashingEmbedder(dimension=32)
+    before = [embedder.embed(text) for text in probes]
+    assert embedder.embed(flood) == reference_embed(flood, 32)
+    assert 0 < len(embedder._codes) <= limit
+    embedder.embed(" ".join(reversed(words)))
+    assert len(embedder._codes) <= limit
+    assert [embedder.embed(text) for text in probes] == before
+    assert before == [reference_embed(text, 32) for text in probes]
+
+
+def test_threads_sharing_one_embedder_match_serial(corpus, monkeypatch):
+    # A small bound makes the threads clear the memo under each other.
+    monkeypatch.setattr(embedding, "_MEMO_LIMIT", 64)
+    texts = _PINNED_TEXTS + _corpus_chunk_texts(corpus)
+    texts += [f"row {n} of table {n % 7}" for n in range(40)]
+    serial = [HashingEmbedder().embed(text) for text in texts]
+    shared = HashingEmbedder()
+    start = threading.Barrier(4)
+    results = [None] * 4
+
+    def work(slot):
+        start.wait(timeout=60)
+        results[slot] = [shared.embed(text) for text in texts * 5]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(slot,)) for slot in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(result == serial * 5 for result in results)
+    assert len(shared._codes) <= 64

@@ -182,6 +182,29 @@ def test_load_dataset_reports_correct_line(tmp_path):
     assert info.value.path == "line 3"
 
 
+@pytest.mark.parametrize(
+    ("filters", "key"),
+    [
+        ({"compnay": "ALPHA"}, "'compnay'"),  # no such metadata field
+        ({"company": "ALPHA", "year": "2013"}, "'year'"),  # a year is an int
+        ({"page_number": None}, "'page_number'"),  # every chunk has a page
+        ({"quarter": 2}, "'quarter'"),
+    ],
+)
+def test_load_dataset_refuses_filters_no_chunk_can_match(tmp_path, filters, key):
+    good = {
+        "question": "q", "gold_answer": "a", "difficulty": "low", "target": "text", "document_id": "d",
+    }
+    path = tmp_path / "filters.jsonl"
+    lines = [good, {**good, "filters": {"company": "ALPHA", "year": 2013, "quarter": None}},
+             {**good, "filters": filters}]
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+    with pytest.raises(SchemaError) as info:
+        load_dataset(path)
+    assert info.value.path == "line 3"
+    assert key in info.value.message
+
+
 def test_qa_example_validation():
     with pytest.raises(ValueError):
         QAExample(

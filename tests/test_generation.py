@@ -16,7 +16,8 @@ from docrag.generation import (
 from docrag.chunking import ChunkMetadata, DocumentChunk
 from docrag.index import IndexEntry, RetrievalConfig, VectorIndex
 from docrag.providers import ContextLookupLLM, LLMRequest, LLMResponse, MockLLM
-from docrag.tokens import DEFAULT_TOKENIZER, count_tokens
+from docrag import tokens
+from docrag.tokens import count_tokens
 
 
 def chunk(chunk_id, text):
@@ -165,13 +166,18 @@ def test_prompt_is_tokenized_once(tiny_rig, llm, monkeypatch):
     results = retrieve("Fleet size?", index, config, embedder)
     prompt = build_prompt([r.chunk.text for r in results], "Fleet size?")
     seen = []
-    spans = DEFAULT_TOKENIZER.spans
+    pattern = tokens._TOKEN_RE
 
-    def recording(text):
-        seen.append(text)
-        return spans(text)
+    class Recording:  # every tokenizer entry point matches through this pattern
+        def findall(self, text):
+            seen.append(text)
+            return pattern.findall(text)
 
-    monkeypatch.setattr(DEFAULT_TOKENIZER, "spans", recording)
+        def finditer(self, text):
+            seen.append(text)
+            return pattern.finditer(text)
+
+    monkeypatch.setattr(tokens, "_TOKEN_RE", Recording())
     answer_question("Fleet size?", index, config, llm, embedder)
     assert seen.count(prompt) == 1
 
@@ -232,7 +238,7 @@ def test_provider_failure_preserves_prompt(tiny_rig):
         tag = "exploder"
 
         def complete(self, request):
-            raise ProviderError("rate limited", transient=True)
+            raise ProviderError("rate limited")
 
     with pytest.raises(ProviderError) as info:
         answer_question("Fleet size?", index, RetrievalConfig(k=1), Exploder(), embedder)

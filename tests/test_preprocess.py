@@ -23,7 +23,7 @@ class StaticChartProvider:
 
 class FailingChartProvider:
     def csv_for(self, document_id, page_number, figure_index, region):
-        raise ProviderError("chart endpoint down", transient=True)
+        raise ProviderError("chart endpoint down")
 
 
 # --- narrative assembly -----------------------------------------------------

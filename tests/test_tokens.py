@@ -51,3 +51,23 @@ def test_spans_are_ordered_disjoint_and_in_bounds(text):
 @given(st.text(max_size=200))
 def test_count_matches_span_count(text):
     assert count_tokens(text) == len(DEFAULT_TOKENIZER.spans(text))
+
+
+# Punctuation runs, non-ASCII letters and digits, and combining marks
+# (which are \w in Python's re) mixed with arbitrary characters.
+_MIXED = st.text(
+    alphabet=st.one_of(
+        st.sampled_from(
+            ["İ", "ß", "é", "\u0301", "\u0307", "\u0663", "½", "—", "%", "$", ",", ".", " ", "\t", "\n"]
+        ),
+        st.characters(),
+    ),
+    max_size=200,
+)
+
+
+@given(_MIXED)
+def test_tokens_and_count_agree_with_spans(text):
+    spans = DEFAULT_TOKENIZER.spans(text)
+    assert DEFAULT_TOKENIZER.tokens(text) == [text[s:e] for s, e in spans]
+    assert count_tokens(text) == len(spans)
