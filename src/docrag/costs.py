@@ -144,9 +144,9 @@ def _object(value, key: str) -> dict:
 
 def _number(value, key: str) -> float:
     try:
-        number = float(value)
-    except (TypeError, ValueError):
-        number = math.nan
+        number = float(value) if type(value) in (int, float) else math.nan
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
     if not math.isfinite(number):
         raise ValueError(f"pricing {key} must be a finite number, got {value!r}")
     return number

@@ -51,7 +51,10 @@ class _FeatureCodes(dict):
         self._fill = threading.Lock()  # makes the bound check and the store one step
 
     def __missing__(self, feature: str) -> int:
-        digest = hashlib.blake2b(feature.encode("utf-8"), key=_HASH_KEY, digest_size=8).digest()
+        # "surrogatepass" changes no valid text's bytes; it lets a lone
+        # surrogate (which a JSON "\ud800" escape yields) hash instead of raise.
+        data = feature.encode("utf-8", "surrogatepass")
+        digest = hashlib.blake2b(data, key=_HASH_KEY, digest_size=8).digest()
         bucket = int.from_bytes(digest, "big")
         code = (bucket >> 1) % self.dimension * 2 + (bucket & 1)
         with self._fill:

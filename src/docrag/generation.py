@@ -4,6 +4,13 @@ The prompt wording is pinned and golden-tested; changing a byte of it
 invalidates recorded runs. The prompt is the preamble, the retrieved
 context and the postamble, each separated by a blank line, then the
 question as a trailing "Question: ... Answer:" block.
+
+A prompt's token count is the count of the context-free prompt plus the
+retrieved chunks' stored ``token_count``s; the retrieved text is never
+tokenized again. This equals ``count_tokens(prompt)`` exactly: no token
+contains whitespace, so none crosses the blank lines that separate the
+parts, and each stored count is ``count_tokens(chunk.text)`` because the
+chunker cuts only at token starts. The count trusts the index file.
 """
 
 from __future__ import annotations
@@ -71,7 +78,8 @@ def answer_question(
 
     Empty retrieval still calls the provider (with an empty context slot)
     and records a warning. Provider failures propagate with the prompt
-    attached for replay.
+    attached for replay. The prompt is priced from the chunks' stored
+    token counts (see the module docstring).
     """
     results = retrieve(question, index, retrieval, embedder)
     if not results:
@@ -88,7 +96,8 @@ def answer_question(
     return Answer(
         text=response.text,
         model_tag=tag,
-        prompt_token_count=count_tokens(prompt),
+        prompt_token_count=count_tokens(build_prompt([], question))
+        + sum(r.chunk.token_count for r in results),
         completion_token_count=max(0, response.completion_tokens),
         retrieved=tuple(results),
     )

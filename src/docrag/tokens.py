@@ -6,6 +6,10 @@ Core"`` yields ``Q1``, ``/``, ``23E``, ``Core``. It is deliberately
 model-agnostic. Chunk sizes, stored token counts, embedding features and
 prompt prices all come from ``DEFAULT_TOKENIZER``; an index header names
 its tag (``ws-punct-v1``), and an index naming any other tag is refused.
+
+No token contains whitespace, so the count of texts joined by whitespace
+is the sum of their counts. Prompt pricing relies on this: a prompt is
+counted as its template plus the retrieved chunks' stored counts.
 """
 
 from __future__ import annotations

@@ -624,6 +624,11 @@ MALFORMED_INPUTS = {
         "pricing", {"credits": {"x": {"usd_per_credit": 0.1}}}, "ValueError", "credits_per_page"
     ),
     "pricing-nan-rate": ("pricing", '{"per_token": {"gpt-4o": NaN}}', "ValueError", "gpt-4o"),
+    "pricing-bool-rate": ("pricing", {"per_token": {"gpt-4o": True}}, "ValueError", "gpt-4o"),
+    "pricing-string-rate": ("pricing", {"per_token": {"gpt-4o": "0.5"}}, "ValueError", "gpt-4o"),
+    "pricing-huge-int-rate": (
+        "pricing", '{"per_token": {"gpt-4o": 1%s}}' % ("0" * 400), "ValueError", "gpt-4o"
+    ),
     "pricing-null-tokens-per-page": (
         "pricing", {"tokens_per_page": None}, "ValueError", "tokens_per_page"
     ),

@@ -140,7 +140,7 @@ def reference_embed(text: str, dimension: int) -> list[float]:
     values = [0.0] * dimension
     for feature in features:
         digest = hashlib.blake2b(
-            feature.encode("utf-8"), key=b"docrag-hash-v1", digest_size=8
+            feature.encode("utf-8", "surrogatepass"), key=b"docrag-hash-v1", digest_size=8
         ).digest()
         bucket = int.from_bytes(digest, "big")
         values[(bucket >> 1) % dimension] += 1.0 if bucket & 1 else -1.0
@@ -176,6 +176,12 @@ def test_lowercases_each_token_not_the_text():
     embedder = HashingEmbedder()
     assert embedder._features("İSTANBUL") == ["i\u0307stanbul"]
     assert embedder.embed("İSTANBUL ß") == reference_embed("İSTANBUL ß", 256)
+
+
+def test_lone_surrogate_hashes_like_the_reference():
+    # json.loads('"\\ud800"') yields a lone surrogate, which strict UTF-8 refuses.
+    text = "rev\ud800 growth \udfff"
+    assert HashingEmbedder().embed(text) == reference_embed(text, 256)
 
 
 def test_memo_is_per_embedder():

@@ -1,6 +1,8 @@
 import logging
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from docrag.embedding import HashingEmbedder
 from docrag.errors import ProviderError
@@ -71,6 +73,26 @@ def test_prompt_three_chunks_two_separators():
 def test_prompt_requires_question():
     with pytest.raises(ValueError):
         build_prompt(["C"], "")
+
+
+# Texts whose edges hold punctuation, a dotted capital I, a bare combining
+# dot, NBSP, U+2028 and a zero-width space (no \s, so it forms a token).
+_EDGE = st.sampled_from(
+    ["", ".", "%$", "—", "İ", "\u0307", "\u00a0", "\u2028", "\u200b", " ", "\n", "a", "7"]
+)
+_EDGY_TEXT = st.builds(
+    lambda head, body, tail: head + body + tail, _EDGE, st.text(max_size=30), _EDGE
+)
+_CHUNK_TEXT = st.one_of(
+    st.just(""), st.text(alphabet=" \t\n\u00a0\u2028\u3000", max_size=4), _EDGY_TEXT
+)
+
+
+@given(st.lists(_CHUNK_TEXT, max_size=4), _EDGY_TEXT.filter(bool))
+def test_prompt_count_is_template_plus_chunk_counts(texts, question):
+    assert count_tokens(build_prompt(texts, question)) == count_tokens(
+        build_prompt([], question)
+    ) + sum(map(count_tokens, texts))
 
 
 def test_prompt_determinism():
@@ -160,11 +182,12 @@ def test_prompt_token_count_is_count_tokens_of_prompt(tiny_rig):
 @pytest.mark.parametrize(
     "llm", [ContextLookupLLM(), MockLLM({"Fleet size?": "77 vessels"})], ids=["lookup", "mock"]
 )
-def test_prompt_is_tokenized_once(tiny_rig, llm, monkeypatch):
+def test_retrieved_text_is_never_tokenized(tiny_rig, llm, monkeypatch):
     index, embedder = tiny_rig
     config = RetrievalConfig(k=2)
     results = retrieve("Fleet size?", index, config, embedder)
-    prompt = build_prompt([r.chunk.text for r in results], "Fleet size?")
+    texts = [r.chunk.text for r in results]
+    prompt = build_prompt(texts, "Fleet size?")
     seen = []
     pattern = tokens._TOKEN_RE
 
@@ -178,8 +201,11 @@ def test_prompt_is_tokenized_once(tiny_rig, llm, monkeypatch):
             return pattern.finditer(text)
 
     monkeypatch.setattr(tokens, "_TOKEN_RE", Recording())
-    answer_question("Fleet size?", index, config, llm, embedder)
-    assert seen.count(prompt) == 1
+    answer = answer_question("Fleet size?", index, config, llm, embedder)
+    assert seen  # the recorder is on the path: the question is tokenized
+    assert prompt not in seen
+    assert not set(texts) & set(seen)
+    assert answer.prompt_token_count == count_tokens(prompt)
 
 
 def test_context_chunks_appear_verbatim_in_prompt(tiny_rig):
