@@ -6,15 +6,18 @@ charts; blank lines join them into one page string. The packer fills each
 chunk greedily: a table or chart of at most ``chunk_size`` tokens that does
 not fit in the current chunk moves to the next one whole, and every other
 token (narrative, or an oversized table or chart) packs one at a time.
-Each cut falls at the start of a token, so joining a page's chunks
-reproduces the page string byte for byte. A whitespace-only page is one
-zero-token chunk; an empty page yields none. Chunk records are typed: a
-field of the wrong kind, such as a ``year`` of ``"2013"``, raises TypeError.
+Cuts are computed from per-segment token counts: each segment is
+tokenized once into pieces (a token with the whitespace before it), the
+cuts' token indices follow from the counts, and only the pieces before a
+cut are summed to place it. Each cut falls at the start of a token, so
+joining a page's chunks reproduces the page string byte for byte. A
+whitespace-only page is one zero-token chunk; an empty page yields none.
+Chunk records are typed: a field of the wrong kind, such as a ``year`` of
+``"2013"``, raises TypeError.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, fields
 from typing import Iterable
 
@@ -139,33 +142,37 @@ def _split_page(
     text = combine_page_text(page)
     if not text:
         return []
-    starts = [start for start, _ in DEFAULT_TOKENIZER.spans(text)]
 
-    cuts = [0]  # token index opening each chunk
-    count = offset = 0
+    # Each cut is (token index, character offset) of the token opening a chunk.
+    cuts = [(0, 0)]
+    count = tokens = offset = 0  # tokens in the open chunk, in the page, chars before the segment
     for segment, protected in _segments(page):
-        first = bisect_left(starts, offset)
-        offset += len(segment)
-        last = bisect_left(starts, offset)
-        offset += len(_SEPARATOR)
-        size = last - first
+        pieces = DEFAULT_TOKENIZER.pieces(segment)
+        size = len(pieces)
         if protected and size <= chunk_size:
             # A table or chart that fits in one chunk moves to a chunk whole.
             if count + size > chunk_size:
-                cuts.append(first)
+                head = pieces[0]
+                cuts.append((tokens, offset + len(head) - len(head.lstrip())))
                 count = 0
             count += size
-            continue
-        for token in range(first, last):
-            if count == chunk_size:
-                cuts.append(token)
-                count = 0
-            count += 1
+        else:
+            # Every other token packs one at a time: a cut falls each time
+            # the open chunk is full.
+            done, position = 0, offset  # piece ``done`` begins at ``position``
+            for token in range(chunk_size - count, size, chunk_size):
+                position += sum(map(len, pieces[done:token]))
+                piece = pieces[token]
+                cuts.append((tokens + token, position + len(piece) - len(piece.lstrip())))
+                done = token
+                count -= chunk_size
+            count += size
+        tokens += size
+        offset += len(segment) + len(_SEPARATOR)
 
     # The first chunk opens at the page start and the last closes at its
     # end, so a whitespace-only page is one zero-token chunk.
-    char_cuts = [0, *(starts[token] for token in cuts[1:]), len(text)]
-    token_cuts = [*cuts, len(starts)]
+    cuts.append((tokens, len(text)))
     metadata = ChunkMetadata(
         document_id=page.document_id,
         page_number=page.page_number,
@@ -177,11 +184,11 @@ def _split_page(
     return [
         DocumentChunk(
             chunk_id=f"{page.document_id}:{page.page_number}:{ordinal}",
-            text=text[char_cuts[ordinal]:char_cuts[ordinal + 1]],
-            token_count=token_cuts[ordinal + 1] - token_cuts[ordinal],
+            text=text[start:end],
+            token_count=last - first,
             metadata=metadata,
         )
-        for ordinal in range(len(cuts))
+        for ordinal, ((first, start), (last, end)) in enumerate(zip(cuts, cuts[1:]))
     ]
 
 

@@ -113,6 +113,15 @@ def _joined(old: np.ndarray, new: np.ndarray, take: np.ndarray | None) -> np.nda
     return joined if take is None else joined[take]
 
 
+def _vector_text(row: np.ndarray) -> str:
+    """``row`` as ``json.dumps`` writes a list of its floats, less the
+    brackets: each value's ``repr``, taken once per distinct value. Values
+    are told apart by their bits, so ``0.0`` and ``-0.0`` keep their signs."""
+    bits, inverse = np.unique(row.view(np.int64), return_inverse=True)
+    reprs = list(map(float.__repr__, bits.view(np.float64).tolist()))
+    return ", ".join(map(reprs.__getitem__, inverse.tolist()))
+
+
 # Snapshot shared by concurrent readers; replaced wholesale on writes.
 # Position i of every sequence describes the chunk ids[i].
 @dataclass(frozen=True)
@@ -298,9 +307,11 @@ class VectorIndex:
         try:
             with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
                 handle.write(json.dumps(header, ensure_ascii=False) + "\n")
-                for chunk, vector in zip(snapshot.chunks, snapshot.matrix):
-                    record = {**chunk.as_dict(), "vector": vector.tolist()}
-                    handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+                for chunk, row in zip(snapshot.chunks, snapshot.matrix):
+                    # The record with "vector" as its last key, as json.dumps
+                    # would write {**chunk.as_dict(), "vector": row.tolist()}.
+                    record = json.dumps(chunk.as_dict(), ensure_ascii=False)[:-1]
+                    handle.write(f'{record}, "vector": [{_vector_text(row)}]}}\n')
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(temp_name, path)

@@ -3,7 +3,9 @@
 A payload is a JSON document (schema shipped in docs/layout_payload.schema.json)
 holding per-page text blocks with logical roles, extracted table grids,
 and figure bounding regions. Parsing validates structure eagerly and
-reports the first offending path instead of coercing silently.
+reports the first offending path instead of coercing silently. A string
+holding a lone surrogate (which a JSON ``"\\ud800"`` escape decodes to) is
+refused too: the index is UTF-8 and cannot hold it.
 """
 
 from __future__ import annotations
@@ -90,6 +92,14 @@ def _expect(data: Any, key: str, types, path: str, *, optional: bool = False):
     if not isinstance(value, types) or (types is int and isinstance(value, bool)):
         want = types.__name__ if isinstance(types, type) else "/".join(t.__name__ for t in types)
         raise SchemaError(f"{path}.{key}" if path else key, f"expected {want}, got {type(value).__name__}")
+    if isinstance(value, str):
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise SchemaError(
+                f"{path}.{key}" if path else key,
+                f"lone surrogate U+{ord(value[exc.start]):04X} at character {exc.start}",
+            ) from None
     return value
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from bisect import bisect_left
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,7 +16,7 @@ from docrag.chunking import (
 )
 from docrag.layout import DocumentAttributes
 from docrag.preprocess import PageContent
-from docrag.tokens import count_tokens
+from docrag.tokens import DEFAULT_TOKENIZER, count_tokens
 
 
 def page(
@@ -336,6 +337,85 @@ def test_property_fitting_blocks_stay_whole(p, chunk_size):
         if 0 < count_tokens(segment) <= chunk_size:
             # cut points sit at token starts, so judge by the token span
             assert any(segment.strip() in c.text for c in chunks)
+
+
+# --- the piece-count cuts equal the old per-token packer ---------------------------
+
+def split_page_by_spans(p, chunk_size):
+    """The chunker as it was before cuts came from per-segment piece counts:
+    token starts of the whole page string, then one token at a time."""
+    text = combine_page_text(p)
+    if not text:
+        return []
+    starts = [start for start, _ in DEFAULT_TOKENIZER.spans(text)]
+    segments = [(p.narrative_text, False)] if p.narrative_text else []
+    segments += [(t, True) for t in (*p.table_texts, *p.chart_texts)]
+    cuts = [0]
+    count = offset = 0
+    for segment, protected in segments:
+        first = bisect_left(starts, offset)
+        offset += len(segment)
+        last = bisect_left(starts, offset)
+        offset += len("\n\n")
+        size = last - first
+        if protected and size <= chunk_size:
+            if count + size > chunk_size:
+                cuts.append(first)
+                count = 0
+            count += size
+            continue
+        for token in range(first, last):
+            if count == chunk_size:
+                cuts.append(token)
+                count = 0
+            count += 1
+    char_cuts = [0, *(starts[token] for token in cuts[1:]), len(text)]
+    token_cuts = [*cuts, len(starts)]
+    return [
+        (f"{p.document_id}:{p.page_number}:{i}", text[char_cuts[i]:char_cuts[i + 1]],
+         token_cuts[i + 1] - token_cuts[i])
+        for i in range(len(cuts))
+    ]
+
+
+# Unicode whitespace beyond ASCII (NEL, NBSP, ogham space mark, line
+# separator, ideographic space, the information separators) and
+# punctuation, drawn most often at a segment's edges.
+_EDGE = st.sampled_from(
+    ["\x85", "\xa0", "\u1680", "\u2028", "\u3000", "\x1c", "\x1d", "\x1e", "\x1f", " ", "\n",
+     ".", ",", "$", "%", "(", "\u2014", ""]
+)
+_BODY = st.text(
+    alphabet=st.sampled_from(
+        ["a", "Q", "4", "\u0130", "\u0301", "\u0663", "\u55b6", ".", "$", "%", " ", "\n",
+         "\x85", "\xa0", "\u1680", "\u2028", "\u3000", "\x1c", "\x1f"]
+    ),
+    max_size=120,
+)
+_EDGED_SEGMENT = st.one_of(
+    st.just(""),
+    st.text(alphabet=st.sampled_from([" ", "\n", "\x85", "\xa0", "\u2028", "\u3000", "\x1e"]),
+            min_size=1, max_size=4),  # whitespace only
+    st.builds(lambda left, body, right: left + body + right, _EDGE, _BODY, _EDGE),
+)
+
+
+@st.composite
+def edged_pages(draw):
+    return page(
+        narrative=draw(_EDGED_SEGMENT),
+        tables=draw(st.lists(_EDGED_SEGMENT, max_size=4)),
+        charts=draw(st.lists(_EDGED_SEGMENT, max_size=3)),
+    )
+
+
+@settings(max_examples=400)
+@given(edged_pages(), st.integers(min_value=1, max_value=80))
+def test_property_cuts_equal_the_per_token_packer(p, chunk_size):
+    chunks = split_pages([p], chunk_size=chunk_size)
+    assert [(c.chunk_id, c.text, c.token_count) for c in chunks] == split_page_by_spans(
+        p, chunk_size
+    )
 
 
 # --- golden digest over seeded random pages -----------------------------------------

@@ -89,6 +89,26 @@ def test_ingest_rejects_invalid_payload(revenue_payload, tmp_path, capsys):
     assert not (tmp_path / "i").exists()
 
 
+def test_ingest_refuses_lone_surrogate_at_its_field(revenue_payload, tmp_path, capsys):
+    # The file holds the six-character escape \ud800, valid JSON that
+    # decodes to a character no UTF-8 index file can hold.
+    revenue_payload["pages"][0]["text_blocks"][0]["content"] = "bad \ud800 text"
+    layout = tmp_path / "layout"
+    layout.mkdir()
+    (layout / "doc.json").write_text(json.dumps(revenue_payload), encoding="utf-8")
+    assert "\\ud800" in (layout / "doc.json").read_text(encoding="utf-8")
+    code, out, err = run(
+        capsys, "ingest", "--layout", str(layout), "--index", str(tmp_path / "i")
+    )
+    assert code == 1
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "SchemaError"
+    assert "pages[0].text_blocks[0].content" in error["message"]
+    assert "U+D800" in error["message"]
+    assert not (tmp_path / "i").exists()
+
+
 def test_ingest_refuses_repeated_document_id(corpus, tmp_path, capsys):
     # Left unchecked, two payload files under one document_id would merge
     # page by page into one document.

@@ -708,6 +708,71 @@ def test_loaded_index_searches_identically(tmp_path):
     )
 
 
+# --- persisted vector text: exactly json.dumps of each record -------------------
+
+# Quotes, a backslash, a newline and non-ASCII text around the spliced "vector".
+_AWKWARD_TEXT = 'say "hi" \\ café 営業\n'
+
+
+def persisted_lines(tmp_path, rows):
+    """Persist one entry per row; return the path, the entry lines as bytes
+    and the bytes json.dumps gives for each record."""
+    entries = [IndexEntry(chunk(f"d:{i:03d}:0", _AWKWARD_TEXT), row) for i, row in enumerate(rows)]
+    index = VectorIndex(dimension=len(rows[0]))
+    index.upsert_many(entries)
+    path = tmp_path / "index.jsonl"
+    index.persist(path)
+    expected = [
+        (json.dumps({**e.chunk.as_dict(), "vector": list(e.vector)}, ensure_ascii=False) + "\n")
+        .encode("utf-8")
+        for e in entries
+    ]
+    return path, path.read_bytes().splitlines(keepends=True)[1:], expected
+
+
+_DISTINCT = [random.Random(seed).uniform(-1, 1) for seed in range(64)]
+VECTOR_ROWS = {
+    # A memo keyed by the float itself would write one zero for both.
+    "signed-zeros": [[0.0, -0.0, 0.0, -0.0], [-0.0, 0.0, -0.0, 0.0]],
+    "subnormal": [[5e-324, -5e-324, 0.0], [-5e-324, 5e-324, -0.0]],
+    "extremes": [[1e308, -1e308, 1.7976931348623157e308], [-1.7976931348623157e308, 1e308, 1e-308]],
+    "all-distinct": [_DISTINCT, _DISTINCT[::-1]],
+    "repeated": [[0.25] * 16, [-0.125] * 16, [0.1, 0.2] * 8],
+    "dimension-1": [[-0.0], [0.0], [5e-324], [-1e308], [0.30000000000000004]],
+}
+
+
+@pytest.mark.parametrize("rows", VECTOR_ROWS.values(), ids=VECTOR_ROWS)
+def test_persisted_lines_equal_json_dumps(tmp_path, rows):
+    _, lines, expected = persisted_lines(tmp_path, rows)
+    assert lines == expected
+
+
+@pytest.mark.parametrize("rows", VECTOR_ROWS.values(), ids=VECTOR_ROWS)
+def test_load_then_persist_is_byte_identical(tmp_path, rows):
+    path, _, _ = persisted_lines(tmp_path, rows)
+    loaded = VectorIndex.load(path)
+    again = tmp_path / "again.jsonl"
+    loaded.persist(again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+_FINITE = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 0.5, -0.5]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=1, max_value=12).flatmap(
+    lambda dimension: st.lists(st.lists(_FINITE, min_size=dimension, max_size=dimension),
+                               min_size=1, max_size=4)
+))
+def test_property_persisted_lines_equal_json_dumps(tmp_path_factory, rows):
+    _, lines, expected = persisted_lines(tmp_path_factory.mktemp("index"), rows)
+    assert lines == expected
+
+
 # --- concurrency ------------------------------------------------------------------
 
 def test_concurrent_reads_during_writes():

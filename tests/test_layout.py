@@ -151,6 +151,38 @@ def test_overlapping_cells_rejected_by_parser(revenue_payload):
         parse_layout_payload(broken)
 
 
+# A JSON "\ud800" escape decodes to a lone surrogate, which no UTF-8 file
+# can hold; every string field refuses one at its own path.
+SURROGATE_FIELDS = [
+    ("document_id", ("document_id",)),
+    ("attributes.company", ("attributes", "company")),
+    ("pages[0].text_blocks[0].content", ("pages", 0, "text_blocks", 0, "content")),
+    ("pages[0].tables[0].caption", ("pages", 0, "tables", 0, "caption")),
+    ("pages[0].tables[0].cells[2].content", ("pages", 0, "tables", 0, "cells", 2, "content")),
+]
+
+
+@pytest.mark.parametrize("surrogate", ["\ud800", "\udfff"], ids=["D800", "DFFF"])
+@pytest.mark.parametrize("path,keys", SURROGATE_FIELDS, ids=[f[0] for f in SURROGATE_FIELDS])
+def test_lone_surrogate_is_refused_at_its_path(revenue_payload, path, keys, surrogate):
+    broken = copy.deepcopy(revenue_payload)
+    _set(broken, f"bad {surrogate} text", *keys)
+    with pytest.raises(SchemaError) as info:
+        parse_layout_payload(broken)
+    assert info.value.path == path
+    assert f"lone surrogate U+{ord(surrogate):04X} at character 4" in str(info.value)
+
+
+def test_paired_surrogates_from_json_are_accepted(revenue_payload):
+    # "\ud83d\ude00" in JSON is one character (an emoji), not two surrogates.
+    data = copy.deepcopy(revenue_payload)
+    data["pages"][0]["text_blocks"][0]["content"] = "smile \U0001F600"
+    decoded = json.loads(json.dumps(data))
+    assert "\\ud83d\\ude00" in json.dumps(data)
+    payload = parse_layout_payload(decoded)
+    assert payload.pages[0].text_blocks[0].content == "smile \U0001F600"
+
+
 # --- model objects ---------------------------------------------------------
 
 def test_attributes_quarter_validation():
