@@ -1,10 +1,11 @@
 """Command-line surface: ingest, query, eval, cost.
 
 Failures exit non-zero with a one-line JSON error object on stderr so
-calling scripts can parse them. The HTTP LLM's endpoint and API key are
-read from environment variables only (DOCRAG_LLM_ENDPOINT,
-DOCRAG_LLM_KEY); flags never carry secrets. Setting precedence: CLI
-flag, then --config file, then built-in default. Queries embed with the
+calling scripts can parse them; an error in one layout payload names its
+file first. The HTTP LLM's endpoint and API key are read from
+environment variables only (DOCRAG_LLM_ENDPOINT, DOCRAG_LLM_KEY); flags
+never carry secrets. Setting precedence: CLI flag, then --config file,
+then the built-in default in ``_SETTINGS``. Queries embed with the
 one embedder an index header can name, and refuse any other header.
 """
 
@@ -36,9 +37,18 @@ from .providers import (
 from .tokens import DEFAULT_TOKENIZER
 
 
-# The type each recognized config key must hold.
-_CONFIG_TYPES = {"chunk_size": int, "k": int, "eval_workers": int, "table_format": str,
-                 "charts": str, "provider": str, "model_tag": str, "pricing": str}
+# Each setting's type and default: a config key must hold its type, and a
+# setting that neither a flag nor the config gives takes its default.
+_SETTINGS = {
+    "chunk_size": (int, DEFAULT_CHUNK_SIZE),
+    "k": (int, DEFAULT_K),
+    "eval_workers": (int, DEFAULT_EVAL_WORKERS),
+    "table_format": (str, "json"),
+    "charts": (str, None),
+    "provider": (str, "lookup"),
+    "model_tag": (str, None),
+    "pricing": (str, None),
+}
 
 
 def _load_config(path: str | None) -> dict:
@@ -48,19 +58,22 @@ def _load_config(path: str | None) -> dict:
         config = json.load(handle)
     if not isinstance(config, dict):
         raise ValueError("config file must hold a JSON object")
-    for key, kind in _CONFIG_TYPES.items():
+    for key, (kind, _) in _SETTINGS.items():
         if key in config and type(config[key]) is not kind:
             expected = "an integer" if kind is int else "a string"
             raise ValueError(f"config key {key!r} must be {expected}, got {config[key]!r}")
+    table_format = config.get("table_format")
+    if table_format is not None and table_format not in TABLE_FORMATS:  # as the flag's choices
+        raise ValueError(f"config key 'table_format' must be one of {TABLE_FORMATS}, got {table_format!r}")
     return config
 
 
-def _setting(flag_value, config: dict, key: str, default):
+def _setting(args, config: dict, key: str):
+    """The flag named ``key`` if given, else the config's value, else the default."""
+    flag_value = getattr(args, key, None)
     if flag_value is not None:
         return flag_value
-    if key in config:
-        return config[key]
-    return default
+    return config.get(key, _SETTINGS[key][1])
 
 
 def _parse_filters(pairs: list[str] | None) -> tuple[tuple[str, object], ...]:
@@ -105,6 +118,17 @@ def _llm_for(name: str, answers_path: str | None):
         if answers_path:
             with open(answers_path, encoding="utf-8") as handle:
                 answers = json.load(handle)
+            if not isinstance(answers, dict):
+                raise ValueError(
+                    f"answers file {answers_path} must hold a JSON object of question to "
+                    f"answer, got {type(answers).__name__}"
+                )
+            for question, answer in answers.items():
+                if not isinstance(answer, str):
+                    raise ValueError(
+                        f"answers file {answers_path}: answer to {question!r} must be a string, "
+                        f"got {answer!r}"
+                    )
         return MockLLM(answers)
     if name == "http":
         return HttpLLM()
@@ -112,7 +136,7 @@ def _llm_for(name: str, answers_path: str | None):
 
 
 def _pricing_from(args, config: dict) -> PricingConfig:
-    path = _setting(getattr(args, "pricing", None), config, "pricing", None)
+    path = _setting(args, config, "pricing")
     pricing = load_pricing(path) if path else DEFAULT_PRICING
     tokens = getattr(args, "tokens_per_page", None)
     if tokens is not None:
@@ -122,16 +146,16 @@ def _pricing_from(args, config: dict) -> PricingConfig:
 
 def cmd_ingest(args, config: dict) -> int:
     layout_dir = Path(args.layout)
-    table_format = _setting(args.table_format, config, "table_format", "json")
-    chunk_size = _setting(args.chunk_size, config, "chunk_size", DEFAULT_CHUNK_SIZE)
+    table_format = _setting(args, config, "table_format")
+    chunk_size = _setting(args, config, "chunk_size")
     payload_paths = sorted(layout_dir.glob("*.json"))
     if not payload_paths:
         raise ValueError(f"no layout payloads (*.json) found in {layout_dir}")
 
-    charts_dir = _setting(args.charts, config, "charts", None)
+    charts_dir = _setting(args, config, "charts")
     if charts_dir is None and (layout_dir / "charts").is_dir():
         charts_dir = layout_dir / "charts"
-    chart_provider = DirectoryChartProvider(charts_dir) if charts_dir else NullChartProvider()
+    chart_provider = NullChartProvider() if charts_dir is None else DirectoryChartProvider(charts_dir)
 
     embedder = HashingEmbedder()
     index = VectorIndex(
@@ -141,15 +165,18 @@ def cmd_ingest(args, config: dict) -> int:
     )
     sources: dict[str, Path] = {}  # document_id -> the payload file that holds it
     for path in payload_paths:
-        with open(path, encoding="utf-8") as handle:
-            payload = parse_layout_payload(json.load(handle))
+        try:
+            with open(path, encoding="utf-8") as handle:
+                payload = parse_layout_payload(json.load(handle))
+            pages = preprocess_document(payload, chart_provider, table_format)
+        except (DocragError, ValueError, OSError) as exc:
+            return _fail(exc, f"{path}: ")
         if payload.document_id in sources:
             raise ValueError(
                 f"document_id {payload.document_id!r} is in both "
                 f"{sources[payload.document_id]} and {path}"
             )
         sources[payload.document_id] = path
-        pages = preprocess_document(payload, chart_provider, table_format)
         chunks = split_pages(pages, chunk_size=chunk_size, attributes=payload.attributes)
         index.upsert_many(
             [IndexEntry(chunk=c, vector=tuple(embed(c.text, embedder))) for c in chunks]
@@ -162,13 +189,11 @@ def cmd_ingest(args, config: dict) -> int:
 def cmd_query(args, config: dict) -> int:
     index = VectorIndex.load(args.index)
     embedder = _embedder_for_index(index)
-    k = _setting(args.k, config, "k", DEFAULT_K)
-    retrieval = RetrievalConfig(k=k, filters=_parse_filters(args.filter))
-    provider = _llm_for(_setting(args.provider, config, "provider", "lookup"), args.answers)
-    model_tag = _setting(args.model_tag, config, "model_tag", None)
-
+    retrieval = RetrievalConfig(k=_setting(args, config, "k"), filters=_parse_filters(args.filter))
+    provider = _llm_for(_setting(args, config, "provider"), args.answers)
     answer = answer_question(
-        args.question, index, retrieval, provider, embedder, model_tag=model_tag
+        args.question, index, retrieval, provider, embedder,
+        model_tag=_setting(args, config, "model_tag"),
     )
     print(f"answer: {answer.text}")
     print("retrieved:")
@@ -178,20 +203,20 @@ def cmd_query(args, config: dict) -> int:
 
 
 def cmd_eval(args, config: dict) -> int:
-    workers = _setting(None, config, "eval_workers", DEFAULT_EVAL_WORKERS)
+    workers = _setting(args, config, "eval_workers")
     if workers < 1:
         raise ValueError(f"eval_workers must be >= 1, got {workers}")
     index = VectorIndex.load(args.index)
     embedder = _embedder_for_index(index)
     examples = load_dataset(args.dataset)
-    provider = _llm_for(_setting(args.provider, config, "provider", "lookup"), args.answers)
+    provider = _llm_for(_setting(args, config, "provider"), args.answers)
     report = run_eval(
         examples,
         index,
         provider,
         embedder,
-        k=_setting(args.k, config, "k", DEFAULT_K),
-        model_tag=_setting(args.model_tag, config, "model_tag", None),
+        k=_setting(args, config, "k"),
+        model_tag=_setting(args, config, "model_tag"),
         pricing=_pricing_from(args, config),
         max_workers=workers,
     )
@@ -259,6 +284,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(exc: Exception, prefix: str = "") -> int:
+    """Write ``exc`` as the one-line JSON error object, its message after
+    ``prefix``; return the exit status 1."""
+    sys.stderr.write(
+        json.dumps({"error": type(exc).__name__, "message": prefix + str(exc)}) + "\n"
+    )
+    return 1
+
+
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
@@ -267,10 +301,7 @@ def main(argv: list[str] | None = None) -> int:
         config = _load_config(args.config)
         return args.handler(args, config)
     except (DocragError, ValueError, OSError) as exc:
-        sys.stderr.write(
-            json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n"
-        )
-        return 1
+        return _fail(exc)
 
 
 if __name__ == "__main__":

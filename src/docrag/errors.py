@@ -16,7 +16,6 @@ class SchemaError(DocragError):
 
     def __init__(self, path: str, message: str):
         self.path = path
-        self.message = message
         super().__init__(f"{path}: {message}")
 
 
@@ -29,7 +28,6 @@ class ChartExtractionError(DocragError):
     def __init__(self, row: int, column: int, message: str):
         self.row = row
         self.column = column
-        self.message = message
         super().__init__(f"row {row}, column {column}: {message}")
 
 
@@ -50,7 +48,6 @@ class IndexLoadError(DocragError):
 
     def __init__(self, byte_offset: int, message: str):
         self.byte_offset = byte_offset
-        self.message = message
         super().__init__(f"byte {byte_offset}: {message}")
 
 

@@ -9,6 +9,7 @@ still score as wrong.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import re
@@ -68,14 +69,7 @@ class EvalReport:
     total_cost_usd: float
 
     def as_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "correct": self.correct,
-            "accuracy": self.accuracy,
-            "per_target": self.per_target,
-            "per_difficulty": self.per_difficulty,
-            "total_cost_usd": self.total_cost_usd,
-        }
+        return dataclasses.asdict(self)
 
 
 def load_dataset(path: str | Path) -> list[QAExample]:
@@ -177,7 +171,8 @@ def run_eval(
 
     ``max_workers`` threads (at least one) answer the examples; the report
     follows the examples' order whatever the count. All referenced
-    documents must already be indexed; missing ones are reported up
+    documents must already be indexed, and the priced tag (``model_tag``,
+    else the provider's) must have a rate; either failure is reported up
     front, before any provider call.
     """
     indexed_documents = {chunk.metadata.document_id for chunk in index.chunks()}
@@ -186,6 +181,7 @@ def run_eval(
     )
     if missing:
         raise MissingDocumentsError(missing)
+    cost_per_call(model_tag if model_tag is not None else llm.tag, 0, pricing)
 
     def answer_one(example: QAExample):
         config = RetrievalConfig(k=k, filters=example.filters)

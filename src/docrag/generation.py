@@ -21,7 +21,8 @@ from typing import Sequence
 
 from .errors import ProviderError
 from .index import RetrievalConfig, RetrievalResult, VectorIndex, embed
-from .providers import DEFAULT_MAX_OUTPUT_TOKENS, EmbeddingProvider, LLMProvider, LLMRequest
+from .providers import DEFAULT_MAX_OUTPUT_TOKENS  # re-exported: every request's output cap
+from .providers import EmbeddingProvider, LLMProvider, LLMRequest
 from .tokens import count_tokens
 
 logger = logging.getLogger(__name__)
@@ -71,10 +72,10 @@ def answer_question(
     llm: LLMProvider,
     embedder: EmbeddingProvider,
     model_tag: str | None = None,
-    max_output_tokens: int = DEFAULT_MAX_OUTPUT_TOKENS,
 ) -> Answer:
-    """Embed the question, retrieve top-k, prompt the LLM once. The answer
-    carries the retrieved results it was prompted with.
+    """Embed the question, retrieve top-k, prompt the LLM once for at most
+    ``DEFAULT_MAX_OUTPUT_TOKENS`` output tokens. The answer carries the
+    retrieved results it was prompted with.
 
     Empty retrieval still calls the provider (with an empty context slot)
     and records a warning. Provider failures propagate with the prompt
@@ -86,9 +87,8 @@ def answer_question(
         logger.warning("no chunks retrieved for question %r; prompting with empty context", question)
     prompt = build_prompt([r.chunk.text for r in results], question)
     tag = model_tag if model_tag is not None else llm.tag
-    request = LLMRequest(model_tag=tag, prompt=prompt, max_output_tokens=max_output_tokens)
     try:
-        response = llm.complete(request)
+        response = llm.complete(LLMRequest(model_tag=tag, prompt=prompt))
     except ProviderError as exc:
         if exc.prompt is None:
             exc.prompt = prompt

@@ -132,6 +132,7 @@ class _Snapshot:
     norms: np.ndarray
     safe_norms: np.ndarray  # norms with 0 replaced by 1: the score divisor
     zero_rows: int  # rows whose norm is 0
+    overflow_rows: int  # rows whose norm overflowed float64 to inf
     books: dict[str, dict]  # field -> {value: code}; a merge copies, never edits
     columns: dict[str, np.ndarray]  # field -> int32 code of each row
 
@@ -156,6 +157,7 @@ class VectorIndex:
             norms=np.empty((0,), dtype=np.float64),
             safe_norms=np.empty((0,), dtype=np.float64),
             zero_rows=0,
+            overflow_rows=0,
             books={name: {} for name in _FIELDS},
             columns={name: np.empty((0,), dtype=np.int32) for name in _FIELDS},
         )
@@ -216,7 +218,8 @@ class VectorIndex:
                     # afresh (at most once per len(rows) values added).
                     book = books[name] = {}
                     columns[name] = _encode(book, [getattr(chunk.metadata, name) for chunk in live])
-            norms = _joined(old.norms, np.linalg.norm(rows, axis=1), take)
+            with np.errstate(over="ignore"):  # a norm past float64's range is inf
+                norms = _joined(old.norms, np.linalg.norm(rows, axis=1), take)
             zero = norms == 0.0
             self._snapshot = _Snapshot(
                 ids=sorted_ids,
@@ -225,6 +228,7 @@ class VectorIndex:
                 norms=norms,
                 safe_norms=np.where(zero, 1.0, norms),
                 zero_rows=int(zero.sum()),
+                overflow_rows=int(np.isinf(norms).sum()),
                 books=books,
                 columns=columns,
             )
@@ -234,15 +238,22 @@ class VectorIndex:
 
         Results sort by descending score, ties by ascending chunk_id. An
         empty index (or one emptied by the filters) yields no results. A
-        query with a NaN or infinite component raises ``ValueError``.
+        query with a NaN or infinite component raises ``ValueError``, and so
+        does a query or kept chunk whose vector's norm overflows float64 (its
+        squared components sum past about 1.8e308). Every score is then
+        finite: ``|dot| <= |row| * |query|``, at most the larger squared norm.
         """
         if len(query_vector) != self.dimension:
             raise ValueError(
                 f"dimension mismatch: index is {self.dimension}, query is {len(query_vector)}"
             )
         query = np.asarray(query_vector, dtype=np.float64)
-        if not np.isfinite(query).all():
-            raise ValueError("query vector has a non-finite component")
+        with np.errstate(over="ignore"):
+            query_norm = float(np.linalg.norm(query))
+        if not math.isfinite(query_norm):  # a NaN or inf component, or overflow
+            if not np.isfinite(query).all():
+                raise ValueError("query vector has a non-finite component")
+            raise ValueError("query vector's norm overflows float64")
         snapshot = self._snapshot
         mask = None
         for name, value in config.filters:
@@ -262,8 +273,12 @@ class VectorIndex:
             rows, safe_norms = snapshot.matrix[kept], snapshot.safe_norms[kept]
         if not len(rows):
             return []
+        if snapshot.overflow_rows:
+            overflowed = np.flatnonzero(np.isinf(safe_norms))
+            if len(overflowed):
+                row = overflowed[0] if kept is None else kept[overflowed[0]]
+                raise ValueError(f"vector norm of chunk {snapshot.ids[row]!r} overflows float64")
 
-        query_norm = float(np.linalg.norm(query))
         if query_norm == 0.0:
             logger.warning("search with an all-zero query vector; all scores 0")
             scores = np.zeros(len(rows))
@@ -275,13 +290,12 @@ class VectorIndex:
                     logger.warning("%d all-zero vectors in index scored 0", int(zero_rows.sum()))
                 scores[zero_rows] = 0.0
 
-        # Every row at least as good as the k-th best (all of them if that
-        # is NaN, which a sort puts last), then a stable sort of those: rows
-        # are in chunk_id order, so ties break by id.
+        # Every row at least as good as the k-th best, then a stable sort of
+        # those: rows are in chunk_id order, so ties break by id.
         negated = -scores
         k = min(config.k, len(negated))
         bound = np.partition(negated, k - 1)[k - 1]
-        candidates = np.flatnonzero(~(negated > bound))
+        candidates = np.flatnonzero(negated <= bound)
         ranked = candidates[np.argsort(negated[candidates], kind="stable")[:k]]
         positions = ranked if kept is None else kept[ranked]
         return [

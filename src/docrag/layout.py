@@ -5,7 +5,9 @@ holding per-page text blocks with logical roles, extracted table grids,
 and figure bounding regions. Parsing validates structure eagerly and
 reports the first offending path instead of coercing silently. A string
 holding a lone surrogate (which a JSON ``"\\ud800"`` escape decodes to) is
-refused too: the index is UTF-8 and cannot hold it.
+refused too: the index is UTF-8 and cannot hold it. The regions of text
+blocks, tables and cells, and table captions, are validated and then
+dropped, since no stage reads them; figures keep their regions.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ def check_quarter(quarter: str | None) -> None:
 class TextBlock:
     role: BlockRole
     content: str
-    region: BoundingRegion
 
 
 @dataclass(frozen=True)
@@ -131,16 +132,13 @@ def _parse_cell(data: Any, path: str, page_number: int) -> TableCell:
     except ValueError:
         raise SchemaError(f"{path}.kind", f"unknown cell kind {kind_text!r}") from None
     region_data = _expect(data, "region", dict, path, optional=True)
+    fields = {name: _expect(data, name, int, path)
+              for name in ("row_index", "column_index", "row_span", "column_span")}
+    content = _expect(data, "content", str, path)
+    if region_data:
+        _parse_region(region_data, f"{path}.region", page_number)
     try:
-        return TableCell(
-            row_index=_expect(data, "row_index", int, path),
-            column_index=_expect(data, "column_index", int, path),
-            row_span=_expect(data, "row_span", int, path),
-            column_span=_expect(data, "column_span", int, path),
-            kind=kind,
-            content=_expect(data, "content", str, path),
-            region=_parse_region(region_data, f"{path}.region", page_number) if region_data else None,
-        )
+        return TableCell(**fields, kind=kind, content=content)
     except ValueError as exc:
         raise SchemaError(path, str(exc)) from exc
 
@@ -149,14 +147,13 @@ def _parse_table(data: Any, path: str, page_number: int) -> TableGrid:
     cells_data = _expect(data, "cells", list, path)
     cells = tuple(_parse_cell(cell, f"{path}.cells[{i}]", page_number) for i, cell in enumerate(cells_data))
     region_data = _expect(data, "region", dict, path, optional=True)
+    row_count = _expect(data, "row_count", int, path)
+    column_count = _expect(data, "column_count", int, path)
+    _expect(data, "caption", str, path, optional=True)
+    if region_data:
+        _parse_region(region_data, f"{path}.region", page_number)
     try:
-        return TableGrid(
-            row_count=_expect(data, "row_count", int, path),
-            column_count=_expect(data, "column_count", int, path),
-            cells=cells,
-            caption=_expect(data, "caption", str, path, optional=True),
-            region=_parse_region(region_data, f"{path}.region", page_number) if region_data else None,
-        )
+        return TableGrid(row_count=row_count, column_count=column_count, cells=cells)
     except ValueError as exc:
         raise SchemaError(path, str(exc)) from exc
 
@@ -167,11 +164,9 @@ def _parse_block(data: Any, path: str, page_number: int) -> TextBlock:
         role = BlockRole(role_text)
     except ValueError:
         raise SchemaError(f"{path}.role", f"unknown role {role_text!r}") from None
-    return TextBlock(
-        role=role,
-        content=_expect(data, "content", str, path),
-        region=_parse_region(_expect(data, "region", dict, path), f"{path}.region", page_number),
-    )
+    content = _expect(data, "content", str, path)
+    _parse_region(_expect(data, "region", dict, path), f"{path}.region", page_number)
+    return TextBlock(role=role, content=content)
 
 
 def _parse_page(data: Any, path: str) -> LayoutPage:

@@ -55,17 +55,24 @@ class DirectoryChartProvider:
     """Fixture directory keyed by (document_id, page, figure index).
 
     Expects files named <document_id>__p<page>__f<index>.csv; a missing
-    file means the provider has no extraction for that figure.
+    file means the provider has no extraction for that figure, and one it
+    cannot read or decode as UTF-8 raises ``ProviderError`` naming it. A
+    ``root`` that is not a directory raises ``ValueError``.
     """
 
     def __init__(self, root: str | Path):
+        if root == "" or not Path(root).is_dir():
+            raise ValueError(f"chart directory {str(root)!r} is not a directory")
         self.root = Path(root)
 
     def csv_for(self, document_id, page_number, figure_index, region) -> str | None:
         path = self.root / f"{document_id}__p{page_number}__f{figure_index}.csv"
         if not path.is_file():
             return None
-        return path.read_text(encoding="utf-8")
+        try:
+            return path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ProviderError(f"cannot read chart CSV {path}: {exc}") from exc
 
 
 class EmbeddingProvider(Protocol):
@@ -110,7 +117,8 @@ def _question_in(prompt: str) -> str:
 
 
 class MockLLM:
-    """Answers from a fixture mapping of question text to answer text.
+    """Answers from a fixture mapping of question text to answer text; an
+    unknown question answers "".
 
     The question is recovered from the prompt's trailing question line, so
     the mapping stays independent of retrieval contents.
@@ -118,12 +126,11 @@ class MockLLM:
 
     tag = "mock"
 
-    def __init__(self, answers: dict[str, str], default: str = ""):
+    def __init__(self, answers: dict[str, str]):
         self.answers = dict(answers)
-        self.default = default
 
     def complete(self, request: LLMRequest) -> LLMResponse:
-        text = self.answers.get(_question_in(request.prompt), self.default)
+        text = self.answers.get(_question_in(request.prompt), "")
         return LLMResponse(text=text, completion_tokens=count_tokens(text))
 
 

@@ -44,10 +44,6 @@ class BoundingRegion:
             if x < 0 or y < 0:
                 raise ValueError("polygon coordinates must be non-negative")
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "BoundingRegion":
-        return cls(page_number=data["page_number"], polygon=tuple((p[0], p[1]) for p in data["polygon"]))
-
 
 @dataclass(frozen=True)
 class TableCell:
@@ -57,7 +53,6 @@ class TableCell:
     column_span: int = 1
     kind: CellKind = CellKind.CONTENT
     content: str = ""
-    region: BoundingRegion | None = None
 
     def __post_init__(self):
         if self.row_index < 0 or self.column_index < 0:
@@ -84,8 +79,6 @@ class TableGrid:
     row_count: int
     column_count: int
     cells: tuple[TableCell, ...]
-    caption: str | None = None
-    region: BoundingRegion | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "cells", tuple(self.cells))
@@ -148,12 +141,6 @@ class FlatRecord:
 
     def as_dict(self) -> dict[str, str]:
         return dict(self.entries)
-
-    def get(self, key: str, default: str | None = None) -> str | None:
-        for k, v in self.entries:
-            if k == key:
-                return v
-        return default
 
 
 def _dedupe_keys(keys: list[str]) -> list[str]:

@@ -131,6 +131,82 @@ def test_ingest_refuses_repeated_document_id(corpus, tmp_path, capsys):
     assert not (tmp_path / "i").exists()
 
 
+def _payload_file(revenue_payload, tmp_path, case):
+    """A layout directory whose one payload breaks as ``case`` says."""
+    layout = tmp_path / "layout"
+    layout.mkdir()
+    path = layout / "doc.json"
+    if case == "schema":
+        revenue_payload["pages"][0]["page_number"] = 0
+        path.write_text(json.dumps(revenue_payload), encoding="utf-8")
+    elif case == "json":
+        path.write_text('{"document_id":\n', encoding="utf-8")
+    else:  # not UTF-8
+        path.write_bytes(json.dumps(revenue_payload).encode("utf-8") + b"\xff")
+    return path
+
+
+@pytest.mark.parametrize(
+    "case,error,detail",
+    [
+        ("schema", "SchemaError", "pages[0].page_number: must be >= 1"),
+        ("json", "JSONDecodeError", "line 2 column 1"),
+        ("utf8", "UnicodeDecodeError", "0xff"),
+    ],
+)
+def test_ingest_error_names_its_payload_file(revenue_payload, tmp_path, capsys, case, error, detail):
+    # In a directory of many payloads, the error said which field broke but
+    # not in which file.
+    path = _payload_file(revenue_payload, tmp_path, case)
+    code, out, err = run(
+        capsys, "ingest", "--layout", str(path.parent), "--index", str(tmp_path / "i")
+    )
+    assert code == 1
+    assert out == ""
+    message = json.loads(err)
+    assert message["error"] == error
+    assert message["message"].startswith(f"{path}: ")
+    assert detail in message["message"]
+    assert not (tmp_path / "i").exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("charts", ["missing", "file", "empty"])
+def test_ingest_refuses_charts_that_are_no_directory(corpus, tmp_path, capsys, source, charts):
+    # A mistyped --charts dropped every chart from the index, with exit 0.
+    target = {"missing": str(tmp_path / "no-such-dir"), "empty": ""}.get(charts)
+    if charts == "file":
+        target = str(tmp_path / "charts.csv")
+        Path(target).write_text("x,y\n1,2\n", encoding="utf-8")
+    argv = ["ingest", "--layout", str(corpus["layout_dir"]), "--index", str(tmp_path / "i")]
+    if source == "flag":
+        argv += ["--charts", target]
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"charts": target}), encoding="utf-8")
+        argv = ["--config", str(config), *argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    message = json.loads(err)
+    assert message["error"] == "ValueError"
+    assert f"chart directory {target!r} is not a directory" in message["message"]
+    assert not (tmp_path / "i").exists()
+
+
+def test_ingest_skips_an_undecodable_chart_csv(corpus, tmp_path, capsys, caplog):
+    # A chart CSV holding byte 0xff aborted the whole ingest with an error
+    # naming no file.
+    broken = corpus["charts_dir"] / "alpha-10k__p2__f0.csv"
+    broken.write_bytes(broken.read_bytes() + b"\xff")
+    with caplog.at_level("WARNING"):
+        index_path, _ = ingest(corpus, tmp_path, capsys)
+    assert any(str(broken) in record.getMessage() for record in caplog.records)
+    texts = [chunk.text for chunk in VectorIndex.load(index_path).chunks()]
+    assert not any("Cloud revenue" in t for t in texts)  # the broken chart's
+    assert any("Charter income" in t for t in texts)  # another document's chart
+
+
 def test_ingest_charts_dir_autodetected(corpus, tmp_path, capsys):
     # corpus charts live at <layout>/charts, so chart text must be indexed
     index_path, _ = ingest(corpus, tmp_path, capsys)
@@ -660,12 +736,19 @@ MALFORMED_INPUTS = {
     "config-list-model-tag": ("config query", {"model_tag": ["gpt-4o"]}, "ValueError", "model_tag"),
     "config-null-chunk-size": ("config ingest", {"chunk_size": None}, "ValueError", "chunk_size"),
     "config-int-charts": ("config ingest", {"charts": 5}, "ValueError", "charts"),
+    "config-unknown-table-format": (
+        "config ingest", {"table_format": "xml"}, "ValueError", "'table_format'"
+    ),
     "config-null-eval-workers": (
         "config eval", {"eval_workers": None}, "ValueError", "eval_workers"
     ),
     "config-string-eval-workers": (
         "config eval", {"eval_workers": "2"}, "ValueError", "eval_workers"
     ),
+    "answers-number-answer": ("answers", {"What is x?": 5}, "ValueError", "'What is x?'"),
+    "answers-null-answer": ("answers", {"q": None}, "ValueError", "'q'"),
+    "answers-list-of-pairs": ("answers", [["What is x?", "7"]], "ValueError", "JSON object"),
+    "answers-string": ("answers", '"7"', "ValueError", "JSON object"),
 }
 
 
@@ -692,6 +775,10 @@ def test_malformed_input_file_fails_with_one_json_error(corpus, tmp_path, capsys
             "--config", str(path), "eval", "--index", str(index_path),
             "--dataset", str(corpus["dataset"]), "--report", report,
         ],
+        "answers": [
+            "query", "--index", str(index_path), "--question", "q",
+            "--provider", "mock", "--answers", str(path),
+        ],
     }[command]
     code, out, err = run(capsys, *argv)
     assert code == 1
@@ -702,6 +789,8 @@ def test_malformed_input_file_fails_with_one_json_error(corpus, tmp_path, capsys
     assert key in message["message"]
     if command == "dataset":
         assert message["message"].startswith("line 1:")
+    if command == "answers":
+        assert str(path) in message["message"]
 
 
 def test_unknown_provider_rejected_by_parser(corpus, tmp_path, capsys):

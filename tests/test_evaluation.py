@@ -202,7 +202,7 @@ def test_load_dataset_refuses_filters_no_chunk_can_match(tmp_path, filters, key)
     with pytest.raises(SchemaError) as info:
         load_dataset(path)
     assert info.value.path == "line 3"
-    assert key in info.value.message
+    assert key in str(info.value)
 
 
 def test_qa_example_validation():
@@ -301,6 +301,27 @@ def test_run_eval_missing_documents_reported_before_any_call(corpus):
     with pytest.raises(MissingDocumentsError) as info:
         run_eval(examples + [ghost], index, Untouchable(), embedder)
     assert info.value.document_ids == ["ghost-10k"]
+
+
+@pytest.mark.parametrize(
+    "tag,model_tag", [("lookup", "gpt-5"), ("http", None)], ids=["model-tag", "provider-tag"]
+)
+def test_run_eval_prices_its_tag_before_any_call(corpus, tag, model_tag):
+    # It answered every question, spending on each billable call, and only
+    # then failed to price the first answer.
+    index, embedder = build_index(corpus)
+    calls = []
+
+    class Counting(ContextLookupLLM):
+        def complete(self, request):
+            calls.append(request)
+            return super().complete(request)
+
+    provider = Counting()
+    provider.tag = tag
+    with pytest.raises(ValueError, match=f"unknown model {model_tag or tag!r}"):
+        run_eval(load_dataset(corpus["dataset"]), index, provider, embedder, model_tag=model_tag)
+    assert calls == []
 
 
 def test_run_eval_empty_dataset(corpus):

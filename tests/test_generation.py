@@ -8,6 +8,7 @@ from docrag.embedding import HashingEmbedder
 from docrag.errors import ProviderError
 from docrag.generation import (
     CONTEXT_SEPARATOR,
+    DEFAULT_MAX_OUTPUT_TOKENS,
     POSTAMBLE,
     PREAMBLE,
     Answer,
@@ -283,10 +284,8 @@ def test_max_output_tokens_forwarded(tiny_rig):
             seen.append(request.max_output_tokens)
             return LLMResponse(text="", completion_tokens=0)
 
-    answer_question(
-        "Fleet size?", index, RetrievalConfig(k=1), Probe(), embedder, max_output_tokens=42
-    )
-    assert seen == [42]
+    answer_question("Fleet size?", index, RetrievalConfig(k=1), Probe(), embedder)
+    assert seen == [DEFAULT_MAX_OUTPUT_TOKENS]
 
 
 def test_negative_completion_count_clamped(tiny_rig):

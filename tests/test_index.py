@@ -356,6 +356,47 @@ def test_non_finite_query_is_refused():
                 index.search([bad, 0.0], RetrievalConfig(k=3, filters=filters))
 
 
+def overflow_index():
+    # d:1:0's norm overflows float64 (its squares sum past 1.8e308); d:1:1's
+    # cosine with the query (1, 1) is 1/sqrt(2).
+    index = VectorIndex(dimension=2)
+    index.upsert_many([
+        entry("d:1:0", [1e308, 1e308], company="BIG"),
+        entry("d:1:1", [1.0, 0.0], company="SMALL"),
+    ])
+    return index
+
+
+@pytest.mark.parametrize("query", [[1.0, 1.0], [0.0, 0.0]], ids=["unit", "zero"])
+@pytest.mark.parametrize("k", [1, 2])
+def test_overflowed_row_norm_is_refused_by_name(query, k):
+    # It scored nan and ranked last, below a worse row, with a RuntimeWarning.
+    with pytest.raises(ValueError, match="'d:1:0' overflows float64"):
+        overflow_index().search(query, RetrievalConfig(k=k))
+
+
+def test_rows_without_overflow_still_rank_beside_an_overflowed_one():
+    found = overflow_index().search([1.0, 1.0], RetrievalConfig(k=2, filters=(("company", "SMALL"),)))
+    assert [(r.chunk.chunk_id, r.score) for r in found] == [("d:1:1", 1.0 / math.sqrt(2.0))]
+
+
+@pytest.mark.parametrize("query", [[1e200, 1.0], [1e154, 1e154]])
+def test_overflowed_query_norm_is_refused(query):
+    index = small_index()
+    for filters in ((), (("company", "NOBODY"),)):
+        with pytest.raises(ValueError, match="query vector's norm overflows float64"):
+            index.search(query, RetrievalConfig(k=3, filters=filters))
+
+
+def test_overflowed_rows_persist_and_load(tmp_path):
+    path = tmp_path / "overflow.jsonl"
+    overflow_index().persist(path)
+    loaded = VectorIndex.load(path)
+    assert loaded.get("d:1:0").vector == (1e308, 1e308)
+    with pytest.raises(ValueError, match="'d:1:0' overflows float64"):
+        loaded.search([1.0, 1.0], RetrievalConfig(k=2))
+
+
 # --- numpy path vs pure-python oracle -----------------------------------------
 
 def brute_force(entries, query, k, filters=()):

@@ -79,6 +79,9 @@ BREAKAGES = [
     ("polygon too short", lambda d: _set(d, [[0, 0], [1, 1]], "pages", 0, "text_blocks", 0, "region", "polygon"), "pages[0].text_blocks[0].region"),
     ("polygon point malformed", lambda d: _set(d, [[0, 0], [1, 1], [2]], "pages", 0, "text_blocks", 0, "region", "polygon"), "pages[0].text_blocks[0].region.polygon[2]"),
     ("polygon negative coordinate", lambda d: _set(d, [[0, 0], [1, 1], [-2, 3]], "pages", 0, "text_blocks", 0, "region", "polygon"), "pages[0].text_blocks[0].region"),
+    # Table and cell regions are dropped after parsing but still validated.
+    ("table region polygon too short", lambda d: _set(d, {"page_number": 1, "polygon": [[0, 0], [1, 1]]}, "pages", 0, "tables", 0, "region"), "pages[0].tables[0].region"),
+    ("cell region polygon too short", lambda d: _set(d, {"page_number": 1, "polygon": [[0, 0], [1, 1]]}, "pages", 0, "tables", 0, "cells", 0, "region"), "pages[0].tables[0].cells[0].region"),
     ("cell kind unknown", lambda d: _set(d, "header", "pages", 0, "tables", 0, "cells", 0, "kind"), "pages[0].tables[0].cells[0].kind"),
     ("cell row_span zero", lambda d: _set(d, 0, "pages", 0, "tables", 0, "cells", 0, "row_span"), "pages[0].tables[0].cells[0]"),
     ("table row_count missing", lambda d: _drop(d, "pages", 0, "tables", 0, "row_count"), "pages[0].tables[0].row_count"),

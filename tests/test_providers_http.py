@@ -183,6 +183,13 @@ def test_directory_chart_provider_missing_file(tmp_path):
     assert DirectoryChartProvider(tmp_path).csv_for("d", 1, 0, REGION) is None
 
 
+def test_directory_chart_provider_names_a_csv_it_cannot_decode(tmp_path):
+    path = tmp_path / "d__p1__f0.csv"
+    path.write_bytes(b"Period,Sales\n1Q21,\xff\n")
+    with pytest.raises(ProviderError, match=f"cannot read chart CSV {path}: .*0xff"):
+        DirectoryChartProvider(tmp_path).csv_for("d", 1, 0, REGION)
+
+
 # --- offline LLMs -----------------------------------------------------------------------
 
 def test_mock_llm_extracts_question_from_prompt():
@@ -192,9 +199,9 @@ def test_mock_llm_extracts_question_from_prompt():
 
 
 def test_mock_llm_default_for_unknown_question():
-    llm = MockLLM({}, default="n/a")
+    llm = MockLLM({"Known?": "yes"})
     prompt = build_prompt([], "Mystery?")
-    assert llm.complete(request(prompt=prompt)).text == "n/a"
+    assert llm.complete(request(prompt=prompt)).text == ""
 
 
 def test_mock_llm_counts_tokens():
