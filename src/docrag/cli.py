@@ -111,6 +111,10 @@ def _embedder_for_index(index: VectorIndex) -> HashingEmbedder:
 
 
 def _llm_for(name: str, answers_path: str | None):
+    """The LLM named ``name``; an answers file is refused unless it is ``mock``,
+    the one provider that reads it."""
+    if answers_path is not None and name != "mock":
+        raise ValueError(f"--answers is read only by provider 'mock', not {name!r}")
     if name == "lookup":
         return ContextLookupLLM()
     if name == "mock":

@@ -132,7 +132,10 @@ class _Snapshot:
     norms: np.ndarray
     safe_norms: np.ndarray  # norms with 0 replaced by 1: the score divisor
     zero_rows: int  # rows whose norm is 0
-    overflow_rows: int  # rows whose norm overflowed float64 to inf
+    # Rows no cosine can be computed for: the norm overflowed float64 to
+    # inf, or underflowed to 0 although some component is nonzero.
+    unscorable: np.ndarray
+    unscorable_rows: int
     books: dict[str, dict]  # field -> {value: code}; a merge copies, never edits
     columns: dict[str, np.ndarray]  # field -> int32 code of each row
 
@@ -157,7 +160,8 @@ class VectorIndex:
             norms=np.empty((0,), dtype=np.float64),
             safe_norms=np.empty((0,), dtype=np.float64),
             zero_rows=0,
-            overflow_rows=0,
+            unscorable=np.empty((0,), dtype=bool),
+            unscorable_rows=0,
             books={name: {} for name in _FIELDS},
             columns={name: np.empty((0,), dtype=np.int32) for name in _FIELDS},
         )
@@ -219,7 +223,10 @@ class VectorIndex:
                     book = books[name] = {}
                     columns[name] = _encode(book, [getattr(chunk.metadata, name) for chunk in live])
             with np.errstate(over="ignore"):  # a norm past float64's range is inf
-                norms = _joined(old.norms, np.linalg.norm(rows, axis=1), take)
+                new_norms = np.linalg.norm(rows, axis=1)
+            norms = _joined(old.norms, new_norms, take)
+            flags = np.isinf(new_norms) | ((new_norms == 0.0) & rows.any(axis=1))
+            unscorable = _joined(old.unscorable, flags, take)
             zero = norms == 0.0
             self._snapshot = _Snapshot(
                 ids=sorted_ids,
@@ -228,7 +235,8 @@ class VectorIndex:
                 norms=norms,
                 safe_norms=np.where(zero, 1.0, norms),
                 zero_rows=int(zero.sum()),
-                overflow_rows=int(np.isinf(norms).sum()),
+                unscorable=unscorable,
+                unscorable_rows=int(unscorable.sum()),
                 books=books,
                 columns=columns,
             )
@@ -240,8 +248,10 @@ class VectorIndex:
         empty index (or one emptied by the filters) yields no results. A
         query with a NaN or infinite component raises ``ValueError``, and so
         does a query or kept chunk whose vector's norm overflows float64 (its
-        squared components sum past about 1.8e308). Every score is then
-        finite: ``|dot| <= |row| * |query|``, at most the larger squared norm.
+        squared components sum past about 1.8e308) or underflows it (a
+        nonzero vector whose squared components sum below about 5e-324).
+        Every score is then finite: ``|dot| <= |row| * |query|``, at most the
+        larger squared norm. An all-zero query or row scores 0.
         """
         if len(query_vector) != self.dimension:
             raise ValueError(
@@ -254,6 +264,8 @@ class VectorIndex:
             if not np.isfinite(query).all():
                 raise ValueError("query vector has a non-finite component")
             raise ValueError("query vector's norm overflows float64")
+        if query_norm == 0.0 and query.any():
+            raise ValueError("query vector's norm underflows float64")
         snapshot = self._snapshot
         mask = None
         for name, value in config.filters:
@@ -273,11 +285,12 @@ class VectorIndex:
             rows, safe_norms = snapshot.matrix[kept], snapshot.safe_norms[kept]
         if not len(rows):
             return []
-        if snapshot.overflow_rows:
-            overflowed = np.flatnonzero(np.isinf(safe_norms))
-            if len(overflowed):
-                row = overflowed[0] if kept is None else kept[overflowed[0]]
-                raise ValueError(f"vector norm of chunk {snapshot.ids[row]!r} overflows float64")
+        if snapshot.unscorable_rows:
+            flagged = np.flatnonzero(snapshot.unscorable if kept is None else snapshot.unscorable[kept])
+            if len(flagged):
+                row = flagged[0] if kept is None else kept[flagged[0]]
+                how = "overflows" if np.isinf(snapshot.norms[row]) else "underflows"
+                raise ValueError(f"vector norm of chunk {snapshot.ids[row]!r} {how} float64")
 
         if query_norm == 0.0:
             logger.warning("search with an all-zero query vector; all scores 0")

@@ -184,7 +184,7 @@ class ContextLookupLLM:
 
 
 class HttpLLM:
-    """Chat-completions-style HTTP adapter."""
+    """Chat-completions-style HTTP adapter over ``http`` or ``https``."""
 
     tag = "http"
 
@@ -196,10 +196,21 @@ class HttpLLM:
         self.endpoint = endpoint or os.environ.get(ENV_LLM_ENDPOINT)
         if not self.endpoint:
             raise ProviderError(f"no LLM endpoint; set {ENV_LLM_ENDPOINT}")
+        # urlopen would also read file:// and ftp:// URLs.
+        scheme = self.endpoint.partition(":")[0].lower()
+        if scheme not in ("http", "https"):
+            raise ProviderError(
+                f"LLM endpoint {self.endpoint!r} has scheme {scheme!r}; expected http or https"
+            )
         self.api_key = api_key if api_key is not None else os.environ.get(ENV_LLM_KEY)
 
     def complete(self, request: LLMRequest) -> LLMResponse:
-        import requests  # imported here so offline runs never load it
+        # imported here so offline runs never load an HTTP client
+        import http.client
+        import urllib.error
+        import urllib.request
+
+        from . import __version__
 
         url, prompt = self.endpoint, request.prompt
         body = {
@@ -207,20 +218,28 @@ class HttpLLM:
             "messages": [{"role": "user", "content": prompt}],
             "max_tokens": request.max_output_tokens,
         }
-        headers = {"Content-Type": "application/json"}
+        headers = {"Content-Type": "application/json", "User-Agent": f"docrag/{__version__}"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
+        http_request = urllib.request.Request(
+            url, data=json.dumps(body).encode("utf-8"), headers=headers, method="POST"
+        )
         try:
-            response = requests.post(url, json=body, headers=headers, timeout=_HTTP_TIMEOUT)
-        except requests.RequestException as exc:
+            try:
+                response = urllib.request.urlopen(http_request, timeout=_HTTP_TIMEOUT)
+            except urllib.error.HTTPError as exc:  # a 4xx or 5xx reply, readable as a response
+                response = exc
+            with response:
+                status, raw = response.status, response.read()
+        except (OSError, http.client.HTTPException) as exc:
             raise ProviderError(f"request to {url} failed: {exc}", prompt=prompt) from exc
-        status = response.status_code
         if status >= 500:
             raise ProviderError(f"{url} returned {status}", prompt=prompt)
         if status >= 400:
-            raise ProviderError(f"{url} returned {status}: {response.text[:200]}", prompt=prompt)
+            detail = raw.decode("utf-8", "replace")[:200]
+            raise ProviderError(f"{url} returned {status}: {detail}", prompt=prompt)
         try:
-            payload = response.json()
+            payload = json.loads(raw)
             text = payload["choices"][0]["message"]["content"]
         except ValueError as exc:
             raise ProviderError(f"{url} returned non-JSON body", prompt=prompt) from exc
@@ -232,4 +251,3 @@ class HttpLLM:
         if type(count) is not int or count < 0:
             raise ProviderError(f"malformed usage in completion response: {usage!r}", prompt=prompt)
         return LLMResponse(text=text, completion_tokens=count)
-

@@ -144,13 +144,23 @@ class FlatRecord:
 
 
 def _dedupe_keys(keys: list[str]) -> list[str]:
-    """Disambiguate duplicate keys by appending #2, #3, ... in order."""
-    seen: dict[str, int] = {}
+    """Disambiguate duplicate keys: the first of each stays, and each repeat
+    takes the next ``#2``, ``#3``, ... suffix that no key holds or took
+    already (``v, v, v#2`` gives ``v, v#3, v#2``)."""
+    taken = set(keys)
+    last: dict[str, int] = {}  # key -> the last suffix it took; 1 for the key itself
     out = []
     for key in keys:
-        n = seen.get(key, 0) + 1
-        seen[key] = n
-        out.append(key if n == 1 else f"{key}#{n}")
+        if key in last:
+            n = last[key] + 1
+            while f"{key}#{n}" in taken:
+                n += 1
+            last[key] = n
+            key = f"{key}#{n}"
+            taken.add(key)
+        else:
+            last[key] = 1
+        out.append(key)
     return out
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from docrag.charts import ChartExtraction, chart_csv_to_records
 from docrag.errors import ChartExtractionError
-from docrag.tables import BoundingRegion, serialize_dataframe
+from docrag.tables import BoundingRegion, _dedupe_keys, serialize_dataframe
 
 REGION = BoundingRegion(page_number=1, polygon=((10.0, 10.0), (90.0, 10.0), (90.0, 60.0), (10.0, 60.0)))
 
@@ -67,6 +67,23 @@ def test_duplicate_headers_deduplicated():
     records = chart_csv_to_records(extraction("v,v,v\n1,2,3\n"))
     assert records[0].keys() == ["v", "v#2", "v#3"]
     assert records[0].values() == ["1", "2", "3"]
+
+
+def test_header_that_dedupes_into_a_taken_key():
+    # v, v#2, v#2 was refused as a record with a repeated key.
+    records = chart_csv_to_records(extraction("v,v,v#2\n1,2,3\n"))
+    assert records[0].keys() == ["v", "v#3", "v#2"]
+    assert records[0].values() == ["1", "2", "3"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(["v", "v#2", "v#3", "v#2#2", "w;", ""]), st.text(max_size=4))))
+def test_dedupe_keys_is_unique_and_keeps_unique_input(keys):
+    out = _dedupe_keys(keys)
+    assert len(out) == len(keys)
+    assert len(set(out)) == len(out)
+    if len(set(keys)) == len(keys):
+        assert out == keys
 
 
 def test_values_stay_text():

@@ -207,6 +207,15 @@ def test_ingest_skips_an_undecodable_chart_csv(corpus, tmp_path, capsys, caplog)
     assert any("Charter income" in t for t in texts)  # another document's chart
 
 
+def test_ingest_keeps_a_chart_whose_header_dedupes_into_a_taken_key(corpus, tmp_path, capsys):
+    # The header v, v, v#2 aborted the whole ingest with exit 1.
+    chart = corpus["charts_dir"] / "alpha-10k__p2__f0.csv"
+    chart.write_text("v,v,v#2\n1,2,3\n", encoding="utf-8")
+    index_path, _ = ingest(corpus, tmp_path, capsys)
+    texts = [chunk.text for chunk in VectorIndex.load(index_path).chunks()]
+    assert any('{"v": "1", "v#3": "2", "v#2": "3"}' in t for t in texts)
+
+
 def test_ingest_charts_dir_autodetected(corpus, tmp_path, capsys):
     # corpus charts live at <layout>/charts, so chart text must be indexed
     index_path, _ = ingest(corpus, tmp_path, capsys)
@@ -456,6 +465,34 @@ def test_query_mock_provider_with_answers(corpus, tmp_path, capsys):
     )
     assert code == 0
     assert out.splitlines()[0] == "answer: yes indeed"
+
+
+@pytest.mark.parametrize("source", ["flag", "config", "default"])
+@pytest.mark.parametrize("command", ["query", "eval"])
+def test_answers_refused_unless_provider_is_mock(corpus, tmp_path, capsys, command, source):
+    # The file was ignored, with exit 0, under any provider but mock.
+    index_path, _ = ingest(corpus, tmp_path, capsys)
+    answers = tmp_path / "answers.json"
+    answers.write_text(json.dumps({"x": 5}), encoding="utf-8")
+    report = tmp_path / "report.json"
+    argv = {
+        "query": ["query", "--index", str(index_path), "--question", "q"],
+        "eval": ["eval", "--index", str(index_path), "--dataset", str(corpus["dataset"]),
+                 "--report", str(report)],
+    }[command] + ["--answers", str(answers)]
+    if source == "flag":
+        argv += ["--provider", "lookup"]
+    elif source == "config":
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"provider": "lookup"}), encoding="utf-8")
+        argv = ["--config", str(config), *argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "ValueError"
+    assert "--answers is read only by provider 'mock', not 'lookup'" in error["message"]
+    assert not report.exists()
 
 
 # --- eval --------------------------------------------------------------------
@@ -809,13 +846,16 @@ def test_unknown_provider_rejected_by_parser(corpus, tmp_path, capsys):
         )
 
 
-def test_cli_import_does_not_load_requests():
-    code = "import sys, docrag.cli; print('requests' in sys.modules)"
+def test_cli_import_loads_no_http_client():
+    code = (
+        "import sys, docrag.cli; "
+        "print([m for m in ('requests', 'urllib.request', 'http.client') if m in sys.modules])"
+    )
     env = {**os.environ, "PYTHONPATH": str(Path(docrag.__file__).resolve().parents[1])}
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
     )
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[]"
 
 
 def test_error_output_is_single_json_line(tmp_path, capsys):

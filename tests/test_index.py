@@ -397,6 +397,53 @@ def test_overflowed_rows_persist_and_load(tmp_path):
         loaded.search([1.0, 1.0], RetrievalConfig(k=2))
 
 
+def underflow_index():
+    # d:1:0's squared components sum below the smallest float64, so its
+    # norm reads 0; its cosine with the query (1, 0) is 1. d:1:2 is all zero.
+    index = VectorIndex(dimension=2)
+    index.upsert_many([
+        entry("d:1:0", [1e-163, 0.0], company="TINY"),
+        entry("d:1:1", [0.0, 1.0], company="SMALL"),
+        entry("d:1:2", [-0.0, 0.0], company="SMALL"),
+    ])
+    return index
+
+
+@pytest.mark.parametrize("query", [[1.0, 0.0], [0.0, 0.0]], ids=["unit", "zero"])
+def test_underflowed_row_norm_is_refused_by_name(query):
+    # It scored 0 and was logged as an all-zero vector.
+    with pytest.raises(ValueError, match="'d:1:0' underflows float64"):
+        underflow_index().search(query, RetrievalConfig(k=3))
+
+
+def test_rows_without_underflow_still_rank_beside_an_underflowed_one():
+    found = underflow_index().search([1.0, 1.0], RetrievalConfig(k=3, filters=(("company", "SMALL"),)))
+    assert [(r.chunk.chunk_id, r.score) for r in found] == [("d:1:1", 1.0 / math.sqrt(2.0)), ("d:1:2", 0.0)]
+
+
+@pytest.mark.parametrize("query", [[1e-170, 0.0], [5e-324, -5e-324]])
+def test_underflowed_query_norm_is_refused(query):
+    # It was searched as an all-zero query.
+    index = small_index()
+    for filters in ((), (("company", "NOBODY"),)):
+        with pytest.raises(ValueError, match="query vector's norm underflows float64"):
+            index.search(query, RetrievalConfig(k=3, filters=filters))
+
+
+def test_signed_zero_query_still_scores_everything_zero():
+    results = small_index().search([-0.0, 0.0], RetrievalConfig(k=3))
+    assert [r.score for r in results] == [0.0, 0.0, 0.0]
+
+
+def test_underflowed_rows_persist_and_load(tmp_path):
+    path = tmp_path / "underflow.jsonl"
+    underflow_index().persist(path)
+    loaded = VectorIndex.load(path)
+    assert loaded.get("d:1:0").vector == (1e-163, 0.0)
+    with pytest.raises(ValueError, match="'d:1:0' underflows float64"):
+        loaded.search([1.0, 0.0], RetrievalConfig(k=3))
+
+
 # --- numpy path vs pure-python oracle -----------------------------------------
 
 def brute_force(entries, query, k, filters=()):

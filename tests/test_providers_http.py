@@ -1,10 +1,12 @@
 import json
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import quote, unquote
 
 import pytest
 
+import docrag
 from docrag.errors import ProviderError
 from docrag.generation import build_prompt
 from docrag.providers import (
@@ -23,6 +25,7 @@ REGION = BoundingRegion(page_number=1, polygon=((0.0, 0.0), (10.0, 0.0), (10.0, 
 class StubHandler(BaseHTTPRequestHandler):
     calls: dict[str, int] = {}
     last_auth: str | None = None
+    last_agent: str | None = None
     last_body: dict | None = None
 
     def log_message(self, *_args):
@@ -40,6 +43,7 @@ class StubHandler(BaseHTTPRequestHandler):
         cls = type(self)
         cls.calls[self.path] = cls.calls.get(self.path, 0) + 1
         cls.last_auth = self.headers.get("Authorization")
+        cls.last_agent = self.headers.get("User-Agent")
         length = int(self.headers.get("Content-Length", 0))
         cls.last_body = json.loads(self.rfile.read(length) or b"{}")
 
@@ -72,6 +76,14 @@ class StubHandler(BaseHTTPRequestHandler):
             self._send(400, {"error": "bad request"})
         elif self.path == "/notjson":
             self._send(200, raw=b"<html>nope</html>")
+        elif self.path == "/hangup":
+            self.close_connection = True  # closed before any status line
+        elif self.path == "/truncated":
+            self.send_response(200)
+            self.send_header("Content-Length", "100")
+            self.end_headers()
+            self.wfile.write(b'{"choices"')
+            self.close_connection = True
         else:
             self._send(404, {"error": "unknown route"})
 
@@ -164,6 +176,29 @@ def test_http_llm_malformed_payload_keeps_prompt(server):
 def test_http_llm_connection_failure_is_transient():
     with pytest.raises(ProviderError, match="request to .* failed"):
         HttpLLM(endpoint="http://127.0.0.1:9/never").complete(request())
+
+
+@pytest.mark.parametrize("route", ["/hangup", "/truncated"])
+def test_http_llm_broken_reply_is_transient_and_keeps_prompt(server, route):
+    with pytest.raises(ProviderError, match="request to .* failed") as info:
+        HttpLLM(endpoint=f"{server}{route}").complete(request(prompt="replay me"))
+    assert info.value.prompt == "replay me"
+
+
+@pytest.mark.parametrize("endpoint, scheme", [("file:///etc/hostname", "file"), ("ftp://x", "ftp")])
+def test_http_llm_refuses_other_schemes(endpoint, scheme):
+    with pytest.raises(ProviderError, match=f"scheme '{scheme}'"):
+        HttpLLM(endpoint=endpoint)
+
+
+def test_http_llm_round_trip_without_requests(server, monkeypatch):
+    monkeypatch.setitem(sys.modules, "requests", None)  # import requests now fails
+    assert HttpLLM(endpoint=f"{server}/chat").complete(request()).text == "from-http"
+
+
+def test_http_llm_sends_docrag_user_agent(server):
+    HttpLLM(endpoint=f"{server}/chat").complete(request())
+    assert StubHandler.last_agent == f"docrag/{docrag.__version__}"
 
 
 def test_http_llm_endpoint_from_environment(server, monkeypatch):
