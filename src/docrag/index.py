@@ -225,7 +225,9 @@ class VectorIndex:
             with np.errstate(over="ignore"):  # a norm past float64's range is inf
                 new_norms = np.linalg.norm(rows, axis=1)
             norms = _joined(old.norms, new_norms, take)
-            flags = np.isinf(new_norms) | ((new_norms == 0.0) & rows.any(axis=1))
+            flags = np.isinf(new_norms)
+            zero_new = new_norms == 0.0  # rare: scan only those rows for a nonzero component
+            flags[zero_new] = rows[zero_new].any(axis=1)
             unscorable = _joined(old.unscorable, flags, take)
             zero = norms == 0.0
             self._snapshot = _Snapshot(

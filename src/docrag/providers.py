@@ -196,7 +196,7 @@ class HttpLLM:
         self.endpoint = endpoint or os.environ.get(ENV_LLM_ENDPOINT)
         if not self.endpoint:
             raise ProviderError(f"no LLM endpoint; set {ENV_LLM_ENDPOINT}")
-        # urlopen would also read file:// and ftp:// URLs.
+        # urllib would also open file:// and ftp:// URLs.
         scheme = self.endpoint.partition(":")[0].lower()
         if scheme not in ("http", "https"):
             raise ProviderError(
@@ -219,15 +219,24 @@ class HttpLLM:
             "max_tokens": request.max_output_tokens,
         }
         headers = {"Content-Type": "application/json", "User-Agent": f"docrag/{__version__}"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
         http_request = urllib.request.Request(
             url, data=json.dumps(body).encode("utf-8"), headers=headers, method="POST"
         )
+        if self.api_key:  # "unredirected": never sent on to a redirect's target
+            http_request.add_unredirected_header("Authorization", f"Bearer {self.api_key}")
+
+        class FollowNone(urllib.request.HTTPRedirectHandler):
+            # urllib would follow a redirect to any host, and to ftp://, so
+            # a 3xx reply is raised as an HTTPError and refused below.
+            def redirect_request(self, *_args):
+                return None
+
         try:
             try:
-                response = urllib.request.urlopen(http_request, timeout=_HTTP_TIMEOUT)
-            except urllib.error.HTTPError as exc:  # a 4xx or 5xx reply, readable as a response
+                response = urllib.request.build_opener(FollowNone).open(
+                    http_request, timeout=_HTTP_TIMEOUT
+                )
+            except urllib.error.HTTPError as exc:  # a 3xx, 4xx or 5xx reply, readable as a response
                 response = exc
             with response:
                 status, raw = response.status, response.read()
@@ -235,7 +244,7 @@ class HttpLLM:
             raise ProviderError(f"request to {url} failed: {exc}", prompt=prompt) from exc
         if status >= 500:
             raise ProviderError(f"{url} returned {status}", prompt=prompt)
-        if status >= 400:
+        if status >= 300:
             detail = raw.decode("utf-8", "replace")[:200]
             raise ProviderError(f"{url} returned {status}: {detail}", prompt=prompt)
         try:

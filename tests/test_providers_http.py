@@ -76,6 +76,13 @@ class StubHandler(BaseHTTPRequestHandler):
             self._send(400, {"error": "bad request"})
         elif self.path == "/notjson":
             self._send(200, raw=b"<html>nope</html>")
+        elif self.path.startswith("/redirect"):
+            # /redirect<status>?<target>: a target without a scheme is a route here
+            status, _, target = self.path.removeprefix("/redirect").partition("?")
+            self.send_response(int(status))
+            self.send_header("Location", target if ":" in target else f"/{target}")
+            self.send_header("Content-Length", "0")
+            self.end_headers()
         elif self.path == "/hangup":
             self.close_connection = True  # closed before any status line
         elif self.path == "/truncated":
@@ -86,6 +93,8 @@ class StubHandler(BaseHTTPRequestHandler):
             self.close_connection = True
         else:
             self._send(404, {"error": "unknown route"})
+
+    do_GET = do_POST  # a redirect followed as a GET would reach its target
 
 
 @pytest.fixture(scope="module")
@@ -183,6 +192,19 @@ def test_http_llm_broken_reply_is_transient_and_keeps_prompt(server, route):
     with pytest.raises(ProviderError, match="request to .* failed") as info:
         HttpLLM(endpoint=f"{server}{route}").complete(request(prompt="replay me"))
     assert info.value.prompt == "replay me"
+
+
+@pytest.mark.parametrize(
+    "status, target", [(302, "chat"), (307, "chat"), (302, "ftp://127.0.0.1/x")]
+)
+def test_http_llm_follows_no_redirect(server, status, target):
+    before = StubHandler.calls.get("/chat", 0)
+    llm = HttpLLM(endpoint=f"{server}/redirect{status}?{target}", api_key="sk-test")
+    with pytest.raises(ProviderError, match=f"returned {status}") as info:
+        llm.complete(request(prompt="keep"))
+    assert info.value.prompt == "keep"
+    assert StubHandler.last_auth == "Bearer sk-test"  # sent to the endpoint itself
+    assert StubHandler.calls.get("/chat", 0) == before  # and to no second URL
 
 
 @pytest.mark.parametrize("endpoint, scheme", [("file:///etc/hostname", "file"), ("ftp://x", "ftp")])
