@@ -33,7 +33,7 @@ INTEGER_FIELDS = ("page_number", "year")
 _SEPARATOR = "\n\n"
 
 
-def _check_types(record, types: tuple) -> None:
+def _check_types(record, types: Iterable[tuple[str, tuple]]) -> None:
     """Raise TypeError naming the first field of ``record`` whose value's
     exact type (so a bool is no int) is none of its ``types``."""
     for name, allowed in types:
@@ -52,38 +52,39 @@ class ChunkMetadata:
     section_title: str | None = None
 
     def __post_init__(self):
-        _check_types(self, _METADATA_TYPES)
+        _check_types(self, _METADATA_TYPES.items())
         if self.page_number < 1:
             raise ValueError("page_number must be >= 1")
         check_quarter(self.quarter)
 
     def as_dict(self) -> dict:
         # "region" stays in the record, always null, so index files keep their bytes.
-        return {**{name: getattr(self, name) for name, _ in _METADATA_TYPES}, "region": None}
+        return {**{name: getattr(self, name) for name in _METADATA_TYPES}, "region": None}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ChunkMetadata":
         if data.get("region") is not None:
             raise ValueError(f"region must be null, got {data['region']!r}")
-        return cls(**{name: data.get(name) for name, _ in _METADATA_TYPES})
+        return cls(**{name: data.get(name) for name in _METADATA_TYPES})
 
 
-# Each metadata field in record order with the types it may hold: int for
-# an integer field, str for any other, and None as well if it has a default.
-_METADATA_TYPES = tuple(
-    (item.name, (kind, type(None)) if item.default is None else (kind,))
+# Each metadata field in record order -> the types it may hold: int for an
+# integer field, str for any other, and None as well if it has a default.
+_METADATA_TYPES = {
+    item.name: (kind, type(None)) if item.default is None else (kind,)
     for item in fields(ChunkMetadata)
     for kind in [int if item.name in INTEGER_FIELDS else str]
-)
+}
 
 
 def check_filter(name: str, value) -> None:
     """Refuse a filter that no chunk can match by its shape: a name that is
     no metadata field (a typo such as ``compnay``), or a value of a type its
-    field never holds (such as a ``year`` of ``"2013"``)."""
-    allowed = dict(_METADATA_TYPES).get(name)
+    field never holds (such as a ``year`` of ``"2013"`` or ``2013.0``, or a
+    ``page_number`` of ``True``: the type must be exact)."""
+    allowed = _METADATA_TYPES.get(name)
     if allowed is None:
-        names = ", ".join(field for field, _ in _METADATA_TYPES)
+        names = ", ".join(_METADATA_TYPES)
         raise ValueError(f"filter {name!r} is not a metadata field; the fields are {names}")
     if type(value) not in allowed:
         raise ValueError(
@@ -114,11 +115,14 @@ class DocumentChunk:
 
     @classmethod
     def from_dict(cls, data: dict) -> "DocumentChunk":
+        metadata = data["metadata"]
+        if not isinstance(metadata, dict):
+            raise TypeError(f"metadata must be an object, got {metadata!r}")
         return cls(
             chunk_id=data["chunk_id"],
             text=data["text"],
             token_count=data["token_count"],
-            metadata=ChunkMetadata.from_dict(data["metadata"]),
+            metadata=ChunkMetadata.from_dict(metadata),
         )
 
 

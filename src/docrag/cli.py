@@ -18,7 +18,7 @@ import logging
 import sys
 from pathlib import Path
 
-from .chunking import DEFAULT_CHUNK_SIZE, INTEGER_FIELDS, check_filter, split_pages
+from .chunking import DEFAULT_CHUNK_SIZE, INTEGER_FIELDS, split_pages
 from .costs import DEFAULT_PRICING, PricingConfig, format_cost_report, load_pricing
 from .embedding import HashingEmbedder
 from .errors import DocragError
@@ -77,8 +77,8 @@ def _setting(args, config: dict, key: str):
 
 
 def _parse_filters(pairs: list[str] | None) -> tuple[tuple[str, object], ...]:
-    """KEY=VALUE pairs as filters; only an integer field's value is an int,
-    and a KEY that is no metadata field is refused."""
+    """KEY=VALUE pairs as filters; only an integer field's value is an int.
+    ``RetrievalConfig`` refuses a KEY that is no metadata field."""
     filters = []
     for pair in pairs or []:
         name, sep, value = pair.partition("=")
@@ -89,7 +89,6 @@ def _parse_filters(pairs: list[str] | None) -> tuple[tuple[str, object], ...]:
                 value = int(value)
             except ValueError:
                 raise ValueError(f"filter {name} must be an integer, got {value!r}") from None
-        check_filter(name, value)
         filters.append((name, value))
     return tuple(filters)
 

@@ -10,12 +10,13 @@ int32 codes, one per row: a filter is one dict lookup and a mask over a
 column rather than a scan over the chunks.
 
 A filter ``(name, value)`` keeps the chunks whose metadata field ``name``
-equals ``value`` under Python equality: ``2021``, ``2021.0`` and ``True
-== 1`` match as ``==`` says, and a name that is no metadata field reads
-``None`` in every chunk. A filter value must be a str, int, float, bool
-or None; any other kind could match nothing and is refused. Several
-filters must all hold. Results sort by descending cosine score, ties by
-ascending chunk_id.
+equals ``value``; several filters must all hold. ``RetrievalConfig``
+admits only what ``chunking.check_filter`` admits, the one rule that
+``docrag query`` and eval datasets share: ``name`` is a metadata field
+and the exact type of ``value`` is one that field holds. So a typo such
+as ``compnay``, a ``year`` of ``"2013"`` or ``2013.0``, or a
+``page_number`` of ``True`` raises ``ValueError``. Results sort by
+descending cosine score, ties by ascending chunk_id.
 
 Readers work on immutable snapshots; every write goes through one merge,
 serialized by a lock, so concurrent searches see a consistent index.
@@ -37,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .chunking import ChunkMetadata, DocumentChunk
+from .chunking import ChunkMetadata, DocumentChunk, check_filter
 from .embedding import EmbeddingVector
 from .errors import IndexLoadError, ProviderError
 from .providers import EmbeddingProvider
@@ -72,13 +73,6 @@ class IndexEntry:
             raise ValueError("vector entries must be finite")
 
 
-def check_filter_value(name: str, value) -> None:
-    """Refuse a value no metadata field can equal: one that is not a str,
-    int, float, bool or None."""
-    if value is not None and not isinstance(value, (str, int, float)):
-        raise ValueError(f"filter {name!r} must be a string, number, boolean or null, got {value!r}")
-
-
 @dataclass(frozen=True)
 class RetrievalConfig:
     k: int = DEFAULT_K
@@ -89,7 +83,7 @@ class RetrievalConfig:
             raise ValueError("k must be >= 1")
         object.__setattr__(self, "filters", tuple((f, v) for f, v in self.filters))
         for name, value in self.filters:
-            check_filter_value(name, value)
+            check_filter(name, value)
 
 
 @dataclass(frozen=True)
@@ -98,7 +92,7 @@ class RetrievalResult:
     score: float
 
 
-# Every metadata field; a filter on any other name reads None in each chunk.
+# Every metadata field: the names ``check_filter`` admits.
 _FIELDS = tuple(f.name for f in fields(ChunkMetadata))
 
 
@@ -271,10 +265,6 @@ class VectorIndex:
         snapshot = self._snapshot
         mask = None
         for name, value in config.filters:
-            if name not in snapshot.books:
-                if value is None:  # every chunk reads None for a field it lacks
-                    continue
-                return []
             code = snapshot.books[name].get(value)
             if code is None:  # no chunk holds this value
                 return []

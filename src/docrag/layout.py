@@ -107,7 +107,6 @@ def _expect(data: Any, key: str, types, path: str, *, optional: bool = False):
 def _parse_region(data: Any, path: str, expected_page: int | None = None) -> BoundingRegion:
     page_number = _expect(data, "page_number", int, path)
     polygon = _expect(data, "polygon", list, path)
-    points = []
     for i, point in enumerate(polygon):
         if (
             not isinstance(point, (list, tuple))
@@ -115,9 +114,8 @@ def _parse_region(data: Any, path: str, expected_page: int | None = None) -> Bou
             or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in point)
         ):
             raise SchemaError(f"{path}.polygon[{i}]", "expected [x, y] number pair")
-        points.append((float(point[0]), float(point[1])))
     try:
-        region = BoundingRegion(page_number=page_number, polygon=tuple(points))
+        region = BoundingRegion(page_number=page_number, polygon=polygon)
     except ValueError as exc:
         raise SchemaError(path, str(exc)) from exc
     if expected_page is not None and region.page_number != expected_page:
@@ -135,7 +133,7 @@ def _parse_cell(data: Any, path: str, page_number: int) -> TableCell:
     fields = {name: _expect(data, name, int, path)
               for name in ("row_index", "column_index", "row_span", "column_span")}
     content = _expect(data, "content", str, path)
-    if region_data:
+    if region_data is not None:
         _parse_region(region_data, f"{path}.region", page_number)
     try:
         return TableCell(**fields, kind=kind, content=content)
@@ -150,7 +148,7 @@ def _parse_table(data: Any, path: str, page_number: int) -> TableGrid:
     row_count = _expect(data, "row_count", int, path)
     column_count = _expect(data, "column_count", int, path)
     _expect(data, "caption", str, path, optional=True)
-    if region_data:
+    if region_data is not None:
         _parse_region(region_data, f"{path}.region", page_number)
     try:
         return TableGrid(row_count=row_count, column_count=column_count, cells=cells)

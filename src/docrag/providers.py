@@ -254,7 +254,8 @@ class HttpLLM:
             raise ProviderError(f"{url} returned non-JSON body", prompt=prompt) from exc
         except (KeyError, IndexError, TypeError) as exc:
             raise ProviderError(f"malformed completion response: {exc}", prompt=prompt) from exc
-        text = str(text)
+        if type(text) is not str:  # a null or non-text content is no answer to score
+            raise ProviderError(f"malformed completion response: content {text!r}", prompt=prompt)
         usage = payload.get("usage") or {}  # none reported: count the completion locally
         count = usage.get("completion_tokens", count_tokens(text)) if type(usage) is dict else None
         if type(count) is not int or count < 0:

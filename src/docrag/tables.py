@@ -33,7 +33,11 @@ class BoundingRegion:
     polygon: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "polygon", tuple((float(x), float(y)) for x, y in self.polygon))
+        try:
+            polygon = tuple((float(x), float(y)) for x, y in self.polygon)
+        except OverflowError:  # an integer past float64's range
+            raise ValueError("polygon coordinates must be finite") from None
+        object.__setattr__(self, "polygon", polygon)
         if self.page_number < 1:
             raise ValueError(f"page_number must be >= 1, got {self.page_number}")
         if len(self.polygon) < 3:

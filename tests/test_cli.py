@@ -9,7 +9,10 @@ import pytest
 
 import docrag
 from docrag.cli import main
-from docrag.index import VectorIndex
+from docrag.embedding import HashingEmbedder
+from docrag.errors import SchemaError
+from docrag.evaluation import load_dataset
+from docrag.index import RetrievalConfig, VectorIndex
 
 
 def run(capsys, *argv):
@@ -372,6 +375,47 @@ def test_query_refuses_filter_on_no_metadata_field(corpus, tmp_path, capsys):
     assert "'compnay'" in error["message"] and "company" in error["message"]
 
 
+def _empty_index(path):
+    """An index of no chunks that ``docrag query`` can embed for."""
+    VectorIndex(dimension=8, provider_tag=HashingEmbedder(dimension=8).tag).persist(path)
+
+
+# Filters the one rule (chunking.check_filter) refuses, each with the
+# --filter text that carries it where there is one: the CLI's text for an
+# integer field becomes an int, and no text becomes a float, bool or list.
+REFUSED_FILTERS = {
+    "misspelt-field": ("compnay", "ACME", "compnay=ACME"),
+    "region": ("region", "x", "region=x"),
+    "no-such-field": ("colour", "red", "colour=red"),
+    "string-year": ("year", "2013", None),
+    "float-year": ("year", 2013.0, None),
+    "boolean-page-number": ("page_number", True, None),
+    "list-value": ("company", ["ACME"], None),
+}
+
+
+@pytest.mark.parametrize("case", REFUSED_FILTERS)
+def test_config_query_and_dataset_refuse_a_filter_alike(tmp_path, capsys, case):
+    name, value, text = REFUSED_FILTERS[case]
+    with pytest.raises(ValueError) as refused:
+        RetrievalConfig(filters=((name, value),))
+    message = str(refused.value)
+    assert repr(name) in message
+    dataset = tmp_path / "qa.jsonl"
+    dataset.write_text(_qa_line(filters={name: value}), encoding="utf-8")
+    with pytest.raises(SchemaError) as info:
+        load_dataset(dataset)
+    assert str(info.value) == f"line 1: {message}"
+    if text is not None:
+        index_path = tmp_path / "empty.index"
+        _empty_index(index_path)
+        code, out, err = run(
+            capsys, "query", "--index", str(index_path), "--question", "q", "--filter", text
+        )
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "ValueError", "message": message}
+
+
 def test_query_missing_index_file(tmp_path, capsys):
     code, _, err = run(
         capsys, "query", "--index", str(tmp_path / "absent.index"), "--question", "q"
@@ -379,6 +423,21 @@ def test_query_missing_index_file(tmp_path, capsys):
     assert code == 1
     error = json.loads(err)
     assert error["error"] in ("FileNotFoundError", "OSError")
+
+
+def test_query_index_entry_with_null_metadata_fails_with_one_json_error(tmp_path, capsys):
+    index_path = tmp_path / "bad.index"
+    _empty_index(index_path)
+    header = index_path.read_text(encoding="utf-8")
+    line = {"chunk_id": "d:1:0", "text": "t", "token_count": 1, "metadata": None, "vector": [0.0] * 8}
+    index_path.write_text(header.replace('"count": 0', '"count": 1') + json.dumps(line) + "\n",
+                          encoding="utf-8")
+    code, out, err = run(capsys, "query", "--index", str(index_path), "--question", "q")
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1
+    error = json.loads(err)
+    assert error["error"] == "IndexLoadError"
+    assert error["message"] == f"byte {len(header)}: bad entry line: metadata must be an object, got None"
 
 
 def test_query_unknown_embedding_provider_fails(corpus, tmp_path, capsys):

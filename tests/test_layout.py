@@ -82,6 +82,8 @@ BREAKAGES = [
     # Table and cell regions are dropped after parsing but still validated.
     ("table region polygon too short", lambda d: _set(d, {"page_number": 1, "polygon": [[0, 0], [1, 1]]}, "pages", 0, "tables", 0, "region"), "pages[0].tables[0].region"),
     ("cell region polygon too short", lambda d: _set(d, {"page_number": 1, "polygon": [[0, 0], [1, 1]]}, "pages", 0, "tables", 0, "cells", 0, "region"), "pages[0].tables[0].cells[0].region"),
+    ("table region empty object", lambda d: _set(d, {}, "pages", 0, "tables", 0, "region"), "pages[0].tables[0].region"),
+    ("cell region empty object", lambda d: _set(d, {}, "pages", 0, "tables", 0, "cells", 0, "region"), "pages[0].tables[0].cells[0].region"),
     ("cell kind unknown", lambda d: _set(d, "header", "pages", 0, "tables", 0, "cells", 0, "kind"), "pages[0].tables[0].cells[0].kind"),
     ("cell row_span zero", lambda d: _set(d, 0, "pages", 0, "tables", 0, "cells", 0, "row_span"), "pages[0].tables[0].cells[0]"),
     ("table row_count missing", lambda d: _drop(d, "pages", 0, "tables", 0, "row_count"), "pages[0].tables[0].row_count"),
@@ -110,6 +112,15 @@ def test_region_page_must_match_enclosing_page(revenue_payload):
     with pytest.raises(SchemaError) as info:
         parse_layout_payload(broken)
     assert info.value.path == "pages[0].text_blocks[0].region.page_number"
+
+
+def test_coordinate_past_float_range_is_refused_at_its_region(revenue_payload):
+    broken = copy.deepcopy(revenue_payload)
+    broken["pages"][0]["text_blocks"][0]["region"]["polygon"] = [[10**400, 0], [1, 0], [1, 1]]
+    jsonschema.validate(broken, SCHEMA)  # any JSON number is structurally fine
+    with pytest.raises(SchemaError, match="must be finite") as info:
+        parse_layout_payload(broken)
+    assert info.value.path == "pages[0].text_blocks[0].region"
 
 
 def test_pages_must_start_at_one(revenue_payload):

@@ -70,6 +70,10 @@ class StubHandler(BaseHTTPRequestHandler):
             )
         elif self.path == "/chat-bad":
             self._send(200, {"unexpected": True})
+        elif self.path.startswith("/chat-badcontent?"):
+            # the query string is the JSON content value to report
+            content = json.loads(unquote(self.path.partition("?")[2]))
+            self._send(200, {"choices": [{"message": {"content": content}}]})
         elif self.path == "/error500":
             self._send(500, {"error": "boom"})
         elif self.path == "/error400":
@@ -179,6 +183,14 @@ def test_http_llm_non_json_body(server):
 def test_http_llm_malformed_payload_keeps_prompt(server):
     with pytest.raises(ProviderError) as info:
         HttpLLM(endpoint=f"{server}/chat-bad").complete(request(prompt="keep"))
+    assert info.value.prompt == "keep"
+
+
+@pytest.mark.parametrize("content", ["null", "42", '["x"]', '{"text": "x"}'])
+def test_http_llm_non_string_content_keeps_prompt(server, content):
+    llm = HttpLLM(endpoint=f"{server}/chat-badcontent?{quote(content)}")
+    with pytest.raises(ProviderError, match="malformed completion response: content") as info:
+        llm.complete(request(prompt="keep"))
     assert info.value.prompt == "keep"
 
 
