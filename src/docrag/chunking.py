@@ -63,6 +63,12 @@ class ChunkMetadata:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ChunkMetadata":
+        """The metadata of a record ``as_dict`` wrote; any other key, such as
+        a misspelt ``compnay``, raises ValueError."""
+        if not data.keys() <= _RECORD_KEYS:
+            first = next(key for key in data if key not in _RECORD_KEYS)
+            names = ", ".join(_METADATA_TYPES)
+            raise ValueError(f"metadata key {first!r} is not a metadata field; the fields are {names}, region")
         if data.get("region") is not None:
             raise ValueError(f"region must be null, got {data['region']!r}")
         return cls(**{name: data.get(name) for name in _METADATA_TYPES})
@@ -75,6 +81,8 @@ _METADATA_TYPES = {
     for item in fields(ChunkMetadata)
     for kind in [int if item.name in INTEGER_FIELDS else str]
 }
+# The keys a metadata record may hold: the fields and "region".
+_RECORD_KEYS = frozenset([*_METADATA_TYPES, "region"])
 
 
 def check_filter(name: str, value) -> None:

@@ -1,13 +1,17 @@
 """In-memory vector index: exact filtered top-k cosine retrieval.
 
-A deliberate non-ANN design: corpora here are thousands of chunks, and a
-full scan over one contiguous matrix is both fast enough and
-oracle-testable. A snapshot holds each chunk once, in ascending chunk_id
-order: its id, the chunk and its vector as a row of a float64 matrix,
-with the row norms beside it. Chunk metadata is typed (a str, an int or
-None), so each field keeps a dict from value to code and a column of
-int32 codes, one per row: a filter is one dict lookup and a mask over a
-column rather than a scan over the chunks.
+A deliberate non-ANN design: corpora here are thousands of chunks, and an
+exact scan of every kept row is both fast enough and oracle-testable. A
+snapshot holds each chunk once, in ascending chunk_id order: its id, the
+chunk, and its vector as a column of one float64 array stored bucket-major
+(dimension x rows), with the row norms beside it. Hashed feature vectors
+are sparse (a question of t tokens has at most 2t - 1 nonzero buckets), so
+a search reads only the query's nonzero buckets, and of those only the
+rows its filters keep: every other component adds 0 to a dot product.
+Chunk metadata is typed (a str, an int or None), so each field keeps a
+dict from value to code and a column of int32 codes, one per row: a
+filter is one dict lookup and a mask over a column rather than a scan
+over the chunks.
 
 A filter ``(name, value)`` keeps the chunks whose metadata field ``name``
 equals ``value``; several filters must all hold. ``RetrievalConfig``
@@ -16,7 +20,10 @@ admits only what ``chunking.check_filter`` admits, the one rule that
 and the exact type of ``value`` is one that field holds. So a typo such
 as ``compnay``, a ``year`` of ``"2013"`` or ``2013.0``, or a
 ``page_number`` of ``True`` raises ``ValueError``. Results sort by
-descending cosine score, ties by ascending chunk_id.
+descending cosine score, ties by ascending chunk_id. A tie is an equal
+computed float64 score: which buckets are summed, and in what order,
+rounds the last bit, so two chunks whose exact cosines are equal may
+still be ordered by that rounding.
 
 Readers work on immutable snapshots; every write goes through one merge,
 serialized by a lock, so concurrent searches see a consistent index.
@@ -102,9 +109,12 @@ def _encode(book: dict, values: Sequence) -> np.ndarray:
 
 
 def _joined(old: np.ndarray, new: np.ndarray, take: np.ndarray | None) -> np.ndarray:
-    """``new``'s rows after ``old``'s, then the rows ``take`` (None: all)."""
-    joined = np.concatenate([old, new]) if len(old) else new
-    return joined if take is None else joined[take]
+    """``new``'s rows after ``old``'s, then the rows ``take`` (None: all);
+    the last axis counts the rows."""
+    joined = np.concatenate([old, new], axis=-1) if old.shape[-1] else new
+    # take keeps joined C-ordered; joined[..., take] would not, and a copy
+    # to restore the order would cost a second array per merge.
+    return joined if take is None else joined.take(take, axis=-1)
 
 
 def _vector_text(row: np.ndarray) -> str:
@@ -117,12 +127,13 @@ def _vector_text(row: np.ndarray) -> str:
 
 
 # Snapshot shared by concurrent readers; replaced wholesale on writes.
-# Position i of every sequence describes the chunk ids[i].
+# Position i of every sequence, and column i of ``buckets``, describes the
+# chunk ids[i].
 @dataclass(frozen=True)
 class _Snapshot:
     ids: tuple[str, ...]
     chunks: tuple[DocumentChunk, ...]
-    matrix: np.ndarray
+    buckets: np.ndarray  # dimension x rows, C-contiguous: buckets[j] is component j of every row
     norms: np.ndarray
     safe_norms: np.ndarray  # norms with 0 replaced by 1: the score divisor
     zero_rows: int  # rows whose norm is 0
@@ -150,7 +161,7 @@ class VectorIndex:
         self._snapshot = _Snapshot(
             ids=(),
             chunks=(),
-            matrix=np.empty((0, dimension), dtype=np.float64),
+            buckets=np.empty((dimension, 0), dtype=np.float64),
             norms=np.empty((0,), dtype=np.float64),
             safe_norms=np.empty((0,), dtype=np.float64),
             zero_rows=0,
@@ -175,7 +186,7 @@ class VectorIndex:
         position = bisect_left(snapshot.ids, chunk_id)
         if position == len(snapshot.ids) or snapshot.ids[position] != chunk_id:
             return None
-        return IndexEntry(chunk=snapshot.chunks[position], vector=snapshot.matrix[position].tolist())
+        return IndexEntry(chunk=snapshot.chunks[position], vector=snapshot.buckets[:, position].tolist())
 
     def upsert(self, entry: IndexEntry) -> None:
         """Store an entry; a repeated chunk_id replaces the prior entry."""
@@ -195,7 +206,9 @@ class VectorIndex:
     def _merge(self, chunks: Sequence[DocumentChunk], rows: np.ndarray) -> None:
         """Publish the current snapshot plus ``chunks`` (``rows`` holds their
         vectors); for a repeated chunk_id the last row wins. Only the new
-        chunks' metadata is encoded; old codes are reordered with the rows."""
+        chunks' metadata is encoded; old codes are reordered with the rows.
+        ``rows`` is row-major: the norm of a strided row sums in another
+        order and can differ in the last bit."""
         with self._write_lock:
             old = self._snapshot
             ids = old.ids + tuple(chunk.chunk_id for chunk in chunks)
@@ -227,7 +240,7 @@ class VectorIndex:
             self._snapshot = _Snapshot(
                 ids=sorted_ids,
                 chunks=live,
-                matrix=_joined(old.matrix, rows, take),
+                buckets=np.ascontiguousarray(_joined(old.buckets, rows.T, take)),
                 norms=norms,
                 safe_norms=np.where(zero, 1.0, norms),
                 zero_rows=int(zero.sum()),
@@ -270,12 +283,9 @@ class VectorIndex:
                 return []
             hit = snapshot.columns[name] == code
             mask = hit if mask is None else mask & hit
-        if mask is None:  # no copy: one product over the whole matrix
-            kept, rows, safe_norms = None, snapshot.matrix, snapshot.safe_norms
-        else:
-            kept = np.flatnonzero(mask)
-            rows, safe_norms = snapshot.matrix[kept], snapshot.safe_norms[kept]
-        if not len(rows):
+        kept = None if mask is None else np.flatnonzero(mask)
+        count = len(snapshot.ids) if kept is None else len(kept)
+        if not count:
             return []
         if snapshot.unscorable_rows:
             flagged = np.flatnonzero(snapshot.unscorable if kept is None else snapshot.unscorable[kept])
@@ -286,9 +296,19 @@ class VectorIndex:
 
         if query_norm == 0.0:
             logger.warning("search with an all-zero query vector; all scores 0")
-            scores = np.zeros(len(rows))
+            scores = np.zeros(count)
         else:
-            scores = (rows @ query) / (safe_norms * query_norm)
+            # Only the query's nonzero buckets add to a dot product, and only
+            # kept rows are read: a row the filters dropped is never multiplied.
+            nonzero = np.flatnonzero(query)
+            if kept is None:
+                dots, safe_norms = query[nonzero] @ snapshot.buckets[nonzero], snapshot.safe_norms
+            else:
+                # [i, j] is bucket nonzero[i] of row kept[j]: one take from
+                # the flat buckets, reading each bucket's kept rows in order.
+                gathered = snapshot.buckets.take(nonzero[:, None] * len(snapshot.ids) + kept)
+                dots, safe_norms = query[nonzero] @ gathered, snapshot.safe_norms[kept]
+            scores = dots / (safe_norms * query_norm)
             if snapshot.zero_rows:
                 zero_rows = (snapshot.norms if kept is None else snapshot.norms[kept]) == 0.0
                 if zero_rows.any():
@@ -326,7 +346,7 @@ class VectorIndex:
         try:
             with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
                 handle.write(json.dumps(header, ensure_ascii=False) + "\n")
-                for chunk, row in zip(snapshot.chunks, snapshot.matrix):
+                for chunk, row in zip(snapshot.chunks, snapshot.buckets.T):
                     # The record with "vector" as its last key, as json.dumps
                     # would write {**chunk.as_dict(), "vector": row.tolist()}.
                     record = json.dumps(chunk.as_dict(), ensure_ascii=False)[:-1]
@@ -350,8 +370,10 @@ class VectorIndex:
 
         A header ``dimension`` or ``count`` that is not a JSON integer
         (``dimension`` >= 1, ``count`` >= 0) is refused at offset 0, an
-        entry line that repeats an earlier ``chunk_id`` or breaks the chunk
-        record's field types (``chunking.DocumentChunk``) at its own offset,
+        entry line that repeats an earlier ``chunk_id``, breaks the chunk
+        record's field types (``chunking.DocumentChunk``) or holds a vector
+        component that is no finite float64 (``true``, ``"0.5"``, an integer
+        past float64's range) at its own offset,
         and a file whose entry lines disagree in number with the header's
         ``count`` (such as one cut at a line boundary) at its end offset.
         """
@@ -381,14 +403,22 @@ class VectorIndex:
                     try:
                         record = json.loads(raw.decode("utf-8"))
                         chunk = DocumentChunk.from_dict(record)
-                        vector = np.array(record["vector"], dtype=np.float64)
+                        vector = record["vector"]
+                        if type(vector) is not list:
+                            raise TypeError(f"vector must be an array, got {vector!r:.80}")
+                        # numpy would read true, false and "0.5" as numbers.
+                        if not set(map(type, vector)) <= {int, float}:
+                            bad = next(value for value in vector if type(value) not in (int, float))
+                            raise TypeError(f"vector components must be numbers, got {bad!r:.80}")
+                        # An integer past float64's range raises OverflowError.
+                        vector = np.array(vector, dtype=np.float64)
                         if vector.shape != (dimension,):
                             raise ValueError(
                                 f"vector has shape {vector.shape}, header says {dimension}"
                             )
                         if not np.isfinite(vector).all():
                             raise ValueError("vector entries must be finite")
-                    except (ValueError, KeyError, TypeError) as exc:
+                    except (ValueError, KeyError, TypeError, OverflowError) as exc:
                         raise IndexLoadError(offset, f"bad entry line: {exc}") from exc
                     if chunk.chunk_id in seen:
                         raise IndexLoadError(
@@ -403,6 +433,6 @@ class VectorIndex:
                 offset, f"header count {count} but the file holds {len(chunks)} entry lines"
             )
         matrix = np.array(rows, dtype=np.float64).reshape(len(rows), dimension)
-        del rows  # the per-line arrays: one copy of the vectors at a time
+        del rows  # the per-line arrays, before _merge copies the matrix bucket-major
         index._merge(chunks, matrix)
         return index

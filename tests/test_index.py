@@ -549,6 +549,61 @@ def test_filtered_search_matches_bruteforce(rows, filters, query, k):
     assert [r.score for r in found] == [cosine(by_id[cid].vector, query) for cid in expected]
 
 
+# Buckets that sparse rows and queries share often, so that dot products
+# are seldom 0; any other bucket may appear as well.
+_SHARED_BUCKETS = (0, 1, 2, 127, 128, 254, 255)
+
+
+def sparse_vectors(dimension=256):
+    buckets = st.dictionaries(
+        st.sampled_from(_SHARED_BUCKETS) | st.integers(0, dimension - 1), st.integers(-3, 3), max_size=6
+    )
+    return buckets.map(lambda values: [float(values.get(j, 0)) for j in range(dimension)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.sampled_from(["ACME", "BETA", None]),
+            st.sampled_from([2020, 2021, None]),
+            st.sampled_from(["Q1", None]),
+            st.integers(1, 3),
+            sparse_vectors(),
+            st.booleans(),  # repeat the previous row's vector
+        ),
+        min_size=1,
+        max_size=30,
+    ),
+    filters=st.lists(st.sampled_from(FILTERS), max_size=2),
+    query=sparse_vectors() | st.lists(st.integers(-3, 3).map(float), min_size=256, max_size=256),
+    k=st.integers(1, 32),
+)
+def test_sparse_search_matches_bruteforce_at_dimension_256(rows, filters, query, k):
+    # A search reads only the query's nonzero buckets of the kept rows.
+    # Small integer components keep every sum exact, so ids, scores and tie
+    # order must equal the oracle's, with or without filters, for sparse
+    # and dense queries, all-zero rows and repeated vectors. Under a filter
+    # the index also holds a row whose norm overflows float64 and that no
+    # filter in FILTERS keeps: multiplying it would warn and fail the test.
+    entries = []
+    for i, (company, year, quarter, page, vector, repeat) in enumerate(rows):
+        if repeat and entries:
+            vector = entries[-1].vector
+        entries.append(entry(f"d{i % 3}:{page}:{i}", vector, document_id=f"d{i % 3}",
+                             page_number=page, company=company, year=year, quarter=quarter))
+    index = VectorIndex(dimension=256)
+    index.upsert_many(entries)
+    if filters:
+        index.upsert(entry("huge:9:0", [1e308, 1e308] + [0.0] * 254, page_number=9,
+                           company="HUGE", year=1999, quarter="Q4"))
+    found = index.search(query, RetrievalConfig(k=k, filters=tuple(filters)))
+    expected = brute_force(entries, query, k, filters)
+    assert [r.chunk.chunk_id for r in found] == expected
+    by_id = {e.chunk.chunk_id: e for e in entries}
+    assert [r.score for r in found] == [cosine(by_id[cid].vector, query) for cid in expected]
+
+
 # --- persistence ---------------------------------------------------------------
 
 def populated_index():
@@ -765,11 +820,15 @@ def test_load_refuses_header_field_that_is_not_a_valid_integer(tmp_path, field, 
         ("chunk_id", 5),
         ("text", None),
         ("region", {"page_number": 1, "polygon": [[0, 0], [1, 0], [1, 1]]}),
+        ("compnay", "ACME"),
+        ("Company", "ACME"),
+        ("colour", None),
     ],
 )
 def test_load_refuses_mistyped_entry_field_at_its_line(tmp_path, field, value):
     # A mistyped field that loaded would fail filters silently: a year of
-    # "2013" never equals a year=2013 filter.
+    # "2013" never equals a year=2013 filter, and a misspelt "compnay"
+    # loaded as company None.
     path = tmp_path / "index.jsonl"
     populated_index().persist(path)
     lines = path.read_bytes().splitlines(keepends=True)
@@ -792,6 +851,40 @@ def test_load_refuses_entry_whose_metadata_is_no_object_at_its_line(tmp_path, me
     lines[2] = json.dumps(record).encode() + b"\n"
     path.write_bytes(b"".join(lines))
     with pytest.raises(IndexLoadError, match="metadata must be an object") as info:
+        VectorIndex.load(path)
+    assert info.value.byte_offset == len(lines[0]) + len(lines[1])
+
+
+@pytest.mark.parametrize(
+    "component",
+    [True, False, "0.5", None, [0.5], 10**400],
+    ids=["true", "false", "string", "null", "array", "int-past-float64"],
+)
+def test_load_refuses_vector_component_that_is_no_float64_at_its_line(tmp_path, component):
+    # numpy read true, false and "0.5" as 1.0, 0.0 and 0.5, and an integer
+    # past float64's range raised a bare OverflowError.
+    path = tmp_path / "index.jsonl"
+    populated_index().persist(path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    record = json.loads(lines[2])
+    record["vector"][1] = component
+    lines[2] = json.dumps(record).encode() + b"\n"
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(IndexLoadError, match="bad entry line") as info:
+        VectorIndex.load(path)
+    assert info.value.byte_offset == len(lines[0]) + len(lines[1])
+
+
+@pytest.mark.parametrize("vector", ["0.5, 1, 0", {"0": 0.5}, 0.5], ids=["string", "object", "number"])
+def test_load_refuses_vector_that_is_no_array_at_its_line(tmp_path, vector):
+    path = tmp_path / "index.jsonl"
+    populated_index().persist(path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    record = json.loads(lines[2])
+    record["vector"] = vector
+    lines[2] = json.dumps(record).encode() + b"\n"
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(IndexLoadError, match="vector must be an array") as info:
         VectorIndex.load(path)
     assert info.value.byte_offset == len(lines[0]) + len(lines[1])
 
