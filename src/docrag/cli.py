@@ -181,9 +181,7 @@ def cmd_ingest(args, config: dict) -> int:
             )
         sources[payload.document_id] = path
         chunks = split_pages(pages, chunk_size=chunk_size, attributes=payload.attributes)
-        index.upsert_many(
-            [IndexEntry(chunk=c, vector=tuple(embed(c.text, embedder))) for c in chunks]
-        )
+        index.upsert_many([IndexEntry(chunk=c, vector=embed(c.text, embedder)) for c in chunks])
     index.persist(args.index)
     print(f"indexed {len(index)} chunks from {len(sources)} documents into {args.index}")
     return 0

@@ -6,14 +6,31 @@ learned embedding (similarity is lexical overlap), but it is seeded,
 offline, and byte-reproducible, which is what the test suite and the mock
 pipeline need.
 
-A feature's bucket and sign are a pure function of the feature, so each
-embedder keeps a memo from feature to signed bucket code and hashes a
-feature only the first time it sees it. The memo is per embedder and
-bounded: it starts again once it holds ``_MEMO_LIMIT`` (2**16) features,
-about 8 MB at ~130 B a feature. One embedder may be shared between
-threads: a lookup is one dict operation, a fill checks the bound and stores
-under a lock so the bound holds exactly, and two threads that race to fill
-one feature store the same code.
+A feature's bucket and sign are a pure function of the feature, and no
+token holds whitespace (``str.split`` and the tokenizer's ``\\s`` split on
+the same characters), so a text's tokens are its words' tokens in order.
+Each embedder therefore keeps a memo of three maps:
+
+- word -> the ids of its tokens, filled from ``_features(word)`` the first
+  time a word is seen, so the tokenizer and ``str.lower`` run once per
+  distinct word, not once per token;
+- lowercased token -> id, where ``id = serial * 2 * dimension + code`` and
+  ``code`` is the unigram's signed bucket code (``2 * bucket + 1`` if the
+  feature adds, ``2 * bucket`` if it subtracts), so ``id % (2 * dimension)``
+  is the unigram's code and ``id // (2 * dimension)`` its serial;
+- the serials of two adjacent tokens, ``serial_a << 32 | serial_b`` ->
+  the code of their bigram ``"a\\x1fb"``, hashed the first time the pair is
+  seen. A key needs serials below 2**31, which holds for any dimension:
+  the memo holds at most ``_MEMO_LIMIT`` entries plus one text's own.
+
+A text then costs one ``str.split``, one dict lookup per word and one per
+adjacent token pair. The memo is per embedder and bounded: between calls
+it holds at most ``_MEMO_LIMIT`` (2**16) entries across the three maps; a
+call may pass the bound by its own text's words, tokens and pairs, and then
+the whole memo is dropped. One embedder may be shared between threads:
+ids are assigned under a lock, a call keeps the memo it started with (a
+drop swaps in an empty one and never empties that), and two threads that
+race to fill one word or pair store the same value.
 Each term of a bucket's sum is +1 or -1, so summing the codes with one
 ``np.bincount`` gives exactly the floats a sequential sum would, and the
 vectors are the same bits as hashing every occurrence.
@@ -24,6 +41,7 @@ from __future__ import annotations
 import hashlib
 import math
 import threading
+from itertools import chain
 
 import numpy as np
 
@@ -38,30 +56,71 @@ DEFAULT_DIMENSION = 256
 # tokenizer) is a constant.
 _HASH_KEY = b"docrag-hash-v1"
 
-# Most features one embedder's memo holds before it is cleared.
+# Most entries one embedder's memo holds between calls.
 _MEMO_LIMIT = 2**16
 
+# The bigram feature of two adjacent lowercased tokens.
+_bigram = "{}\x1f{}".format
 
-class _FeatureCodes(dict):
-    """feature -> 2 * bucket + (1 if the feature adds, 0 if it subtracts)."""
+_LOW = 2**32 - 1  # the second serial of a pair key
 
-    def __init__(self, dimension: int):
+
+def _code(feature: str, dimension: int) -> int:
+    """``feature``'s signed bucket code: 2 * bucket, plus 1 if it adds."""
+    # "surrogatepass" changes no valid text's bytes; it lets a lone
+    # surrogate (which a JSON "\ud800" escape yields) hash instead of raise.
+    data = feature.encode("utf-8", "surrogatepass")
+    digest = hashlib.blake2b(data, key=_HASH_KEY, digest_size=8).digest()
+    bucket = int.from_bytes(digest, "big")
+    return (bucket >> 1) % dimension * 2 + (bucket & 1)
+
+
+class _Filled(dict):
+    """A dict that computes a missing key's value with ``fill``, stores it
+    and returns it."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
         super().__init__()
-        self.dimension = dimension
-        self._fill = threading.Lock()  # makes the bound check and the store one step
+        self.fill = fill
 
-    def __missing__(self, feature: str) -> int:
-        # "surrogatepass" changes no valid text's bytes; it lets a lone
-        # surrogate (which a JSON "\ud800" escape yields) hash instead of raise.
-        data = feature.encode("utf-8", "surrogatepass")
-        digest = hashlib.blake2b(data, key=_HASH_KEY, digest_size=8).digest()
-        bucket = int.from_bytes(digest, "big")
-        code = (bucket >> 1) % self.dimension * 2 + (bucket & 1)
-        with self._fill:
-            if len(self) >= _MEMO_LIMIT:
-                self.clear()
-            self[feature] = code
-        return code
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
+class _Memo:
+    """One generation of an embedder's memo (see the module docstring)."""
+
+    def __init__(self, embedder: "HashingEmbedder"):
+        self.embedder = embedder
+        self.span = 2 * embedder.dimension
+        self.words = _Filled(self._word_ids)  # word -> its tokens' ids
+        self.ids: dict[str, int] = {}  # lowercased token -> id
+        self.tokens: list[str] = []  # serial -> lowercased token
+        self.pairs = _Filled(self._bigram_code)  # pair key -> the bigram's code
+        self._lock = threading.Lock()  # gives each token one id
+
+    def __len__(self) -> int:
+        return len(self.words) + len(self.ids) + len(self.pairs)
+
+    def _word_ids(self, word: str) -> tuple[int, ...]:
+        features = self.embedder._features(word)
+        tokens = features[: (len(features) + 1) // 2]  # t tokens, then t - 1 bigrams
+        ids = []
+        with self._lock:
+            for token in tokens:
+                token_id = self.ids.get(token)
+                if token_id is None:
+                    token_id = len(self.tokens) * self.span + _code(token, self.embedder.dimension)
+                    self.ids[token] = token_id
+                    self.tokens.append(token)
+                ids.append(token_id)
+        return tuple(ids)
+
+    def _bigram_code(self, key: int) -> int:
+        return _code(_bigram(self.tokens[key >> 32], self.tokens[key & _LOW]), self.embedder.dimension)
 
 
 class HashingEmbedder:
@@ -72,21 +131,27 @@ class HashingEmbedder:
             raise ValueError("dimension must be >= 1")
         self.dimension = dimension
         self.tag = f"feature-hash-v1-{dimension}"
-        self._codes = _FeatureCodes(dimension)
+        self._memo = _Memo(self)
 
     def _features(self, text: str) -> list[str]:
         # Lowercase each token, never the text first: "İ".lower() is "i" plus a
         # combining mark, which the tokenizer would cut into two tokens.
         tokens = list(map(str.lower, DEFAULT_TOKENIZER.tokens(text)))
         features = list(tokens)
-        features.extend(f"{a}\x1f{b}" for a, b in zip(tokens, tokens[1:]))
+        features.extend(map(_bigram, tokens, tokens[1:]))
         return features
 
     def embed(self, text: str) -> EmbeddingVector:
         """Empty input embeds to the zero vector (flagged downstream)."""
-        features = self._features(text)
-        codes = np.fromiter(map(self._codes.__getitem__, features), np.intp, len(features))
-        counts = np.bincount(codes, minlength=2 * self.dimension)
+        memo = self._memo  # this call's generation, whatever another thread swaps in
+        span = memo.span
+        ids = np.fromiter(chain.from_iterable(map(memo.words.__getitem__, text.split())), np.int64)
+        serials = ids // span
+        keys = (serials[:-1] << 32 | serials[1:]).tolist()
+        bigrams = np.fromiter(map(memo.pairs.__getitem__, keys), np.int64, len(keys))
+        if len(memo) > _MEMO_LIMIT and self._memo is memo:
+            self._memo = _Memo(self)  # two racing threads at worst drop a fresh memo too
+        counts = np.bincount(np.concatenate((ids % span, bigrams)), minlength=span)
         values = counts[1::2] - counts[0::2]
         norm = math.sqrt(int(values @ values))
         if norm == 0.0:

@@ -3,11 +3,13 @@
 A deliberate non-ANN design: corpora here are thousands of chunks, and an
 exact scan of every kept row is both fast enough and oracle-testable. A
 snapshot holds each chunk once, in ascending chunk_id order: its id, the
-chunk, and its vector as a column of one float64 array stored bucket-major
-(dimension x rows), with the row norms beside it. Hashed feature vectors
-are sparse (a question of t tokens has at most 2t - 1 nonzero buckets), so
-a search reads only the query's nonzero buckets, and of those only the
-rows its filters keep: every other component adds 0 to a dot product.
+chunk, and its vector as a column of one float64 store laid out
+bucket-major (dimension x capacity), with the row norms beside it; a
+snapshot of n rows reads only the store's first n columns. Hashed
+feature vectors are sparse (a question of t tokens has at most 2t - 1
+nonzero buckets), so a search reads only the query's nonzero buckets,
+and of those only the rows its filters keep: every other component adds
+0 to a dot product.
 Chunk metadata is typed (a str, an int or None), so each field keeps a
 dict from value to code and a column of int32 codes, one per row: a
 filter is one dict lookup and a mask over a column rather than a scan
@@ -26,7 +28,16 @@ rounds the last bit, so two chunks whose exact cosines are equal may
 still be ordered by that rounding.
 
 Readers work on immutable snapshots; every write goes through one merge,
-serialized by a lock, so concurrent searches see a consistent index.
+serialized by a lock, so concurrent searches see a consistent index. A
+merge whose chunk_ids all sort after the index's last one (documents
+ingested in order) appends: it sorts only the new rows, moves no old row
+and writes the new columns into the store's spare capacity, which grows
+by a quarter when it runs out, so n rows appended in batches are copied
+O(log n) times. Those columns lie past every older snapshot's rows, so
+no reader sees them change. Any other merge (a replacement, or an id that
+sorts inside the index) rebuilds every column in chunk_id order into a
+store of exact size. An empty store grows to exact size too, so the one
+merge of ``load`` leaves no spare column.
 Persistence is JSON-lines with a header line, written atomically and
 synced to disk before it replaces the old file.
 """
@@ -36,6 +47,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import numbers
 import os
 import threading
 from bisect import bisect_left
@@ -75,8 +87,18 @@ class IndexEntry:
     vector: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "vector", tuple(map(float, self.vector)))
-        if not all(map(math.isfinite, self.vector)):
+        vector = tuple(self.vector)
+        # One pass over the components' types, as VectorIndex.load makes:
+        # float() alone would read "0.5" and True as numbers.
+        kinds = set(map(type, vector))
+        if not kinds <= {float}:
+            for kind in kinds:
+                if kind is bool or not issubclass(kind, numbers.Real):
+                    bad = next(value for value in vector if type(value) is kind)
+                    raise TypeError(f"vector components must be real numbers, got {bad!r:.80}")
+            vector = tuple(map(float, vector))
+        object.__setattr__(self, "vector", vector)
+        if not all(map(math.isfinite, vector)):
             raise ValueError("vector entries must be finite")
 
 
@@ -117,6 +139,21 @@ def _joined(old: np.ndarray, new: np.ndarray, take: np.ndarray | None) -> np.nda
     return joined if take is None else joined.take(take, axis=-1)
 
 
+def _appended(snapshot: _Snapshot, rows: np.ndarray) -> np.ndarray:
+    """``snapshot``'s store with ``rows`` written into the columns after
+    its rows, in place; a store too small for them is first copied into one
+    a quarter larger, or just large enough (exact when it was empty)."""
+    store, count = snapshot.store, len(snapshot.ids)
+    total = count + len(rows)
+    if total > store.shape[1]:
+        capacity = store.shape[1]
+        grown = np.empty((store.shape[0], max(total, capacity + capacity // 4)), dtype=np.float64)
+        grown[:, :count] = store[:, :count]
+        store = grown
+    store[:, count:total] = rows.T
+    return store
+
+
 def _vector_text(row: np.ndarray) -> str:
     """``row`` as ``json.dumps`` writes a list of its floats, less the
     brackets: each value's ``repr``, taken once per distinct value. Values
@@ -127,13 +164,16 @@ def _vector_text(row: np.ndarray) -> str:
 
 
 # Snapshot shared by concurrent readers; replaced wholesale on writes.
-# Position i of every sequence, and column i of ``buckets``, describes the
+# Position i of every sequence, and column i of ``store``, describes the
 # chunk ids[i].
 @dataclass(frozen=True)
 class _Snapshot:
     ids: tuple[str, ...]
     chunks: tuple[DocumentChunk, ...]
-    buckets: np.ndarray  # dimension x rows, C-contiguous: buckets[j] is component j of every row
+    # dimension x capacity, C-contiguous: store[j, i] is component j of row i.
+    # Columns from len(ids) on are spare: an append to a later snapshot may
+    # write them, so a reader reads only the first len(ids).
+    store: np.ndarray
     norms: np.ndarray
     safe_norms: np.ndarray  # norms with 0 replaced by 1: the score divisor
     zero_rows: int  # rows whose norm is 0
@@ -143,6 +183,11 @@ class _Snapshot:
     unscorable_rows: int
     books: dict[str, dict]  # field -> {value: code}; a merge copies, never edits
     columns: dict[str, np.ndarray]  # field -> int32 code of each row
+
+    @property
+    def buckets(self) -> np.ndarray:
+        """The rows' vectors, dimension x rows: a view of the store."""
+        return self.store[:, : len(self.ids)]
 
 
 class VectorIndex:
@@ -161,7 +206,7 @@ class VectorIndex:
         self._snapshot = _Snapshot(
             ids=(),
             chunks=(),
-            buckets=np.empty((dimension, 0), dtype=np.float64),
+            store=np.empty((dimension, 0), dtype=np.float64),
             norms=np.empty((0,), dtype=np.float64),
             safe_norms=np.empty((0,), dtype=np.float64),
             zero_rows=0,
@@ -186,7 +231,7 @@ class VectorIndex:
         position = bisect_left(snapshot.ids, chunk_id)
         if position == len(snapshot.ids) or snapshot.ids[position] != chunk_id:
             return None
-        return IndexEntry(chunk=snapshot.chunks[position], vector=snapshot.buckets[:, position].tolist())
+        return IndexEntry(chunk=snapshot.chunks[position], vector=snapshot.store[:, position].tolist())
 
     def upsert(self, entry: IndexEntry) -> None:
         """Store an entry; a repeated chunk_id replaces the prior entry."""
@@ -206,25 +251,40 @@ class VectorIndex:
     def _merge(self, chunks: Sequence[DocumentChunk], rows: np.ndarray) -> None:
         """Publish the current snapshot plus ``chunks`` (``rows`` holds their
         vectors); for a repeated chunk_id the last row wins. Only the new
-        chunks' metadata is encoded; old codes are reordered with the rows.
+        chunks are normed and their metadata encoded. An append (see the
+        module docstring) also sorts only the new chunks; a rebuild sorts
+        every id and reorders the old rows' codes with the rows.
         ``rows`` is row-major: the norm of a strided row sums in another
         order and can differ in the last bit."""
+        new_ids = [chunk.chunk_id for chunk in chunks]
+        last = {chunk_id: position for position, chunk_id in enumerate(new_ids)}
+        block = sorted(last)
+        if not block:
+            return
+        if block != new_ids:  # keep each id's last row, in id order
+            order = [last[chunk_id] for chunk_id in block]
+            chunks, rows = [chunks[p] for p in order], rows[order]
         with self._write_lock:
             old = self._snapshot
-            ids = old.ids + tuple(chunk.chunk_id for chunk in chunks)
-            last = {chunk_id: position for position, chunk_id in enumerate(ids)}
-            sorted_ids = tuple(sorted(last))
-            order = [last[chunk_id] for chunk_id in sorted_ids]
-            # Rows that arrive unrepeated and in id order stay where they are.
-            take = None if sorted_ids == ids else np.array(order, dtype=np.intp)
-            all_chunks = old.chunks + tuple(chunks)
-            live = tuple(all_chunks[p] for p in order)
+            ids = old.ids + tuple(block)
+            if not old.ids or old.ids[-1] < block[0]:
+                take = None
+                live = old.chunks + tuple(chunks)
+                store = _appended(old, rows)
+            else:  # a replacement, or an id that sorts inside the index
+                last = {chunk_id: position for position, chunk_id in enumerate(ids)}
+                ids = tuple(sorted(last))
+                order = [last[chunk_id] for chunk_id in ids]
+                take = np.array(order, dtype=np.intp)
+                every = old.chunks + tuple(chunks)
+                live = tuple(every[p] for p in order)
+                store = _joined(old.buckets, rows.T, take)
             books, columns = {}, {}
             for name in _FIELDS:
                 book = books[name] = dict(old.books[name])
                 codes = _encode(book, [getattr(chunk.metadata, name) for chunk in chunks])
                 columns[name] = _joined(old.columns[name], codes, take)
-                if len(book) > 2 * len(sorted_ids):
+                if len(book) > 2 * len(ids):
                     # Mostly values of replaced rows: encode the live rows
                     # afresh (at most once per len(rows) values added).
                     book = books[name] = {}
@@ -238,9 +298,9 @@ class VectorIndex:
             unscorable = _joined(old.unscorable, flags, take)
             zero = norms == 0.0
             self._snapshot = _Snapshot(
-                ids=sorted_ids,
+                ids=ids,
                 chunks=live,
-                buckets=np.ascontiguousarray(_joined(old.buckets, rows.T, take)),
+                store=store,
                 norms=norms,
                 safe_norms=np.where(zero, 1.0, norms),
                 zero_rows=int(zero.sum()),
@@ -306,7 +366,8 @@ class VectorIndex:
             else:
                 # [i, j] is bucket nonzero[i] of row kept[j]: one take from
                 # the flat buckets, reading each bucket's kept rows in order.
-                gathered = snapshot.buckets.take(nonzero[:, None] * len(snapshot.ids) + kept)
+                stride = snapshot.store.shape[1]
+                gathered = snapshot.store.take(nonzero[:, None] * stride + kept)
                 dots, safe_norms = query[nonzero] @ gathered, snapshot.safe_norms[kept]
             scores = dots / (safe_norms * query_norm)
             if snapshot.zero_rows:

@@ -171,6 +171,39 @@ def test_property_warm_memo_matches_reference(texts):
         assert _WARM.embed(text) == reference_embed(text, 64)
 
 
+# Every separator str.split() knows (the tokenizer's \s is the same set),
+# characters that case-fold or tokenize unusually, and lone surrogates.
+_SEPARATORS = [chr(c) for c in range(0x3001) if chr(c).isspace()]
+_SPLIT_TRAPS = st.text(
+    alphabet=st.one_of(
+        st.sampled_from(_SEPARATORS + ["_", "İ", "ß", "\ud800", "\udfff", "a", "1", "%"]),
+        st.characters(),
+    ),
+    max_size=120,
+)
+
+# 2**17 buckets with more than 2**13 tokens in the memo: an id
+# (serial * 2 * dimension + code) then passes 2**31, so a pair key made by
+# shifting whole ids, rather than serials, would leave int64.
+_WIDE = HashingEmbedder(dimension=2**17)
+_WIDE.embed(" ".join(f"t{n}" for n in range(9000)))
+_SPLIT_EMBEDDERS = [HashingEmbedder(dimension=1), HashingEmbedder(dimension=256), _WIDE]
+
+
+@settings(max_examples=150)
+@given(_SPLIT_TRAPS, st.sampled_from(range(len(_SPLIT_EMBEDDERS))))
+def test_property_word_memo_matches_reference(text, which):
+    embedder = _SPLIT_EMBEDDERS[which]
+    assert embedder.embed(text) == reference_embed(text, embedder.dimension)
+
+
+def test_separators_are_the_tokenizers_whitespace():
+    assert "".join(_SEPARATORS).split() == []
+    for separator in _SEPARATORS:
+        assert DEFAULT_TOKENIZER.tokens(f"a{separator}b") == ["a", "b"]
+    assert {"\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", " ", "\u3000"} <= set(_SEPARATORS)
+
+
 def test_lowercases_each_token_not_the_text():
     # "İSTANBUL".lower() tokenizes as "i", "\u0307", "stanbul"; per token it is one.
     embedder = HashingEmbedder()
@@ -187,21 +220,35 @@ def test_lone_surrogate_hashes_like_the_reference():
 def test_memo_is_per_embedder():
     warm = HashingEmbedder()
     warm.embed("revenue growth in asia")
-    assert len(warm._codes) == 7
-    assert len(HashingEmbedder()._codes) == 0
+    assert len(warm._memo) == 4 + 4 + 3  # words, tokens, adjacent token pairs
+    assert len(HashingEmbedder()._memo) == 0
+
+
+def test_features_run_once_per_distinct_word(monkeypatch):
+    embedder = HashingEmbedder()
+    seen = []
+    features = embedder._features
+    monkeypatch.setattr(embedder, "_features", lambda word: seen.append(word) or features(word))
+    text = "Revenue rose; revenue rose 6% (Revenue)"
+    assert embedder.embed(text) == reference_embed(text, 256)
+    assert sorted(seen) == sorted(set(text.split()))
+    embedder.embed(text)
+    embedder.embed("rose; 6%")
+    assert len(seen) == len(set(text.split()))
 
 
 def test_memo_stays_bounded_and_vectors_unchanged():
     limit = embedding._MEMO_LIMIT
-    words = [f"w{n}" for n in range(limit)]  # limit unigrams + limit - 1 bigrams
+    words = [f"w{n}" for n in range(limit)]  # limit words and tokens, limit - 1 pairs
     flood = " ".join(words)
     probes = _PINNED_TEXTS + ["revenue growth in asia", flood[:5000]]
     embedder = HashingEmbedder(dimension=32)
     before = [embedder.embed(text) for text in probes]
+    assert 0 < len(embedder._memo) <= limit
     assert embedder.embed(flood) == reference_embed(flood, 32)
-    assert 0 < len(embedder._codes) <= limit
+    assert len(embedder._memo) <= limit
     embedder.embed(" ".join(reversed(words)))
-    assert len(embedder._codes) <= limit
+    assert len(embedder._memo) <= limit
     assert [embedder.embed(text) for text in probes] == before
     assert before == [reference_embed(text, 32) for text in probes]
 
@@ -232,4 +279,4 @@ def test_threads_sharing_one_embedder_match_serial(corpus, monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert all(result == serial * 5 for result in results)
-    assert len(shared._codes) <= 64
+    assert len(shared._memo) <= 64

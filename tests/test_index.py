@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import os
@@ -6,7 +7,9 @@ import re
 import stat
 import sys
 import threading
+from decimal import Decimal
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -168,6 +171,28 @@ def test_upsert_rejects_wrong_dimension():
 def test_entry_rejects_non_finite_vector():
     with pytest.raises(ValueError):
         entry("a:1:0", [1.0, float("inf")])
+
+
+@pytest.mark.parametrize(
+    "component",
+    ["0.5", True, False, None, np.bool_(True), [0.5], 1j, Decimal("0.5")],
+    ids=["string", "true", "false", "none", "numpy-bool", "list", "complex", "decimal"],
+)
+def test_entry_refuses_component_that_is_no_real_number(component):
+    # float() read "0.5", True and False as numbers, which VectorIndex.load refuses.
+    with pytest.raises(TypeError, match="real numbers"):
+        IndexEntry(chunk=chunk("a:1:0"), vector=(0.25, component, 0.5))
+
+
+@pytest.mark.parametrize(
+    "vector",
+    [np.array([0.5, -1.0, 2.0]), np.array([0.5, -1.0, 2.0], dtype=np.float32), [1, 0.5, -2], (0.5, -1.0, 2.0)],
+    ids=["float64-row", "float32-row", "ints", "floats"],
+)
+def test_entry_keeps_real_components_as_floats(vector):
+    stored = IndexEntry(chunk=chunk("a:1:0"), vector=vector).vector
+    assert stored == tuple(float(value) for value in vector)
+    assert {type(value) for value in stored} == {float}
 
 
 def test_index_dimension_must_be_positive():
@@ -970,6 +995,98 @@ _FINITE = st.one_of(
 def test_property_persisted_lines_equal_json_dumps(tmp_path_factory, rows):
     _, lines, expected = persisted_lines(tmp_path_factory.mktemp("index"), rows)
     assert lines == expected
+
+
+# --- merges: appends into spare capacity, rebuilds otherwise ------------------
+
+_MERGE_QUERIES = [
+    ([1, 0, -1], ()),
+    ([0, 2, 1], (("company", "ACME"),)),
+    ([-1, 1, 1], (("page_number", 2), ("company", "BETA"))),
+]
+
+
+def _merge_view(index, directory):
+    path = directory / "index.jsonl"
+    index.persist(path)
+    searches = [index.search(query, RetrievalConfig(k=50, filters=filters)) for query, filters in _MERGE_QUERIES]
+    return path.read_bytes(), index.chunk_ids(), searches
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.integers(0, 12),  # document: ids repeat, and arrive in any order
+            st.integers(1, 2),
+            st.sampled_from(["ACME", "BETA"]),
+            st.lists(st.integers(-3, 3), min_size=3, max_size=3),
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+    in_order=st.booleans(),
+    cuts=st.lists(st.integers(0, 40), max_size=8),
+)
+def test_any_split_into_batches_merges_like_one_batch(tmp_path_factory, rows, in_order, cuts):
+    entries = [
+        entry(f"d{document:02d}:{page}:0", vector, company=company, page_number=page)
+        for document, page, company, vector in rows
+    ]
+    if in_order:  # every batch appends, unless a batch repeats an id
+        entries.sort(key=lambda e: e.chunk.chunk_id)
+    whole = VectorIndex(dimension=3)
+    whole.upsert_many(entries)
+    split = VectorIndex(dimension=3)
+    bounds = [0, *sorted(set(cuts)), len(entries)]
+    for start, end in zip(bounds, bounds[1:]):
+        split.upsert_many(entries[start:end])
+    directory = tmp_path_factory.mktemp("merge")
+    assert _merge_view(split, directory) == _merge_view(whole, directory)
+
+
+def test_held_snapshot_ignores_later_appends():
+    # A reader keeps the snapshot it started with; appends write the store's
+    # spare columns, which that snapshot never reads.
+    index = VectorIndex(dimension=3)
+    for batch in range(8):
+        index.upsert_many([entry(f"a{batch}:1:{i}", [1.0, i, batch], company="ACME") for i in range(5)])
+    index.upsert_many([entry("a9:1:0", [0.0, 1.0, 1.0], company="BETA")])
+    held = copy.copy(index)  # shares the snapshot, as a search in flight does
+    assert held._snapshot.store.shape[1] > len(held)  # spare columns to append into
+    config = RetrievalConfig(k=50)
+    acme = RetrievalConfig(k=50, filters=(("company", "ACME"),))
+
+    def view():
+        return held.search([1.0, -1.0, 1.0], config), held.search([0.0, 1.0, 0.0], acme), held.get("a3:1:3")
+
+    before = view()
+    index.upsert_many([entry("b00:1:0", [5.0, -1.0, 3.0], company="ACME")])
+    assert index._snapshot.store is held._snapshot.store  # the append wrote into it
+    assert view() == before
+    for batch in range(1, 40):
+        index.upsert_many([entry(f"b{batch:02d}:1:{i}", [5.0, -i, 3.0], company="ACME") for i in range(3)])
+    assert view() == before
+    assert held.get("b00:1:0") is None and len(held) == 41 and len(index) == 159
+
+
+def test_appending_20k_rows_in_batches_reallocates_the_store_log_n_times():
+    # 20,160 rows, 36 at a time: the store is copied only when it is full,
+    # into one a quarter larger, so the old columns are copied O(log n)
+    # times rather than once per batch.
+    index = VectorIndex(dimension=2)
+    rows, batch = 20_160, 36
+    store, reallocations = index._snapshot.store, 0
+    for start in range(0, rows, batch):
+        index.upsert_many(
+            [entry(f"d{n // batch:04d}:1:{n % batch:02d}", [1.0, n]) for n in range(start, start + batch)]
+        )
+        if index._snapshot.store is not store:
+            store, reallocations = index._snapshot.store, reallocations + 1
+    assert len(index) == rows
+    assert store.shape[1] < 1.25 * rows
+    assert reallocations <= math.log(rows / batch, 1.25) + 5  # 27 here; one per batch would be 560
+    assert index.get("d0007:1:05").vector == (1.0, 7 * batch + 5)
 
 
 # --- concurrency ------------------------------------------------------------------
