@@ -52,6 +52,8 @@ class QAExample:
     filters: tuple[tuple[str, object], ...] = field(default_factory=tuple)
 
     def __post_init__(self):
+        if not self.question:  # build_prompt refuses it; say so before any call
+            raise ValueError("question must be non-empty")
         if self.reference_count < 1:
             raise ValueError("reference_count must be >= 1")
         object.__setattr__(self, "filters", tuple((f, v) for f, v in self.filters))

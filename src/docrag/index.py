@@ -4,8 +4,7 @@ A deliberate non-ANN design: corpora here are thousands of chunks, and an
 exact scan of every kept row is both fast enough and oracle-testable. A
 snapshot holds each chunk once, in ascending chunk_id order: its id, the
 chunk, and its vector as a column of one float64 store laid out
-bucket-major (dimension x capacity), with the row norms beside it; a
-snapshot of n rows reads only the store's first n columns. Hashed
+bucket-major (dimension x rows), with the row norms beside it. Hashed
 feature vectors are sparse (a question of t tokens has at most 2t - 1
 nonzero buckets), so a search reads only the query's nonzero buckets,
 and of those only the rows its filters keep: every other component adds
@@ -27,17 +26,19 @@ computed float64 score: which buckets are summed, and in what order,
 rounds the last bit, so two chunks whose exact cosines are equal may
 still be ordered by that rounding.
 
-Readers work on immutable snapshots; every write goes through one merge,
-serialized by a lock, so concurrent searches see a consistent index. A
-merge whose chunk_ids all sort after the index's last one (documents
-ingested in order) appends: it sorts only the new rows, moves no old row
-and writes the new columns into the store's spare capacity, which grows
-by a quarter when it runs out, so n rows appended in batches are copied
-O(log n) times. Those columns lie past every older snapshot's rows, so
-no reader sees them change. Any other merge (a replacement, or an id that
-sorts inside the index) rebuilds every column in chunk_id order into a
-store of exact size. An empty store grows to exact size too, so the one
-merge of ``load`` leaves no spare column.
+Every per-row column (the ids, the chunks, the store, the norms, one code
+column per metadata field) and each field's value-to-code dict is only
+appended to. A snapshot is a row count plus references to them, and a reader
+reads only the first ``count`` entries of each, so a snapshot held by a
+search stays valid while later writes append. Writes are serialized by a
+lock and take one path: write the new rows past the current count, then
+publish a snapshot with the larger count. A column too small for them is
+first copied into one a quarter larger (exact size when it is empty, so
+the one merge of ``load`` leaves no spare entry), so n rows appended in
+batches are copied O(log n) times. A merge whose chunk_ids all sort after
+the index's last one (documents ingested in order) appends as it comes;
+any other (a replacement, or an id that sorts inside the index) gathers
+every live row in chunk_id order and appends it to fresh, empty columns.
 Persistence is JSON-lines with a header line, written atomically and
 synced to disk before it replaces the old file.
 """
@@ -108,6 +109,8 @@ class RetrievalConfig:
     filters: tuple[tuple[str, object], ...] = field(default_factory=tuple)
 
     def __post_init__(self):
+        if type(self.k) is not int:  # the config key's rule: True and 2.5 are refused
+            raise ValueError(f"k must be an integer, got {self.k!r}")
         if self.k < 1:
             raise ValueError("k must be >= 1")
         object.__setattr__(self, "filters", tuple((f, v) for f, v in self.filters))
@@ -125,33 +128,16 @@ class RetrievalResult:
 _FIELDS = tuple(f.name for f in fields(ChunkMetadata))
 
 
-def _encode(book: dict, values: Sequence) -> np.ndarray:
-    """The codes of ``values`` in ``book``, giving each new value the next code."""
-    return np.array([book.setdefault(value, len(book)) for value in values], dtype=np.int32)
-
-
-def _joined(old: np.ndarray, new: np.ndarray, take: np.ndarray | None) -> np.ndarray:
-    """``new``'s rows after ``old``'s, then the rows ``take`` (None: all);
-    the last axis counts the rows."""
-    joined = np.concatenate([old, new], axis=-1) if old.shape[-1] else new
-    # take keeps joined C-ordered; joined[..., take] would not, and a copy
-    # to restore the order would cost a second array per merge.
-    return joined if take is None else joined.take(take, axis=-1)
-
-
-def _appended(snapshot: _Snapshot, rows: np.ndarray) -> np.ndarray:
-    """``snapshot``'s store with ``rows`` written into the columns after
-    its rows, in place; a store too small for them is first copied into one
-    a quarter larger, or just large enough (exact when it was empty)."""
-    store, count = snapshot.store, len(snapshot.ids)
-    total = count + len(rows)
-    if total > store.shape[1]:
-        capacity = store.shape[1]
-        grown = np.empty((store.shape[0], max(total, capacity + capacity // 4)), dtype=np.float64)
-        grown[:, :count] = store[:, :count]
-        store = grown
-    store[:, count:total] = rows.T
-    return store
+def _grown(column: np.ndarray, count: int, total: int) -> np.ndarray:
+    """``column`` if its last axis holds ``total`` entries, else a copy of
+    its first ``count`` into one a quarter larger, or just large enough
+    (exact when it was empty)."""
+    capacity = column.shape[-1]
+    if total <= capacity:
+        return column
+    grown = np.empty(column.shape[:-1] + (max(total, capacity + capacity // 4),), dtype=column.dtype)
+    grown[..., :count] = column[..., :count]
+    return grown
 
 
 def _vector_text(row: np.ndarray) -> str:
@@ -164,30 +150,78 @@ def _vector_text(row: np.ndarray) -> str:
 
 
 # Snapshot shared by concurrent readers; replaced wholesale on writes.
-# Position i of every sequence, and column i of ``store``, describes the
-# chunk ids[i].
+# Entry i of every column (column i of ``store``) describes the chunk
+# ids[i]. Columns are shared with earlier and later snapshots and only
+# appended to: entries from ``count`` on belong to no snapshot yet, so a
+# reader reads only the first ``count``.
 @dataclass(frozen=True)
 class _Snapshot:
-    ids: tuple[str, ...]
-    chunks: tuple[DocumentChunk, ...]
-    # dimension x capacity, C-contiguous: store[j, i] is component j of row i.
-    # Columns from len(ids) on are spare: an append to a later snapshot may
-    # write them, so a reader reads only the first len(ids).
-    store: np.ndarray
+    count: int
+    ids: list[str]
+    chunks: list[DocumentChunk]
+    store: np.ndarray  # dimension x capacity, C-contiguous: store[j, i] is component j of row i
     norms: np.ndarray
-    safe_norms: np.ndarray  # norms with 0 replaced by 1: the score divisor
     zero_rows: int  # rows whose norm is 0
     # Rows no cosine can be computed for: the norm overflowed float64 to
     # inf, or underflowed to 0 although some component is nonzero.
-    unscorable: np.ndarray
     unscorable_rows: int
-    books: dict[str, dict]  # field -> {value: code}; a merge copies, never edits
+    books: dict[str, dict]  # field -> {value: code}
     columns: dict[str, np.ndarray]  # field -> int32 code of each row
 
     @property
     def buckets(self) -> np.ndarray:
         """The rows' vectors, dimension x rows: a view of the store."""
-        return self.store[:, : len(self.ids)]
+        return self.store[:, : self.count]
+
+
+def _empty(dimension: int) -> _Snapshot:
+    return _Snapshot(
+        count=0,
+        ids=[],
+        chunks=[],
+        store=np.empty((dimension, 0), dtype=np.float64),
+        norms=np.empty((0,), dtype=np.float64),
+        zero_rows=0,
+        unscorable_rows=0,
+        books={name: {} for name in _FIELDS},
+        columns={name: np.empty((0,), dtype=np.int32) for name in _FIELDS},
+    )
+
+
+def _appended(old: _Snapshot, chunks: Sequence[DocumentChunk], rows: np.ndarray) -> _Snapshot:
+    """``old`` followed by ``chunks``, whose ids sort after its last one;
+    ``rows`` (row-major: the norm of a strided row sums in another order
+    and can differ in the last bit) holds their vectors. Each column is
+    written past ``old.count``, the lists last, so an append that fails
+    part-way leaves nothing a later one reads."""
+    count = old.count
+    total = count + len(chunks)
+    store = _grown(old.store, count, total)
+    store[:, count:total] = rows.T
+    with np.errstate(over="ignore"):  # a norm past float64's range is inf
+        new_norms = np.linalg.norm(rows, axis=1)
+    norms = _grown(old.norms, count, total)
+    norms[count:total] = new_norms
+    zero = new_norms == 0.0  # rare: scan only those rows for a nonzero component
+    unscorable = int(np.isinf(new_norms).sum()) + int(rows[zero].any(axis=1).sum())
+    columns = {}
+    for name in _FIELDS:
+        book = old.books[name]
+        column = columns[name] = _grown(old.columns[name], count, total)
+        column[count:total] = [book.setdefault(getattr(chunk.metadata, name), len(book)) for chunk in chunks]
+    old.ids[count:] = [chunk.chunk_id for chunk in chunks]
+    old.chunks[count:] = chunks
+    return _Snapshot(
+        count=total,
+        ids=old.ids,
+        chunks=old.chunks,
+        store=store,
+        norms=norms,
+        zero_rows=old.zero_rows + int(zero.sum()),
+        unscorable_rows=old.unscorable_rows + unscorable,
+        books=old.books,
+        columns=columns,
+    )
 
 
 class VectorIndex:
@@ -203,33 +237,24 @@ class VectorIndex:
         self.tokenizer_tag = tokenizer_tag
         self.provider_tag = provider_tag
         self._write_lock = threading.Lock()
-        self._snapshot = _Snapshot(
-            ids=(),
-            chunks=(),
-            store=np.empty((dimension, 0), dtype=np.float64),
-            norms=np.empty((0,), dtype=np.float64),
-            safe_norms=np.empty((0,), dtype=np.float64),
-            zero_rows=0,
-            unscorable=np.empty((0,), dtype=bool),
-            unscorable_rows=0,
-            books={name: {} for name in _FIELDS},
-            columns={name: np.empty((0,), dtype=np.int32) for name in _FIELDS},
-        )
+        self._snapshot = _empty(dimension)
 
     def __len__(self) -> int:
-        return len(self._snapshot.ids)
+        return self._snapshot.count
 
     def chunk_ids(self) -> tuple[str, ...]:
-        return self._snapshot.ids
+        snapshot = self._snapshot
+        return tuple(snapshot.ids[: snapshot.count])
 
     def chunks(self) -> tuple[DocumentChunk, ...]:
         """Every chunk, in chunk_id order."""
-        return self._snapshot.chunks
+        snapshot = self._snapshot
+        return tuple(snapshot.chunks[: snapshot.count])
 
     def get(self, chunk_id: str) -> IndexEntry | None:
         snapshot = self._snapshot
-        position = bisect_left(snapshot.ids, chunk_id)
-        if position == len(snapshot.ids) or snapshot.ids[position] != chunk_id:
+        position = bisect_left(snapshot.ids, chunk_id, 0, snapshot.count)
+        if position == snapshot.count or snapshot.ids[position] != chunk_id:
             return None
         return IndexEntry(chunk=snapshot.chunks[position], vector=snapshot.store[:, position].tolist())
 
@@ -250,12 +275,9 @@ class VectorIndex:
 
     def _merge(self, chunks: Sequence[DocumentChunk], rows: np.ndarray) -> None:
         """Publish the current snapshot plus ``chunks`` (``rows`` holds their
-        vectors); for a repeated chunk_id the last row wins. Only the new
-        chunks are normed and their metadata encoded. An append (see the
-        module docstring) also sorts only the new chunks; a rebuild sorts
-        every id and reorders the old rows' codes with the rows.
-        ``rows`` is row-major: the norm of a strided row sums in another
-        order and can differ in the last bit."""
+        vectors, row-major); for a repeated chunk_id the last row wins. An
+        append (see the module docstring) sorts, norms and encodes only the
+        new chunks; a rebuild appends every live row to empty columns."""
         new_ids = [chunk.chunk_id for chunk in chunks]
         last = {chunk_id: position for position, chunk_id in enumerate(new_ids)}
         block = sorted(last)
@@ -266,49 +288,16 @@ class VectorIndex:
             chunks, rows = [chunks[p] for p in order], rows[order]
         with self._write_lock:
             old = self._snapshot
-            ids = old.ids + tuple(block)
-            if not old.ids or old.ids[-1] < block[0]:
-                take = None
-                live = old.chunks + tuple(chunks)
-                store = _appended(old, rows)
-            else:  # a replacement, or an id that sorts inside the index
-                last = {chunk_id: position for position, chunk_id in enumerate(ids)}
-                ids = tuple(sorted(last))
-                order = [last[chunk_id] for chunk_id in ids]
-                take = np.array(order, dtype=np.intp)
-                every = old.chunks + tuple(chunks)
-                live = tuple(every[p] for p in order)
-                store = _joined(old.buckets, rows.T, take)
-            books, columns = {}, {}
-            for name in _FIELDS:
-                book = books[name] = dict(old.books[name])
-                codes = _encode(book, [getattr(chunk.metadata, name) for chunk in chunks])
-                columns[name] = _joined(old.columns[name], codes, take)
-                if len(book) > 2 * len(ids):
-                    # Mostly values of replaced rows: encode the live rows
-                    # afresh (at most once per len(rows) values added).
-                    book = books[name] = {}
-                    columns[name] = _encode(book, [getattr(chunk.metadata, name) for chunk in live])
-            with np.errstate(over="ignore"):  # a norm past float64's range is inf
-                new_norms = np.linalg.norm(rows, axis=1)
-            norms = _joined(old.norms, new_norms, take)
-            flags = np.isinf(new_norms)
-            zero_new = new_norms == 0.0  # rare: scan only those rows for a nonzero component
-            flags[zero_new] = rows[zero_new].any(axis=1)
-            unscorable = _joined(old.unscorable, flags, take)
-            zero = norms == 0.0
-            self._snapshot = _Snapshot(
-                ids=ids,
-                chunks=live,
-                store=store,
-                norms=norms,
-                safe_norms=np.where(zero, 1.0, norms),
-                zero_rows=int(zero.sum()),
-                unscorable=unscorable,
-                unscorable_rows=int(unscorable.sum()),
-                books=books,
-                columns=columns,
-            )
+            if old.count and old.ids[old.count - 1] >= block[0]:
+                # A replacement, or an id that sorts inside the index.
+                every = old.chunks[: old.count] + list(chunks)
+                last = {chunk.chunk_id: position for position, chunk in enumerate(every)}
+                order = [last[chunk_id] for chunk_id in sorted(last)]
+                chunks = [every[p] for p in order]
+                # take returns a C-ordered copy: the rows stay row-major.
+                rows = np.concatenate([old.buckets.T, rows]).take(order, axis=0)
+                old = _empty(self.dimension)
+            self._snapshot = _appended(old, chunks, rows)
 
     def search(self, query_vector: Sequence[float], config: RetrievalConfig) -> list[RetrievalResult]:
         """Exact top-k by cosine among entries passing every metadata filter.
@@ -341,14 +330,18 @@ class VectorIndex:
             code = snapshot.books[name].get(value)
             if code is None:  # no chunk holds this value
                 return []
-            hit = snapshot.columns[name] == code
+            hit = snapshot.columns[name][: snapshot.count] == code
             mask = hit if mask is None else mask & hit
         kept = None if mask is None else np.flatnonzero(mask)
-        count = len(snapshot.ids) if kept is None else len(kept)
+        count = snapshot.count if kept is None else len(kept)
         if not count:
             return []
+        norms = snapshot.norms[:count] if kept is None else snapshot.norms[kept]
         if snapshot.unscorable_rows:
-            flagged = np.flatnonzero(snapshot.unscorable if kept is None else snapshot.unscorable[kept])
+            flags = np.isinf(norms)
+            zero = np.flatnonzero(norms == 0.0)
+            flags[zero] = snapshot.store[:, zero if kept is None else kept[zero]].any(axis=0)
+            flagged = np.flatnonzero(flags)
             if len(flagged):
                 row = flagged[0] if kept is None else kept[flagged[0]]
                 how = "overflows" if np.isinf(snapshot.norms[row]) else "underflows"
@@ -362,19 +355,19 @@ class VectorIndex:
             # kept rows are read: a row the filters dropped is never multiplied.
             nonzero = np.flatnonzero(query)
             if kept is None:
-                dots, safe_norms = query[nonzero] @ snapshot.buckets[nonzero], snapshot.safe_norms
+                dots = query[nonzero] @ snapshot.buckets[nonzero]
             else:
                 # [i, j] is bucket nonzero[i] of row kept[j]: one take from
                 # the flat buckets, reading each bucket's kept rows in order.
                 stride = snapshot.store.shape[1]
-                gathered = snapshot.store.take(nonzero[:, None] * stride + kept)
-                dots, safe_norms = query[nonzero] @ gathered, snapshot.safe_norms[kept]
-            scores = dots / (safe_norms * query_norm)
+                dots = query[nonzero] @ snapshot.store.take(nonzero[:, None] * stride + kept)
             if snapshot.zero_rows:
-                zero_rows = (snapshot.norms if kept is None else snapshot.norms[kept]) == 0.0
+                zero_rows = norms == 0.0
                 if zero_rows.any():
                     logger.warning("%d all-zero vectors in index scored 0", int(zero_rows.sum()))
-                scores[zero_rows] = 0.0
+                scores = np.divide(dots, norms * query_norm, out=np.zeros(count), where=~zero_rows)
+            else:
+                scores = dots / (norms * query_norm)
 
         # Every row at least as good as the k-th best, then a stable sort of
         # those: rows are in chunk_id order, so ties break by id.
@@ -397,7 +390,7 @@ class VectorIndex:
         snapshot = self._snapshot
         header = {
             "dimension": self.dimension,
-            "count": len(snapshot.ids),
+            "count": snapshot.count,
             "tokenizer": self.tokenizer_tag,
             "provider": self.provider_tag,
         }
@@ -407,7 +400,7 @@ class VectorIndex:
         try:
             with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
                 handle.write(json.dumps(header, ensure_ascii=False) + "\n")
-                for chunk, row in zip(snapshot.chunks, snapshot.buckets.T):
+                for chunk, row in zip(snapshot.chunks[: snapshot.count], snapshot.buckets.T):
                     # The record with "vector" as its last key, as json.dumps
                     # would write {**chunk.as_dict(), "vector": row.tolist()}.
                     record = json.dumps(chunk.as_dict(), ensure_ascii=False)[:-1]

@@ -205,6 +205,17 @@ def test_load_dataset_refuses_filters_no_chunk_can_match(tmp_path, filters, key)
     assert key in str(info.value)
 
 
+def test_load_dataset_refuses_empty_question(tmp_path):
+    # Refused at its line, before any provider call; build_prompt would
+    # refuse it only mid-eval, with no line number.
+    good = {"question": "q", "gold_answer": "a", "difficulty": "low", "target": "text", "document_id": "d"}
+    path = tmp_path / "empty.jsonl"
+    path.write_text(json.dumps(good) + "\n" + json.dumps({**good, "question": ""}) + "\n", encoding="utf-8")
+    with pytest.raises(SchemaError, match="question must be non-empty") as info:
+        load_dataset(path)
+    assert info.value.path == "line 2"
+
+
 def test_qa_example_validation():
     with pytest.raises(ValueError):
         QAExample(

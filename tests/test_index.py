@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from docrag import index as index_module
 from docrag.chunking import ChunkMetadata, DocumentChunk
 from docrag.errors import IndexLoadError, ProviderError
 from docrag.index import (
@@ -289,6 +290,13 @@ def test_zero_query_scores_everything_zero():
 def test_retrieval_config_validation():
     with pytest.raises(ValueError):
         RetrievalConfig(k=0)
+
+
+@pytest.mark.parametrize("k", [True, 2.5, "3"])
+def test_retrieval_config_refuses_k_that_is_no_int(k):
+    # A one-row search would otherwise return a result for any of these.
+    with pytest.raises(ValueError, match=re.escape(f"k must be an integer, got {k!r}")):
+        RetrievalConfig(k=k)
 
 
 def test_result_is_plain_record():
@@ -1057,36 +1065,106 @@ def test_held_snapshot_ignores_later_appends():
     config = RetrievalConfig(k=50)
     acme = RetrievalConfig(k=50, filters=(("company", "ACME"),))
 
+    gamma = RetrievalConfig(k=50, filters=(("company", "GAMMA"),))
+
     def view():
-        return held.search([1.0, -1.0, 1.0], config), held.search([0.0, 1.0, 0.0], acme), held.get("a3:1:3")
+        return (
+            held.search([1.0, -1.0, 1.0], config),
+            held.search([0.0, 1.0, 0.0], acme),
+            held.get("a3:1:3"),
+            held.chunk_ids(),
+            held.chunks(),
+        )
 
     before = view()
-    index.upsert_many([entry("b00:1:0", [5.0, -1.0, 3.0], company="ACME")])
+    index.upsert_many([entry("b00:1:0", [5.0, -1.0, 3.0], company="GAMMA")])  # a value held never saw
     assert index._snapshot.store is held._snapshot.store  # the append wrote into it
+    assert index._snapshot.columns["company"] is held._snapshot.columns["company"]
     assert view() == before
+    assert held.search([1.0, 0.0, 0.0], gamma) == []
+    assert [r.chunk.chunk_id for r in index.search([1.0, 0.0, 0.0], gamma)] == ["b00:1:0"]
     for batch in range(1, 40):
-        index.upsert_many([entry(f"b{batch:02d}:1:{i}", [5.0, -i, 3.0], company="ACME") for i in range(3)])
+        index.upsert_many([entry(f"b{batch:02d}:1:{i}", [5.0, -i, 3.0], company="GAMMA") for i in range(3)])
     assert view() == before
+    assert held.search([1.0, 0.0, 0.0], gamma) == []
     assert held.get("b00:1:0") is None and len(held) == 41 and len(index) == 159
 
 
+def _per_row_arrays(snapshot):
+    return {"store": snapshot.store, "norms": snapshot.norms, **snapshot.columns}
+
+
 def test_appending_20k_rows_in_batches_reallocates_the_store_log_n_times():
-    # 20,160 rows, 36 at a time: the store is copied only when it is full,
-    # into one a quarter larger, so the old columns are copied O(log n)
-    # times rather than once per batch.
+    # 20,160 rows, 36 at a time: the store, the norms and each code column
+    # are copied only when full, into one a quarter larger, so the old rows
+    # are copied O(log n) times rather than once per batch.
     index = VectorIndex(dimension=2)
     rows, batch = 20_160, 36
-    store, reallocations = index._snapshot.store, 0
+    arrays = _per_row_arrays(index._snapshot)
+    reallocations = dict.fromkeys(arrays, 0)
     for start in range(0, rows, batch):
         index.upsert_many(
             [entry(f"d{n // batch:04d}:1:{n % batch:02d}", [1.0, n]) for n in range(start, start + batch)]
         )
-        if index._snapshot.store is not store:
-            store, reallocations = index._snapshot.store, reallocations + 1
+        for name, array in _per_row_arrays(index._snapshot).items():
+            if array is not arrays[name]:
+                arrays[name], reallocations[name] = array, reallocations[name] + 1
     assert len(index) == rows
-    assert store.shape[1] < 1.25 * rows
-    assert reallocations <= math.log(rows / batch, 1.25) + 5  # 27 here; one per batch would be 560
+    assert len(reallocations) == 8  # the store, the norms and six code columns
+    for name, array in arrays.items():
+        assert array.shape[-1] < 1.25 * rows, name
+        assert reallocations[name] <= math.log(rows / batch, 1.25) + 5, name  # 27; one per batch: 560
     assert index.get("d0007:1:05").vector == (1.0, 7 * batch + 5)
+
+
+@pytest.mark.parametrize("failing", range(1, 9))  # the store, the norms, then each code column
+def test_failed_append_leaves_no_trace(tmp_path, monkeypatch, failing):
+    # An append that raises part-way has written some columns past the
+    # count, into spare entries the held snapshot shares, and may have given
+    # its values codes; later merges and readers must not see any of it.
+    first = [entry(f"a{i:02d}:1:0", [1.0, i, 0.5], company="ACME", year=2013) for i in range(16)]
+    first.append(entry("a16:2:0", [0.0, 0.0, 0.0], company="BETA", year=2014))
+    ghost = [entry(f"b{i}:1:0", [0.0, 1.0, -i], company="GHOST", year=1999, section_title="lost")
+             for i in range(3)]
+    later = [entry(f"c{i}:2:0", [2.0, -i, 1.0], company="BETA", year=2014) for i in range(2)]
+    index = VectorIndex(dimension=3)
+    index.upsert_many(first[:16])
+    index.upsert_many(first[16:])
+    assert index._snapshot.store.shape[1] - len(index) >= len(ghost)  # the ghost fits in spare entries
+    grown, calls = index_module._grown, []
+
+    def failing_grown(*args):
+        calls.append(args)
+        if len(calls) == failing:
+            raise MemoryError("no room")
+        return grown(*args)
+
+    monkeypatch.setattr(index_module, "_grown", failing_grown)
+    with pytest.raises(MemoryError):
+        index.upsert_many(ghost)
+    monkeypatch.setattr(index_module, "_grown", grown)
+    assert len(index) == 17 and index.get("b0:1:0") is None
+
+    def view(built):
+        path = tmp_path / "view.jsonl"
+        built.persist(path)
+        searches = [
+            built.search([1.0, 0.5, -0.5], RetrievalConfig(k=50, filters=filters))
+            for filters in ((), (("company", "GHOST"),), (("company", "BETA"), ("year", 2014)),
+                            (("section_title", "lost"),), (("year", 2013),))
+        ]
+        return path.read_bytes(), built.chunk_ids(), built.chunks(), searches
+
+    def fresh(entries):
+        built = VectorIndex(dimension=3)
+        built.upsert_many(entries)
+        return built
+
+    index.upsert_many(later)  # an append over the ghost's entries
+    assert view(index) == view(fresh(first + later))
+    replaced = entry("a03:1:0", [-1.0, 0.0, 2.0], company="BETA", year=2014)
+    index.upsert_many([replaced])  # a rebuild
+    assert view(index) == view(fresh([*first[:3], replaced, *first[4:], *later]))
 
 
 # --- concurrency ------------------------------------------------------------------
@@ -1149,6 +1227,57 @@ def test_concurrent_upsert_many_keeps_every_id():
     assert not any(t.is_alive() for t in threads)
     expected = {f"w{w}:{b + 1}:{i}" for w in range(writers) for b in range(batches) for i in range(size)}
     assert set(index.chunk_ids()) == expected
+
+
+def test_concurrent_filtered_search_during_appends():
+    # One writer appends documents, each with a company value no reader has
+    # seen yet, into columns the readers' snapshots share; a reader must
+    # see each kept row's own chunk, code and norm, never an entry past its
+    # snapshot's count.
+    index = VectorIndex(dimension=2)
+    batches, size, readers_count = 300, 3, 3
+    problems, done = [], threading.Event()
+
+    def expected_score(chunk_id):
+        m = float(int(chunk_id.rsplit(":", 1)[1]) % 7)
+        return (1.0 + 0.5 * m) / (math.hypot(1.0, m) * math.hypot(1.0, 0.5))
+
+    def writer():
+        for b in range(batches):
+            index.upsert_many(
+                [entry(f"d{b:04d}:1:{i}", [1.0, float(i % 7)], company=f"C{b % 4}-{b // 4}") for i in range(size)]
+            )
+
+    def reader(r):
+        try:
+            while not done.is_set():
+                wanted = f"C{r}-{len(index) // (4 * size)}"
+                config = RetrievalConfig(k=batches * size, filters=(("company", wanted),))
+                for result in index.search([1.0, 0.5], config):
+                    if result.chunk.metadata.company != wanted or not math.isclose(
+                        result.score, expected_score(result.chunk.chunk_id), rel_tol=1e-12
+                    ):
+                        problems.append(result)
+        except Exception as exc:  # pragma: no cover - surfaced via problems
+            problems.append(exc)
+
+    threads = [threading.Thread(target=writer, daemon=True)]
+    readers = [threading.Thread(target=reader, args=(r,), daemon=True) for r in range(readers_count)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in readers + threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        done.set()
+        for t in readers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads + readers)
+    assert problems == []
+    assert len(index) == batches * size
 
 
 def test_concurrent_filtered_search_during_upserts():
