@@ -21,7 +21,7 @@ from pathlib import Path
 from .chunking import check_filter
 from .costs import DEFAULT_PRICING, PricingConfig, cost_per_call
 from .errors import MissingDocumentsError, SchemaError
-from .generation import answer_question
+from .generation import answer_question, check_question
 from .index import DEFAULT_K, RetrievalConfig, VectorIndex
 from .providers import EmbeddingProvider, LLMProvider
 from .tokens import DEFAULT_TOKENIZER
@@ -52,8 +52,7 @@ class QAExample:
     filters: tuple[tuple[str, object], ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        if not self.question:  # build_prompt refuses it; say so before any call
-            raise ValueError("question must be non-empty")
+        check_question(self.question)  # build_prompt's rule, before any call
         if self.reference_count < 1:
             raise ValueError("reference_count must be >= 1")
         object.__setattr__(self, "filters", tuple((f, v) for f, v in self.filters))

@@ -5,12 +5,17 @@ invalidates recorded runs. The prompt is the preamble, the retrieved
 context and the postamble, each separated by a blank line, then the
 question as a trailing "Question: ... Answer:" block.
 
-A prompt's token count is the count of the context-free prompt plus the
-retrieved chunks' stored ``token_count``s; the retrieved text is never
+A prompt's token count is ``_TEMPLATE_TOKENS`` (the count of the prompt
+less its context and question, taken once at import) plus
+``count_tokens(question)`` plus the retrieved chunks' stored
+``token_count``s; neither the template nor the retrieved text is
 tokenized again. This equals ``count_tokens(prompt)`` exactly: no token
-contains whitespace, so none crosses the blank lines that separate the
+contains whitespace, so none crosses the whitespace that separates the
 parts, and each stored count is ``count_tokens(chunk.text)`` because the
 chunker cuts only at token starts. The count trusts the index file.
+
+A question must hold something other than whitespace: a blank one would
+embed to the all-zero query and be answered from the first k chunks.
 """
 
 from __future__ import annotations
@@ -33,6 +38,20 @@ POSTAMBLE = "Do not add extra information on your own."
 CONTEXT_SEPARATOR = "\n\n"
 
 
+def _render(context: str, question: str) -> str:
+    return f"{PREAMBLE}\n\n{context}\n\n{POSTAMBLE}\n\nQuestion: {question}\nAnswer:"
+
+
+# The tokens of every prompt less its context and question.
+_TEMPLATE_TOKENS = count_tokens(_render("", ""))
+
+
+def check_question(question: str) -> None:
+    """Refuse a question that is empty or only whitespace."""
+    if not question.strip():
+        raise ValueError("question must be non-empty")
+
+
 @dataclass(frozen=True)
 class Answer:
     text: str
@@ -48,11 +67,10 @@ class Answer:
 
 def build_prompt(context_chunks: Sequence[str], question: str) -> str:
     """Render the pinned prompt: preamble, the joined chunks and postamble,
-    then the question as a trailing "Question: ... Answer:" block."""
-    if not question:
-        raise ValueError("question must be non-empty")
-    context = CONTEXT_SEPARATOR.join(context_chunks)
-    return f"{PREAMBLE}\n\n{context}\n\n{POSTAMBLE}\n\nQuestion: {question}\nAnswer:"
+    then the question as a trailing "Question: ... Answer:" block. A
+    question that is empty or only whitespace raises ``ValueError``."""
+    check_question(question)
+    return _render(CONTEXT_SEPARATOR.join(context_chunks), question)
 
 
 def retrieve(
@@ -80,8 +98,10 @@ def answer_question(
     Empty retrieval still calls the provider (with an empty context slot)
     and records a warning. Provider failures propagate with the prompt
     attached for replay. The prompt is priced from the chunks' stored
-    token counts (see the module docstring).
+    token counts (see the module docstring). A blank question raises
+    ``ValueError`` before anything is embedded.
     """
+    check_question(question)
     results = retrieve(question, index, retrieval, embedder)
     if not results:
         logger.warning("no chunks retrieved for question %r; prompting with empty context", question)
@@ -96,7 +116,8 @@ def answer_question(
     return Answer(
         text=response.text,
         model_tag=tag,
-        prompt_token_count=count_tokens(build_prompt([], question))
+        prompt_token_count=_TEMPLATE_TOKENS
+        + count_tokens(question)
         + sum(r.chunk.token_count for r in results),
         completion_token_count=max(0, response.completion_tokens),
         retrieved=tuple(results),

@@ -12,7 +12,15 @@ and of those only the rows its filters keep: every other component adds
 Chunk metadata is typed (a str, an int or None), so each field keeps a
 dict from value to code and a column of int32 codes, one per row: a
 filter is one dict lookup and a mask over a column rather than a scan
-over the chunks.
+over the chunks. Questions repeat their filters (one company, one year),
+so each snapshot keeps a memo from a ``RetrievalConfig.filters`` tuple to
+the positions of the rows it keeps, and a repeated filter set costs one
+dict lookup. The memo belongs to one snapshot, and an append publishes a
+new snapshot with an empty one, so kept rows never go out of date. Since
+``check_filter`` pins each value's exact type, ``1`` and ``True`` (equal
+keys to a dict) never both reach it. It holds at most
+``_KEPT_ROWS_LIMIT`` positions, counting one more per filter set; a
+search that would pass that drops all of it first.
 
 A filter ``(name, value)`` keeps the chunks whose metadata field ``name``
 equals ``value``; several filters must all hold. ``RetrievalConfig``
@@ -127,6 +135,20 @@ class RetrievalResult:
 # Every metadata field: the names ``check_filter`` admits.
 _FIELDS = tuple(f.name for f in fields(ChunkMetadata))
 
+# Most kept-row positions (plus one per filter set) a snapshot's filter memo holds.
+_KEPT_ROWS_LIMIT = 2**20
+
+
+class _KeptRows(dict):
+    """A snapshot's filter memo: filters -> the positions of the rows they
+    keep, read-only; ``size`` counts the positions plus one per entry."""
+
+    __slots__ = ("size",)
+
+    def __init__(self):
+        super().__init__()
+        self.size = 0
+
 
 def _grown(column: np.ndarray, count: int, total: int) -> np.ndarray:
     """``column`` if its last axis holds ``total`` entries, else a copy of
@@ -167,6 +189,8 @@ class _Snapshot:
     unscorable_rows: int
     books: dict[str, dict]  # field -> {value: code}
     columns: dict[str, np.ndarray]  # field -> int32 code of each row
+    # filters -> kept positions; each snapshot starts with an empty memo
+    kept: _KeptRows = field(default_factory=_KeptRows, compare=False)
 
     @property
     def buckets(self) -> np.ndarray:
@@ -222,6 +246,29 @@ def _appended(old: _Snapshot, chunks: Sequence[DocumentChunk], rows: np.ndarray)
         books=old.books,
         columns=columns,
     )
+
+
+def _kept_rows(snapshot: _Snapshot, filters: tuple[tuple[str, object], ...]) -> np.ndarray:
+    """The positions of ``snapshot``'s rows that pass every filter, stored
+    in its memo (dropped whole first if they would pass its bound)."""
+    kept = np.empty(0, dtype=np.intp)
+    mask = None
+    for name, value in filters:
+        code = snapshot.books[name].get(value)
+        if code is None:  # no chunk holds this value
+            break
+        hit = snapshot.columns[name][: snapshot.count] == code
+        mask = hit if mask is None else mask & hit
+    else:
+        kept = np.flatnonzero(mask)
+    kept.flags.writeable = False
+    memo = snapshot.kept
+    if memo.size + len(kept) + 1 > _KEPT_ROWS_LIMIT:
+        memo.clear()
+        memo.size = 0
+    memo[filters] = kept
+    memo.size += len(kept) + 1
+    return kept
 
 
 class VectorIndex:
@@ -325,14 +372,11 @@ class VectorIndex:
         if query_norm == 0.0 and query.any():
             raise ValueError("query vector's norm underflows float64")
         snapshot = self._snapshot
-        mask = None
-        for name, value in config.filters:
-            code = snapshot.books[name].get(value)
-            if code is None:  # no chunk holds this value
-                return []
-            hit = snapshot.columns[name][: snapshot.count] == code
-            mask = hit if mask is None else mask & hit
-        kept = None if mask is None else np.flatnonzero(mask)
+        kept = None
+        if config.filters:
+            kept = snapshot.kept.get(config.filters)
+            if kept is None:
+                kept = _kept_rows(snapshot, config.filters)
         count = snapshot.count if kept is None else len(kept)
         if not count:
             return []

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import os
-import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol
@@ -107,20 +106,30 @@ class LLMProvider(Protocol):
     def complete(self, request: LLMRequest) -> LLMResponse: ...
 
 
-_QUESTION_RE = re.compile(r"Question: (?P<q>.*)\nAnswer:$", re.DOTALL)
+# The pinned prompt (``generation.build_prompt``) ends with the postamble,
+# a blank line and then this question block.
+_QUESTION_HEAD = "\n\nQuestion: "
+_ANSWER_TAIL = "\nAnswer:"
 
 
 def _question_in(prompt: str) -> str:
-    """The prompt's trailing question line, or the whole prompt if it has none."""
-    match = _QUESTION_RE.search(prompt)
-    return match.group("q") if match else prompt
+    """The question of the prompt's final question block, the one after the
+    postamble, or the whole prompt if it has none. A retrieved chunk that
+    holds a "Question: ..." line comes before the postamble, so it is never
+    taken for the question."""
+    from .generation import POSTAMBLE  # generation imports this module
+
+    _, head, block = prompt.rpartition(POSTAMBLE + _QUESTION_HEAD)
+    if not head or not block.endswith(_ANSWER_TAIL):
+        return prompt
+    return block[: -len(_ANSWER_TAIL)]
 
 
 class MockLLM:
     """Answers from a fixture mapping of question text to answer text; an
     unknown question answers "".
 
-    The question is recovered from the prompt's trailing question line, so
+    The question is recovered from the prompt's final question block, so
     the mapping stays independent of retrieval contents.
     """
 
@@ -134,26 +143,64 @@ class MockLLM:
         return LLMResponse(text=text, completion_tokens=count_tokens(text))
 
 
+# Most blocks one lookup reader's memo holds between calls.
+_BLOCK_MEMO_LIMIT = 2**12
+
+
 class ContextLookupLLM:
     """Answers by locating the question's key among key-value pairs in the context.
 
     Pairs are harvested from serialized records (JSON objects) and from
     plain "key: value" lines. The pair whose key matches the longest
-    stretch of the question wins; no match yields an empty answer.
+    stretch of the question wins (the first such pair on a tie); no match
+    yields an empty answer.
+
+    A prompt is read as its blank-line blocks (``prompt.split("\n\n")``):
+    no line spans a blank line, so the non-empty lines of the blocks, in
+    order, are the prompt's non-empty lines, and an empty line holds no
+    pair. A retrieved chunk recurs across questions, so each reader keeps
+    a memo from a block to its pairs, each key already lowercased and
+    stripped, in both its forms (with and without a trailing ";"); a
+    prompt then costs one dict lookup per block and the substring tests.
+    The last block, which holds the question, is read afresh every time,
+    and is not kept. The memo is bounded: a call that leaves it with more
+    than ``_BLOCK_MEMO_LIMIT`` blocks drops all of it. One reader may be
+    shared between threads (as ``run_eval``'s are): a call keeps the memo
+    it started with, a drop swaps in an empty one, and two threads that
+    fill one block store equal values.
     """
 
     tag = "lookup"
     _SKIP_KEYS = frozenset({"question", "answer"})
 
+    def __init__(self):
+        self._blocks: dict[str, tuple[tuple[str, str], ...]] = {}
+
     def complete(self, request: LLMRequest) -> LLMResponse:
-        text = self._lookup(self._harvest(request.prompt), _question_in(request.prompt))
+        memo = self._blocks  # this call's generation, whatever another thread swaps in
+        *blocks, last = request.prompt.split("\n\n")
+        entries = []
+        for block in blocks:
+            found = memo.get(block)
+            if found is None:
+                found = memo[block] = self._harvest(block)
+            entries.append(found)
+        entries.append(self._harvest(last))
+        if len(memo) > _BLOCK_MEMO_LIMIT and self._blocks is memo:
+            self._blocks = {}
+        text = self._lookup(entries, _question_in(request.prompt))
         return LLMResponse(text=text, completion_tokens=count_tokens(text))
 
-    def _harvest(self, prompt: str) -> list[tuple[str, str]]:
+    def _harvest(self, block: str) -> tuple[tuple[str, str], ...]:
+        """The block's pairs, in order, as (candidate key, value) entries:
+        each key lowercased and stripped, and again less a trailing ";"
+        (flattened table keys carry one) when that differs and is not empty."""
+        if ":" not in block and "[" not in block and "{" not in block:
+            return ()  # prose: no line can hold a pair
         pairs: list[tuple[str, str]] = []
-        for line in prompt.splitlines():
+        for line in block.splitlines():
             stripped = line.strip()
-            if stripped.startswith("[") or stripped.startswith("{"):
+            if stripped.startswith(("[", "{")):
                 try:
                     decoded = json.loads(stripped)
                 except ValueError:
@@ -164,23 +211,30 @@ class ContextLookupLLM:
                         for key, value in record.items():
                             pairs.append((str(key), str(value)))
                 continue
-            if ": " in stripped:
-                key, _, value = stripped.partition(": ")
-                if key.lower() not in self._SKIP_KEYS and value:
+            if ":" in stripped:  # a one-character search is far cheaper than ": "
+                key, colon, value = stripped.partition(": ")
+                if colon and value and key.lower() not in self._SKIP_KEYS:
                     pairs.append((key, value))
-        return pairs
-
-    def _lookup(self, pairs: list[tuple[str, str]], question: str) -> str:
-        question_lower = question.lower()
-        best: tuple[int, str] | None = None
+        entries = []
         for key, value in pairs:
             key_lower = key.lower().strip()
-            # flattened table keys carry a trailing ";"; match either form
-            for candidate in {key_lower, key_lower.rstrip(";").strip()}:
-                if candidate and candidate in question_lower:
-                    if best is None or len(candidate) > best[0]:
-                        best = (len(candidate), value)
-        return best[1] if best else ""
+            if key_lower:
+                entries.append((key_lower, value))
+                bare = key_lower.rstrip(";").strip()
+                if bare and bare != key_lower:
+                    entries.append((bare, value))
+        return tuple(entries)
+
+    @staticmethod
+    def _lookup(entries: list[tuple[tuple[str, str], ...]], question: str) -> str:
+        question_lower = question.lower()
+        best_length, best = 0, ""
+        for block in entries:
+            for candidate, value in block:
+                # a key's two candidates differ in length, so their order is moot
+                if candidate in question_lower and len(candidate) > best_length:
+                    best_length, best = len(candidate), value
+        return best
 
 
 class HttpLLM:

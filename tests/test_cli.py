@@ -416,6 +416,14 @@ def test_config_query_and_dataset_refuse_a_filter_alike(tmp_path, capsys, case):
         assert json.loads(err) == {"error": "ValueError", "message": message}
 
 
+def test_query_refuses_a_whitespace_only_question(corpus, tmp_path, capsys):
+    index_path, _ = ingest(corpus, tmp_path, capsys)
+    code, out, err = run(capsys, "query", "--index", str(index_path), "--question", "   ")
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1  # no all-zero query warning before it
+    assert json.loads(err) == {"error": "ValueError", "message": "question must be non-empty"}
+
+
 def test_query_missing_index_file(tmp_path, capsys):
     code, _, err = run(
         capsys, "query", "--index", str(tmp_path / "absent.index"), "--question", "q"

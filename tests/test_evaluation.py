@@ -216,6 +216,16 @@ def test_load_dataset_refuses_empty_question(tmp_path):
     assert info.value.path == "line 2"
 
 
+@pytest.mark.parametrize("question", ["   ", "\t\n", "\u2028"])
+def test_load_dataset_refuses_whitespace_only_question(tmp_path, question):
+    good = {"question": "q", "gold_answer": "a", "difficulty": "low", "target": "text", "document_id": "d"}
+    path = tmp_path / "blank.jsonl"
+    path.write_text(json.dumps(good) + "\n" + json.dumps({**good, "question": question}) + "\n", encoding="utf-8")
+    with pytest.raises(SchemaError, match="question must be non-empty") as info:
+        load_dataset(path)
+    assert info.value.path == "line 2"
+
+
 def test_qa_example_validation():
     with pytest.raises(ValueError):
         QAExample(

@@ -1,7 +1,7 @@
 import logging
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from docrag.embedding import HashingEmbedder
@@ -76,6 +76,13 @@ def test_prompt_requires_question():
         build_prompt(["C"], "")
 
 
+@pytest.mark.parametrize("question", [" ", "\t\n", "\u2028\u3000", "\x1c\x85"])
+def test_prompt_refuses_a_whitespace_only_question(question):
+    # It would embed to the all-zero query and be answered from the first k chunks.
+    with pytest.raises(ValueError, match="question must be non-empty"):
+        build_prompt(["C"], question)
+
+
 # Texts whose edges hold punctuation, a dotted capital I, a bare combining
 # dot, NBSP, U+2028 and a zero-width space (no \s, so it forms a token).
 _EDGE = st.sampled_from(
@@ -89,7 +96,7 @@ _CHUNK_TEXT = st.one_of(
 )
 
 
-@given(st.lists(_CHUNK_TEXT, max_size=4), _EDGY_TEXT.filter(bool))
+@given(st.lists(_CHUNK_TEXT, max_size=4), _EDGY_TEXT.filter(str.strip))
 def test_prompt_count_is_template_plus_chunk_counts(texts, question):
     assert count_tokens(build_prompt(texts, question)) == count_tokens(
         build_prompt([], question)
@@ -110,8 +117,7 @@ def test_answer_rejects_negative_counts():
 
 # --- answer_question over a small index -----------------------------------------
 
-@pytest.fixture
-def tiny_rig():
+def build_tiny_rig():
     embedder = HashingEmbedder(dimension=64)
     index = VectorIndex(dimension=64, provider_tag=embedder.tag)
     texts = {
@@ -126,6 +132,53 @@ def tiny_rig():
         ]
     )
     return index, embedder
+
+
+@pytest.fixture
+def tiny_rig():
+    return build_tiny_rig()
+
+
+class PromptRecorder:
+    """Keeps the last prompt it is sent."""
+
+    tag = "recording"
+    prompt = None
+
+    def complete(self, request):
+        self.prompt = request.prompt
+        return LLMResponse(text="", completion_tokens=0)
+
+
+# Questions with a "Question:" block, separators and punctuation at their edges.
+_QUESTION_EDGE = _EDGE | st.sampled_from(["Question: ", "\nQuestion: x\nAnswer:", "\n\n", "\x1c", "\x85", "?!", "\t"])
+_QUESTIONS = st.builds(
+    lambda head, body, tail: head + body + tail, _QUESTION_EDGE, st.text(max_size=30), _QUESTION_EDGE
+).filter(str.strip)
+
+
+@settings(deadline=None)
+@given(_QUESTIONS, st.integers(1, 3))
+def test_answer_is_priced_at_its_prompt_count(question, k):
+    index, embedder = build_tiny_rig()
+    recorder = PromptRecorder()
+    answer = answer_question(question, index, RetrievalConfig(k=k), recorder, embedder)
+    assert answer.prompt_token_count == count_tokens(recorder.prompt)
+
+
+@pytest.mark.parametrize("question", ["", "   ", "\u2029\n"])
+def test_answer_question_refuses_a_blank_question_before_embedding(tiny_rig, question):
+    index, _ = tiny_rig
+
+    class Refusing:
+        dimension = 64
+        tag = "refusing"
+
+        def embed(self, text):
+            raise AssertionError("a blank question was embedded")
+
+    with pytest.raises(ValueError, match="question must be non-empty"):
+        answer_question(question, index, RetrievalConfig(k=1), PromptRecorder(), Refusing())
 
 
 def test_retrieve_returns_ranked_results(tiny_rig):

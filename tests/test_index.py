@@ -575,11 +575,52 @@ def test_filtered_search_matches_bruteforce(rows, filters, query, k):
     index = VectorIndex(dimension=4)
     index.upsert_many(entries)
     query = [float(x) for x in query]
-    found = index.search(query, RetrievalConfig(k=k, filters=tuple(filters)))
+    config = RetrievalConfig(k=k, filters=tuple(filters))
+    found = index.search(query, config)  # the filter memo is cold
     expected = brute_force(entries, query, k, filters)
     assert [r.chunk.chunk_id for r in found] == expected
     by_id = {e.chunk.chunk_id: e for e in entries}
     assert [r.score for r in found] == [cosine(by_id[cid].vector, query) for cid in expected]
+    assert index.search(query, config) == found  # and warm
+
+
+def test_filter_memo_belongs_to_its_snapshot():
+    index = VectorIndex(dimension=3)
+    index.upsert_many([entry(f"a:1:{i}", [1.0, i, 0.0], company="ACME") for i in range(4)])
+    acme = RetrievalConfig(k=50, filters=(("company", "ACME"),))
+    held = copy.copy(index)  # shares the snapshot, as a search in flight does
+    before = held.search([1.0, 0.0, 0.0], acme)
+    assert acme.filters in held._snapshot.kept
+    index.upsert_many([entry(f"b:1:{i}", [2.0, 0.0, i], company="ACME") for i in range(3)])
+    assert index._snapshot.kept is not held._snapshot.kept and not index._snapshot.kept
+    assert held.search([1.0, 0.0, 0.0], acme) == before
+    found = [r.chunk.chunk_id for r in index.search([1.0, 0.0, 0.0], acme)]
+    assert sorted(found) == [f"a:1:{i}" for i in range(4)] + [f"b:1:{i}" for i in range(3)]
+    assert held.search([1.0, 0.0, 0.0], acme) == before  # after the new snapshot filled its own
+
+
+def test_filter_on_a_value_no_chunk_holds_is_empty_cold_and_warm():
+    index = VectorIndex(dimension=2)
+    index.upsert_many([entry("a:1:0", [1.0, 0.0], company="ACME", year=2020)])
+    for filters in ((("company", "NOPE"),), (("company", "ACME"), ("year", 1999)), (("year", 2020), ("company", "NOPE"))):
+        config = RetrievalConfig(k=3, filters=filters)
+        assert index.search([1.0, 0.0], config) == []
+        assert index.search([1.0, 0.0], config) == []
+        assert len(index._snapshot.kept[filters]) == 0
+
+
+def test_filter_memo_stays_within_its_bound(monkeypatch):
+    monkeypatch.setattr(index_module, "_KEPT_ROWS_LIMIT", 12)
+    index = VectorIndex(dimension=2)
+    index.upsert_many([entry(f"a:{p}:{i}", [1.0, i], page_number=p) for p in range(1, 9) for i in range(3)])
+    entries = []
+    for page in list(range(1, 9)) * 2:
+        config = RetrievalConfig(k=5, filters=(("page_number", page),))
+        assert [r.chunk.chunk_id for r in index.search([1.0, 0.0], config)] == [f"a:{page}:{i}" for i in range(3)]
+        memo = index._snapshot.kept
+        assert memo.size == sum(len(kept) + 1 for kept in memo.values()) <= 12
+        entries.append(len(memo))
+    assert entries[:5] == [1, 2, 3, 1, 2]  # 4 positions each: the fourth set drops all three first
 
 
 # Buckets that sparse rows and queries share often, so that dot products

@@ -5,8 +5,11 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import quote, unquote
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import docrag
+from docrag import providers
 from docrag.errors import ProviderError
 from docrag.generation import build_prompt
 from docrag.providers import (
@@ -311,3 +314,141 @@ def test_lookup_llm_empty_when_no_key_matches():
 def test_lookup_llm_skips_unparseable_json_lines():
     prompt = build_prompt(["[not json", "Margin: 8%"], "What was the margin?")
     assert ContextLookupLLM().complete(request(prompt=prompt)).text == "8%"
+
+
+def test_mock_llm_takes_the_question_after_the_postamble():
+    # A retrieved chunk with a "Question:" line comes before the postamble
+    # and must not take over the question.
+    prompt = build_prompt(["FAQ\nQuestion: Who audits us?\nAnswer: KPMG", "Fleet size: 77 vessels"], "Fleet size?")
+    assert MockLLM({"Fleet size?": "77 vessels"}).complete(request(prompt=prompt)).text == "77 vessels"
+
+
+def test_lookup_llm_matches_keys_against_the_question_only():
+    # Read from the chunk's "Question:" line on, the question would hold
+    # "auditor fees", a longer key than "fleet size".
+    chunks = ["FAQ\nQuestion: Who audits us?\nAnswer: KPMG", "Auditor fees: $ 3 million", "Fleet size: 77 vessels"]
+    prompt = build_prompt(chunks, "Fleet size?")
+    assert ContextLookupLLM().complete(request(prompt=prompt)).text == "77 vessels"
+
+
+def test_question_in_a_prompt_without_a_question_block_is_the_prompt():
+    assert providers._question_in("What is it?\nAnswer:") == "What is it?\nAnswer:"
+    assert providers._question_in(build_prompt(["c"], "Two\n\nQuestion: lines")) == "Two\n\nQuestion: lines"
+
+
+# The lookup reader before its block memo, kept as the reference it must match.
+def reference_harvest(prompt):
+    pairs = []
+    for line in prompt.splitlines():
+        stripped = line.strip()
+        if stripped.startswith("[") or stripped.startswith("{"):
+            try:
+                decoded = json.loads(stripped)
+            except ValueError:
+                continue
+            records = decoded if isinstance(decoded, list) else [decoded]
+            for record in records:
+                if isinstance(record, dict):
+                    for key, value in record.items():
+                        pairs.append((str(key), str(value)))
+            continue
+        if ": " in stripped:
+            key, _, value = stripped.partition(": ")
+            if key.lower() not in ("question", "answer") and value:
+                pairs.append((key, value))
+    return pairs
+
+
+def reference_lookup(pairs, question):
+    question_lower = question.lower()
+    best = None
+    for key, value in pairs:
+        key_lower = key.lower().strip()
+        for candidate in {key_lower, key_lower.rstrip(";").strip()}:
+            if candidate and candidate in question_lower:
+                if best is None or len(candidate) > best[0]:
+                    best = (len(candidate), value)
+    return best[1] if best else ""
+
+
+def reference_answer(prompt):
+    return reference_lookup(reference_harvest(prompt), providers._question_in(prompt))
+
+
+LINE_BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029",
+               "\n\n", "\n\n\n", "\r\n\n", "\n\r\n\n"]
+KEYS = ["Fleet size", "fleet size;", "Net sales", "Total net sales;", " Sales ;", ";", "", "Question",
+        "answer", "Revenue"]
+key_names = st.sampled_from(KEYS)
+values = st.sampled_from(["77", "$ 903", "", "x: y", "nine"])
+lines = st.one_of(
+    st.builds(lambda k, v: f"{k}: {v}", key_names, values),
+    st.builds(lambda k, v: json.dumps({k: v}), key_names, values),
+    st.builds(lambda k, v, w: json.dumps([{k: v}, 3, {"Units;": w}]), key_names, values, values),
+    st.builds(lambda k: json.dumps([k]), key_names),
+    st.sampled_from(["[not json", "{broken", "  {}  ", "Question: fleet size?", "Answer: 5", "plain text", ""]),
+)
+texts = st.builds(
+    lambda parts, breaks: "".join(part + brk for part, brk in zip(parts, breaks)),
+    st.lists(lines, max_size=6),
+    st.lists(st.sampled_from(LINE_BREAKS), min_size=6, max_size=6),
+)
+questions = st.builds(" ".join, st.lists(st.sampled_from(KEYS + ["what", "was", "?", "units"]), min_size=1, max_size=5))
+prompts = st.one_of(
+    st.builds(build_prompt, st.lists(texts, max_size=4), questions.filter(str.strip)),
+    texts,
+)
+
+SHARED_READER = ContextLookupLLM()  # reused across examples: its memo stays warm
+SMALL_LIMIT = 6
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(prompts, min_size=1, max_size=6))
+def test_lookup_llm_with_a_block_memo_matches_the_reference(batch):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(providers, "_BLOCK_MEMO_LIMIT", SMALL_LIMIT)  # drops happen often
+        for prompt in batch:
+            assert SHARED_READER.complete(request(prompt=prompt)).text == reference_answer(prompt)
+            assert len(SHARED_READER._blocks) <= SMALL_LIMIT
+
+
+def test_lookup_llm_memo_stays_within_its_bound(monkeypatch):
+    monkeypatch.setattr(providers, "_BLOCK_MEMO_LIMIT", 10)
+    llm = ContextLookupLLM()
+    sizes = []
+    for i in range(40):
+        prompt = build_prompt([f"Key {i}: {i}", f"Other {i}: x", "Shared: s"], f"What is key {i}?")
+        assert llm.complete(request(prompt=prompt)).text == str(i)
+        sizes.append(len(llm._blocks))
+    assert max(sizes) <= 10
+    assert min(sizes[5:]) < 5  # the memo was dropped, and filled again
+    # the question block is read afresh, never kept
+    assert not any(block.startswith("Question: ") for block in llm._blocks)
+
+
+def test_lookup_llm_shared_between_threads_matches_a_fresh_reader(monkeypatch):
+    monkeypatch.setattr(providers, "_BLOCK_MEMO_LIMIT", 8)
+    interval = sys.getswitchinterval()
+    prompts = [
+        build_prompt([f"Key {i % 13}: {i % 13}", f'[{{"Units;": "{i % 7}"}}]'], f"Key {i % 13} units?")
+        for i in range(300)
+    ]
+    expected = [ContextLookupLLM().complete(request(prompt=p)).text for p in prompts]
+    shared = ContextLookupLLM()
+    answers = [None] * len(prompts)
+
+    def work(start):
+        for i in range(start, len(prompts), 4):
+            answers[i] = shared.complete(request(prompt=prompts[i])).text
+
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(start,)) for start in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert answers == expected
