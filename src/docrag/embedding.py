@@ -127,8 +127,8 @@ class HashingEmbedder:
     """Keyed feature hashing over token n-grams, L2-normalized."""
 
     def __init__(self, dimension: int = DEFAULT_DIMENSION):
-        if dimension < 1:
-            raise ValueError("dimension must be >= 1")
+        if type(dimension) is not int or dimension < 1:
+            raise ValueError(f"dimension must be an integer >= 1, got {dimension!r}")
         self.dimension = dimension
         self.tag = f"feature-hash-v1-{dimension}"
         self._memo = _Memo(self)

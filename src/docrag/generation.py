@@ -3,7 +3,8 @@
 The prompt wording is pinned and golden-tested; changing a byte of it
 invalidates recorded runs. The prompt is the preamble, the retrieved
 context and the postamble, each separated by a blank line, then the
-question as a trailing "Question: ... Answer:" block.
+question as a trailing "Question: ... Answer:" block. ``_render`` writes
+that layout and ``read_prompt``, the one reader of it, reads it back.
 
 A prompt's token count is ``_TEMPLATE_TOKENS`` (the count of the prompt
 less its context and question, taken once at import) plus
@@ -36,10 +37,24 @@ PREAMBLE = "Comprehend the following context and answer the questions in one lin
 POSTAMBLE = "Do not add extra information on your own."
 
 CONTEXT_SEPARATOR = "\n\n"
+_HEAD = PREAMBLE + "\n\n"
+_QUESTION = POSTAMBLE + "\n\nQuestion: "  # opens the question block
+_TAIL = "\nAnswer:"
 
 
 def _render(context: str, question: str) -> str:
-    return f"{PREAMBLE}\n\n{context}\n\n{POSTAMBLE}\n\nQuestion: {question}\nAnswer:"
+    return f"{_HEAD}{context}\n\n{_QUESTION}{question}{_TAIL}"
+
+
+def read_prompt(prompt: str) -> tuple[str, str]:
+    """The (context, question) that ``_render`` wrote into ``prompt``. The
+    question block is the last one after a postamble, so a retrieved
+    chunk's "Question: ..." line is never taken for it. Text with no such
+    block reads as ``(prompt, prompt)``."""
+    before, head, block = prompt.rpartition(_QUESTION)
+    if not head or not block.endswith(_TAIL):
+        return prompt, prompt
+    return before.removeprefix(_HEAD).removesuffix("\n\n"), block[: -len(_TAIL)]
 
 
 # The tokens of every prompt less its context and question.

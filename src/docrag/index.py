@@ -2,9 +2,9 @@
 
 A deliberate non-ANN design: corpora here are thousands of chunks, and an
 exact scan of every kept row is both fast enough and oracle-testable. A
-snapshot holds each chunk once, in ascending chunk_id order: its id, the
-chunk, and its vector as a column of one float64 store laid out
-bucket-major (dimension x rows), with the row norms beside it. Hashed
+snapshot holds each chunk once, in ascending chunk_id order (the chunk
+carries its id), and its vector as a column of one float64 store laid
+out bucket-major (dimension x rows), with the row norms beside it. Hashed
 feature vectors are sparse (a question of t tokens has at most 2t - 1
 nonzero buckets), so a search reads only the query's nonzero buckets,
 and of those only the rows its filters keep: every other component adds
@@ -34,7 +34,7 @@ computed float64 score: which buckets are summed, and in what order,
 rounds the last bit, so two chunks whose exact cosines are equal may
 still be ordered by that rounding.
 
-Every per-row column (the ids, the chunks, the store, the norms, one code
+Every per-row column (the chunks, the store, the norms, one code
 column per metadata field) and each field's value-to-code dict is only
 appended to. A snapshot is a row count plus references to them, and a reader
 reads only the first ``count`` entries of each, so a snapshot held by a
@@ -105,7 +105,10 @@ class IndexEntry:
                 if kind is bool or not issubclass(kind, numbers.Real):
                     bad = next(value for value in vector if type(value) is kind)
                     raise TypeError(f"vector components must be real numbers, got {bad!r:.80}")
-            vector = tuple(map(float, vector))
+            try:
+                vector = tuple(map(float, vector))
+            except OverflowError:  # an int or Fraction past float64's range
+                raise ValueError("vector entries must be finite") from None
         object.__setattr__(self, "vector", vector)
         if not all(map(math.isfinite, vector)):
             raise ValueError("vector entries must be finite")
@@ -173,14 +176,13 @@ def _vector_text(row: np.ndarray) -> str:
 
 # Snapshot shared by concurrent readers; replaced wholesale on writes.
 # Entry i of every column (column i of ``store``) describes the chunk
-# ids[i]. Columns are shared with earlier and later snapshots and only
+# chunks[i]. Columns are shared with earlier and later snapshots and only
 # appended to: entries from ``count`` on belong to no snapshot yet, so a
 # reader reads only the first ``count``.
 @dataclass(frozen=True)
 class _Snapshot:
     count: int
-    ids: list[str]
-    chunks: list[DocumentChunk]
+    chunks: list[DocumentChunk]  # in chunk_id order
     store: np.ndarray  # dimension x capacity, C-contiguous: store[j, i] is component j of row i
     norms: np.ndarray
     zero_rows: int  # rows whose norm is 0
@@ -201,7 +203,6 @@ class _Snapshot:
 def _empty(dimension: int) -> _Snapshot:
     return _Snapshot(
         count=0,
-        ids=[],
         chunks=[],
         store=np.empty((dimension, 0), dtype=np.float64),
         norms=np.empty((0,), dtype=np.float64),
@@ -216,7 +217,7 @@ def _appended(old: _Snapshot, chunks: Sequence[DocumentChunk], rows: np.ndarray)
     """``old`` followed by ``chunks``, whose ids sort after its last one;
     ``rows`` (row-major: the norm of a strided row sums in another order
     and can differ in the last bit) holds their vectors. Each column is
-    written past ``old.count``, the lists last, so an append that fails
+    written past ``old.count``, the chunk list last, so an append that fails
     part-way leaves nothing a later one reads."""
     count = old.count
     total = count + len(chunks)
@@ -233,11 +234,9 @@ def _appended(old: _Snapshot, chunks: Sequence[DocumentChunk], rows: np.ndarray)
         book = old.books[name]
         column = columns[name] = _grown(old.columns[name], count, total)
         column[count:total] = [book.setdefault(getattr(chunk.metadata, name), len(book)) for chunk in chunks]
-    old.ids[count:] = [chunk.chunk_id for chunk in chunks]
     old.chunks[count:] = chunks
     return _Snapshot(
         count=total,
-        ids=old.ids,
         chunks=old.chunks,
         store=store,
         norms=norms,
@@ -278,8 +277,8 @@ class VectorIndex:
         tokenizer_tag: str = DEFAULT_TOKENIZER.tag,
         provider_tag: str = "",
     ):
-        if dimension < 1:
-            raise ValueError("dimension must be >= 1")
+        if type(dimension) is not int or dimension < 1:  # the rule load applies to the header
+            raise ValueError(f"dimension must be an integer >= 1, got {dimension!r}")
         self.dimension = dimension
         self.tokenizer_tag = tokenizer_tag
         self.provider_tag = provider_tag
@@ -291,7 +290,7 @@ class VectorIndex:
 
     def chunk_ids(self) -> tuple[str, ...]:
         snapshot = self._snapshot
-        return tuple(snapshot.ids[: snapshot.count])
+        return tuple(chunk.chunk_id for chunk in snapshot.chunks[: snapshot.count])
 
     def chunks(self) -> tuple[DocumentChunk, ...]:
         """Every chunk, in chunk_id order."""
@@ -300,8 +299,8 @@ class VectorIndex:
 
     def get(self, chunk_id: str) -> IndexEntry | None:
         snapshot = self._snapshot
-        position = bisect_left(snapshot.ids, chunk_id, 0, snapshot.count)
-        if position == snapshot.count or snapshot.ids[position] != chunk_id:
+        position = bisect_left(snapshot.chunks, chunk_id, 0, snapshot.count, key=lambda chunk: chunk.chunk_id)
+        if position == snapshot.count or snapshot.chunks[position].chunk_id != chunk_id:
             return None
         return IndexEntry(chunk=snapshot.chunks[position], vector=snapshot.store[:, position].tolist())
 
@@ -335,7 +334,7 @@ class VectorIndex:
             chunks, rows = [chunks[p] for p in order], rows[order]
         with self._write_lock:
             old = self._snapshot
-            if old.count and old.ids[old.count - 1] >= block[0]:
+            if old.count and old.chunks[old.count - 1].chunk_id >= block[0]:
                 # A replacement, or an id that sorts inside the index.
                 every = old.chunks[: old.count] + list(chunks)
                 last = {chunk.chunk_id: position for position, chunk in enumerate(every)}
@@ -389,7 +388,7 @@ class VectorIndex:
             if len(flagged):
                 row = flagged[0] if kept is None else kept[flagged[0]]
                 how = "overflows" if np.isinf(snapshot.norms[row]) else "underflows"
-                raise ValueError(f"vector norm of chunk {snapshot.ids[row]!r} {how} float64")
+                raise ValueError(f"vector norm of chunk {snapshot.chunks[row].chunk_id!r} {how} float64")
 
         if query_norm == 0.0:
             logger.warning("search with an all-zero query vector; all scores 0")

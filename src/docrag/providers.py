@@ -106,31 +106,12 @@ class LLMProvider(Protocol):
     def complete(self, request: LLMRequest) -> LLMResponse: ...
 
 
-# The pinned prompt (``generation.build_prompt``) ends with the postamble,
-# a blank line and then this question block.
-_QUESTION_HEAD = "\n\nQuestion: "
-_ANSWER_TAIL = "\nAnswer:"
-
-
-def _question_in(prompt: str) -> str:
-    """The question of the prompt's final question block, the one after the
-    postamble, or the whole prompt if it has none. A retrieved chunk that
-    holds a "Question: ..." line comes before the postamble, so it is never
-    taken for the question."""
-    from .generation import POSTAMBLE  # generation imports this module
-
-    _, head, block = prompt.rpartition(POSTAMBLE + _QUESTION_HEAD)
-    if not head or not block.endswith(_ANSWER_TAIL):
-        return prompt
-    return block[: -len(_ANSWER_TAIL)]
-
-
 class MockLLM:
     """Answers from a fixture mapping of question text to answer text; an
     unknown question answers "".
 
-    The question is recovered from the prompt's final question block, so
-    the mapping stays independent of retrieval contents.
+    The question is read from the prompt with ``generation.read_prompt``,
+    so the mapping stays independent of retrieval contents.
     """
 
     tag = "mock"
@@ -139,7 +120,8 @@ class MockLLM:
         self.answers = dict(answers)
 
     def complete(self, request: LLMRequest) -> LLMResponse:
-        text = self.answers.get(_question_in(request.prompt), "")
+        from .generation import read_prompt  # generation imports this module
+        text = self.answers.get(read_prompt(request.prompt)[1], "")
         return LLMResponse(text=text, completion_tokens=count_tokens(text))
 
 
@@ -150,45 +132,47 @@ _BLOCK_MEMO_LIMIT = 2**12
 class ContextLookupLLM:
     """Answers by locating the question's key among key-value pairs in the context.
 
-    Pairs are harvested from serialized records (JSON objects) and from
-    plain "key: value" lines. The pair whose key matches the longest
+    ``generation.read_prompt`` splits the prompt into the retrieved
+    context and the question, and only the context is read: a question
+    that carries its own "key: value" line cannot answer itself. Pairs
+    are harvested from serialized records (JSON objects) and from plain
+    "key: value" lines; a CSV table (``--table-format dataframe``) holds
+    neither, so it yields none. The pair whose key matches the longest
     stretch of the question wins (the first such pair on a tie); no match
     yields an empty answer.
 
-    A prompt is read as its blank-line blocks (``prompt.split("\n\n")``):
+    The context is read as its blank-line blocks (``split("\\n\\n")``):
     no line spans a blank line, so the non-empty lines of the blocks, in
-    order, are the prompt's non-empty lines, and an empty line holds no
+    order, are the context's non-empty lines, and an empty line holds no
     pair. A retrieved chunk recurs across questions, so each reader keeps
     a memo from a block to its pairs, each key already lowercased and
     stripped, in both its forms (with and without a trailing ";"); a
     prompt then costs one dict lookup per block and the substring tests.
-    The last block, which holds the question, is read afresh every time,
-    and is not kept. The memo is bounded: a call that leaves it with more
-    than ``_BLOCK_MEMO_LIMIT`` blocks drops all of it. One reader may be
+    The memo is bounded: a call that leaves it with more than
+    ``_BLOCK_MEMO_LIMIT`` blocks drops all of it. One reader may be
     shared between threads (as ``run_eval``'s are): a call keeps the memo
     it started with, a drop swaps in an empty one, and two threads that
     fill one block store equal values.
     """
 
     tag = "lookup"
-    _SKIP_KEYS = frozenset({"question", "answer"})
 
     def __init__(self):
         self._blocks: dict[str, tuple[tuple[str, str], ...]] = {}
 
     def complete(self, request: LLMRequest) -> LLMResponse:
+        from .generation import read_prompt  # generation imports this module
         memo = self._blocks  # this call's generation, whatever another thread swaps in
-        *blocks, last = request.prompt.split("\n\n")
+        context, question = read_prompt(request.prompt)
         entries = []
-        for block in blocks:
+        for block in context.split("\n\n"):
             found = memo.get(block)
             if found is None:
                 found = memo[block] = self._harvest(block)
             entries.append(found)
-        entries.append(self._harvest(last))
         if len(memo) > _BLOCK_MEMO_LIMIT and self._blocks is memo:
             self._blocks = {}
-        text = self._lookup(entries, _question_in(request.prompt))
+        text = self._lookup(entries, question)
         return LLMResponse(text=text, completion_tokens=count_tokens(text))
 
     def _harvest(self, block: str) -> tuple[tuple[str, str], ...]:
@@ -213,7 +197,7 @@ class ContextLookupLLM:
                 continue
             if ":" in stripped:  # a one-character search is far cheaper than ": "
                 key, colon, value = stripped.partition(": ")
-                if colon and value and key.lower() not in self._SKIP_KEYS:
+                if colon and value:
                     pairs.append((key, value))
         entries = []
         for key, value in pairs:

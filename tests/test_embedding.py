@@ -67,9 +67,10 @@ def test_shared_vocabulary_scores_higher_than_disjoint():
     assert dot(query, near) > dot(query, far)
 
 
-def test_dimension_must_be_positive():
-    with pytest.raises(ValueError):
-        HashingEmbedder(dimension=0)
+@pytest.mark.parametrize("dimension", [0, True, 2.0, "3"], ids=["zero", "bool", "float", "str"])
+def test_dimension_must_be_positive(dimension):
+    with pytest.raises(ValueError, match="dimension must be an integer >= 1"):
+        HashingEmbedder(dimension=dimension)
 
 
 @settings(max_examples=200)

@@ -14,6 +14,7 @@ from docrag.generation import (
     Answer,
     answer_question,
     build_prompt,
+    read_prompt,
     retrieve,
 )
 from docrag.chunking import ChunkMetadata, DocumentChunk
@@ -101,6 +102,26 @@ def test_prompt_count_is_template_plus_chunk_counts(texts, question):
     assert count_tokens(build_prompt(texts, question)) == count_tokens(
         build_prompt([], question)
     ) + sum(map(count_tokens, texts))
+
+
+# The text that opens the question block: a question holding it could not
+# be told from the block, so build_prompt's inverse needs a question without it.
+_QUESTION_MARKER = POSTAMBLE + "\n\nQuestion: "
+# Pieces of the template and the texts that look like it.
+_PROMPT_PIECE = st.sampled_from(
+    ["\n\n", "\n", "Question: ", "\nAnswer:", "Answer:", POSTAMBLE, PREAMBLE, _QUESTION_MARKER,
+     "Revenue: 10", " ", "x"]
+)
+_PROMPT_LIKE = st.one_of(st.lists(_PROMPT_PIECE, max_size=8).map("".join), _CHUNK_TEXT)
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(_PROMPT_LIKE, max_size=4),
+    _PROMPT_LIKE.filter(lambda q: q.strip() and _QUESTION_MARKER not in q),
+)
+def test_read_prompt_inverts_build_prompt(chunks, question):
+    assert read_prompt(build_prompt(chunks, question)) == (CONTEXT_SEPARATOR.join(chunks), question)
 
 
 def test_prompt_determinism():

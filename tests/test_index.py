@@ -8,6 +8,7 @@ import stat
 import sys
 import threading
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -169,9 +170,15 @@ def test_upsert_rejects_wrong_dimension():
         index.upsert(entry("a:1:0", [1.0, 2.0]))
 
 
-def test_entry_rejects_non_finite_vector():
-    with pytest.raises(ValueError):
-        entry("a:1:0", [1.0, float("inf")])
+@pytest.mark.parametrize(
+    "component",
+    [float("inf"), 10**400, -(10**400), Fraction(10**400)],
+    ids=["inf", "int-past-float64", "negative-int-past-float64", "fraction-past-float64"],
+)
+def test_entry_rejects_non_finite_vector(component):
+    # float() of an int or Fraction past float64's range raises OverflowError.
+    with pytest.raises(ValueError, match="vector entries must be finite"):
+        entry("a:1:0", [1.0, component])
 
 
 @pytest.mark.parametrize(
@@ -196,9 +203,10 @@ def test_entry_keeps_real_components_as_floats(vector):
     assert {type(value) for value in stored} == {float}
 
 
-def test_index_dimension_must_be_positive():
-    with pytest.raises(ValueError):
-        VectorIndex(dimension=0)
+@pytest.mark.parametrize("dimension", [0, True, 2.0, "3"], ids=["zero", "bool", "float", "str"])
+def test_index_dimension_must_be_positive(dimension):
+    with pytest.raises(ValueError, match="dimension must be an integer >= 1"):
+        VectorIndex(dimension=dimension)
 
 
 # --- search -----------------------------------------------------------------

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import docrag
 from docrag import providers
 from docrag.errors import ProviderError
-from docrag.generation import build_prompt
+from docrag.generation import CONTEXT_SEPARATOR, POSTAMBLE, build_prompt, read_prompt
 from docrag.providers import (
     ENV_LLM_ENDPOINT,
     ContextLookupLLM,
@@ -331,15 +331,44 @@ def test_lookup_llm_matches_keys_against_the_question_only():
     assert ContextLookupLLM().complete(request(prompt=prompt)).text == "77 vessels"
 
 
+def test_lookup_llm_reads_no_pair_from_the_question():
+    # The question's own "Revenue: 10" line must not answer it.
+    prompt = build_prompt(["Profit: 5"], "What is revenue?\nRevenue: 10")
+    assert ContextLookupLLM().complete(request(prompt=prompt)).text == ""
+
+
 def test_question_in_a_prompt_without_a_question_block_is_the_prompt():
-    assert providers._question_in("What is it?\nAnswer:") == "What is it?\nAnswer:"
-    assert providers._question_in(build_prompt(["c"], "Two\n\nQuestion: lines")) == "Two\n\nQuestion: lines"
+    assert read_prompt("What is it?\nAnswer:") == ("What is it?\nAnswer:", "What is it?\nAnswer:")
+    assert read_prompt(build_prompt(["c"], "Two\n\nQuestion: lines")) == ("c", "Two\n\nQuestion: lines")
 
 
-# The lookup reader before its block memo, kept as the reference it must match.
-def reference_harvest(prompt):
+# How MockLLM found the question before generation.read_prompt, kept as the
+# reference it must match.
+def reference_question_in(prompt):
+    _, head, block = prompt.rpartition(POSTAMBLE + "\n\nQuestion: ")
+    if not head or not block.endswith("\nAnswer:"):
+        return prompt
+    return block[: -len("\nAnswer:")]
+
+
+_PROMPT_PIECES = st.sampled_from(
+    ["\n\n", "Question: ", "\nAnswer:", POSTAMBLE, "Revenue: 10", "\n", " ", "?", "x"]
+)
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.text(max_size=60), st.lists(_PROMPT_PIECES, max_size=10).map("".join)))
+def test_mock_llm_question_matches_the_reference(text):
+    question = reference_question_in(text)
+    assert read_prompt(text)[1] == question
+    assert MockLLM({question: "hit"}).complete(request(prompt=text)).text == "hit"
+
+
+# The lookup reader before its block memo, kept as the reference it must
+# match: it harvests every pair of the retrieved context, whatever its key.
+def reference_harvest(context):
     pairs = []
-    for line in prompt.splitlines():
+    for line in context.splitlines():
         stripped = line.strip()
         if stripped.startswith("[") or stripped.startswith("{"):
             try:
@@ -354,7 +383,7 @@ def reference_harvest(prompt):
             continue
         if ": " in stripped:
             key, _, value = stripped.partition(": ")
-            if key.lower() not in ("question", "answer") and value:
+            if value:
                 pairs.append((key, value))
     return pairs
 
@@ -371,8 +400,8 @@ def reference_lookup(pairs, question):
     return best[1] if best else ""
 
 
-def reference_answer(prompt):
-    return reference_lookup(reference_harvest(prompt), providers._question_in(prompt))
+def reference_answer(context, question):
+    return reference_lookup(reference_harvest(context), question)
 
 
 LINE_BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029",
@@ -394,9 +423,15 @@ texts = st.builds(
     st.lists(st.sampled_from(LINE_BREAKS), min_size=6, max_size=6),
 )
 questions = st.builds(" ".join, st.lists(st.sampled_from(KEYS + ["what", "was", "?", "units"]), min_size=1, max_size=5))
+# (prompt, context, question); a text with no question block is read as
+# its own context and question.
 prompts = st.one_of(
-    st.builds(build_prompt, st.lists(texts, max_size=4), questions.filter(str.strip)),
-    texts,
+    st.builds(
+        lambda chunks, question: (build_prompt(chunks, question), CONTEXT_SEPARATOR.join(chunks), question),
+        st.lists(texts, max_size=4),
+        questions.filter(str.strip),
+    ),
+    texts.map(lambda text: (text, text, text)),
 )
 
 SHARED_READER = ContextLookupLLM()  # reused across examples: its memo stays warm
@@ -408,8 +443,8 @@ SMALL_LIMIT = 6
 def test_lookup_llm_with_a_block_memo_matches_the_reference(batch):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(providers, "_BLOCK_MEMO_LIMIT", SMALL_LIMIT)  # drops happen often
-        for prompt in batch:
-            assert SHARED_READER.complete(request(prompt=prompt)).text == reference_answer(prompt)
+        for prompt, context, question in batch:
+            assert SHARED_READER.complete(request(prompt=prompt)).text == reference_answer(context, question)
             assert len(SHARED_READER._blocks) <= SMALL_LIMIT
 
 
