@@ -100,6 +100,15 @@ def check_filter(name: str, value) -> None:
         )
 
 
+def checked_filters(filters) -> tuple[tuple[str, object], ...]:
+    """``filters``, an iterable of (name, value) pairs, as a tuple of
+    pairs, each passed through ``check_filter``."""
+    pairs = tuple((name, value) for name, value in filters)
+    for name, value in pairs:
+        check_filter(name, value)
+    return pairs
+
+
 @dataclass(frozen=True)
 class DocumentChunk:
     chunk_id: str

@@ -58,6 +58,9 @@ def _load_config(path: str | None) -> dict:
         config = json.load(handle)
     if not isinstance(config, dict):
         raise ValueError("config file must hold a JSON object")
+    for key in config:
+        if key not in _SETTINGS:
+            raise ValueError(f"config key {key!r} is not a setting; the settings are {', '.join(_SETTINGS)}")
     for key, (kind, _) in _SETTINGS.items():
         if key in config and type(config[key]) is not kind:
             expected = "an integer" if kind is int else "a string"
@@ -210,6 +213,8 @@ def cmd_eval(args, config: dict) -> int:
     index = VectorIndex.load(args.index)
     embedder = _embedder_for_index(index)
     examples = load_dataset(args.dataset)
+    if not examples:  # run_eval would report accuracy 0.000 (0/0)
+        raise ValueError(f"dataset {args.dataset} holds no examples")
     provider = _llm_for(_setting(args, config, "provider"), args.answers)
     report = run_eval(
         examples,

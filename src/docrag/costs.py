@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Mapping
 
@@ -142,6 +142,15 @@ def _object(value, key: str) -> dict:
     return value
 
 
+def _known(data: dict, kind: type, where: str) -> dict:
+    """``data``, each of whose keys names a field of the dataclass ``kind``."""
+    names = [f.name for f in fields(kind)]
+    for key in data:
+        if key not in names:
+            raise ValueError(f"pricing {where}key {key!r} is not one of {', '.join(names)}")
+    return data
+
+
 def _number(value, key: str) -> float:
     try:
         number = float(value) if type(value) in (int, float) else math.nan
@@ -155,9 +164,9 @@ def _number(value, key: str) -> float:
 def load_pricing(path: str | Path) -> PricingConfig:
     """Read pricing overrides from a JSON file and merge onto the defaults.
 
-    A malformed value raises ``ValueError`` naming its key."""
+    A malformed value or an unknown key raises ``ValueError`` naming the key."""
     with open(path, encoding="utf-8") as handle:
-        data = _object(json.load(handle), "file")
+        data = _known(_object(json.load(handle), "file"), PricingConfig, "")
     groups = {
         "per_token": _default_per_token(),
         "per_call_flat": _default_per_call_flat(),
@@ -169,7 +178,7 @@ def load_pricing(path: str | Path) -> PricingConfig:
     credits = _default_credits()
     for name, spec in _object(data.get("credits", {}), "credits").items():
         where = f"credits.{name}"
-        spec = _object(spec, where)
+        spec = _known(_object(spec, where), CreditRate, f"{where} ")
         credits[str(name)] = CreditRate(
             credits_per_page=_number(spec.get("credits_per_page"), f"{where}.credits_per_page"),
             usd_per_credit=_number(spec.get("usd_per_credit"), f"{where}.usd_per_credit"),

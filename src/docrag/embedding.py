@@ -9,7 +9,7 @@ pipeline need.
 A feature's bucket and sign are a pure function of the feature, and no
 token holds whitespace (``str.split`` and the tokenizer's ``\\s`` split on
 the same characters), so a text's tokens are its words' tokens in order.
-Each embedder therefore keeps a memo of three maps:
+Each embedder therefore memoises three maps:
 
 - word -> the ids of its tokens, filled from ``_features(word)`` the first
   time a word is seen, so the tokenizer and ``str.lower`` run once per
@@ -24,13 +24,8 @@ Each embedder therefore keeps a memo of three maps:
   the memo holds at most ``_MEMO_LIMIT`` entries plus one text's own.
 
 A text then costs one ``str.split``, one dict lookup per word and one per
-adjacent token pair. The memo is per embedder and bounded: between calls
-it holds at most ``_MEMO_LIMIT`` (2**16) entries across the three maps; a
-call may pass the bound by its own text's words, tokens and pairs, and then
-the whole memo is dropped. One embedder may be shared between threads:
-ids are assigned under a lock, a call keeps the memo it started with (a
-drop swaps in an empty one and never empties that), and two threads that
-race to fill one word or pair store the same value.
+adjacent token pair. The bound (see ``Memo``) counts the entries of all
+three maps, and ids are assigned under a lock.
 Each term of a bucket's sum is +1 or -1, so summing the codes with one
 ``np.bincount`` gives exactly the floats a sequential sum would, and the
 vectors are the same bits as hashing every occurrence.
@@ -75,31 +70,43 @@ def _code(feature: str, dimension: int) -> int:
     return (bucket >> 1) % dimension * 2 + (bucket & 1)
 
 
-class _Filled(dict):
-    """A dict that computes a missing key's value with ``fill``, stores it
-    and returns it."""
+class Memo(dict):
+    """A dict that fills a missing key with ``fill(key)``, when it has a
+    ``fill``; ``size`` is what its owner counts toward its bound besides
+    the entries.
 
-    __slots__ = ("fill",)
+    The embedder's maps, the lookup reader's blocks and each index
+    snapshot's kept rows are memos. Each owner drops all of its memo at
+    its bound, never a part. A value a call has read stays valid whatever
+    is dropped after (a call keeps the memo it started with, and kept rows
+    are read-only), and two threads that fill one key store equal values,
+    so a memo may be shared between threads.
+    """
 
-    def __init__(self, fill):
+    __slots__ = ("fill", "size")
+
+    def __init__(self, fill=None):
         super().__init__()
         self.fill = fill
+        self.size = 0
 
     def __missing__(self, key):
+        if self.fill is None:
+            raise KeyError(key)
         value = self[key] = self.fill(key)
         return value
 
 
-class _Memo:
-    """One generation of an embedder's memo (see the module docstring)."""
+class _Generation:
+    """One generation of an embedder's memo: its three maps."""
 
     def __init__(self, embedder: "HashingEmbedder"):
         self.embedder = embedder
         self.span = 2 * embedder.dimension
-        self.words = _Filled(self._word_ids)  # word -> its tokens' ids
+        self.words = Memo(self._word_ids)  # word -> its tokens' ids
         self.ids: dict[str, int] = {}  # lowercased token -> id
         self.tokens: list[str] = []  # serial -> lowercased token
-        self.pairs = _Filled(self._bigram_code)  # pair key -> the bigram's code
+        self.pairs = Memo(self._bigram_code)  # pair key -> the bigram's code
         self._lock = threading.Lock()  # gives each token one id
 
     def __len__(self) -> int:
@@ -131,7 +138,7 @@ class HashingEmbedder:
             raise ValueError(f"dimension must be an integer >= 1, got {dimension!r}")
         self.dimension = dimension
         self.tag = f"feature-hash-v1-{dimension}"
-        self._memo = _Memo(self)
+        self._memo = _Generation(self)
 
     def _features(self, text: str) -> list[str]:
         # Lowercase each token, never the text first: "İ".lower() is "i" plus a
@@ -150,7 +157,7 @@ class HashingEmbedder:
         keys = (serials[:-1] << 32 | serials[1:]).tolist()
         bigrams = np.fromiter(map(memo.pairs.__getitem__, keys), np.int64, len(keys))
         if len(memo) > _MEMO_LIMIT and self._memo is memo:
-            self._memo = _Memo(self)  # two racing threads at worst drop a fresh memo too
+            self._memo = _Generation(self)  # two racing threads at worst drop a fresh memo too
         counts = np.bincount(np.concatenate((ids % span, bigrams)), minlength=span)
         values = counts[1::2] - counts[0::2]
         norm = math.sqrt(int(values @ values))

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
-from .chunking import check_filter
+from .chunking import checked_filters
 from .costs import DEFAULT_PRICING, PricingConfig, cost_per_call
 from .errors import MissingDocumentsError, SchemaError
 from .generation import answer_question, check_question
@@ -55,9 +55,7 @@ class QAExample:
         check_question(self.question)  # build_prompt's rule, before any call
         if self.reference_count < 1:
             raise ValueError("reference_count must be >= 1")
-        object.__setattr__(self, "filters", tuple((f, v) for f, v in self.filters))
-        for name, value in self.filters:
-            check_filter(name, value)
+        object.__setattr__(self, "filters", checked_filters(self.filters))
 
 
 @dataclass(frozen=True)
@@ -73,8 +71,13 @@ class EvalReport:
         return dataclasses.asdict(self)
 
 
+# The keys a dataset line may hold: QAExample's fields.
+_RECORD_KEYS = tuple(f.name for f in dataclasses.fields(QAExample))
+
+
 def load_dataset(path: str | Path) -> list[QAExample]:
-    """Read a JSON-lines dataset of QAExample records."""
+    """Read a JSON-lines dataset of QAExample records; a line with a key
+    that is no QAExample field is refused."""
     examples = []
     with open(path, encoding="utf-8") as handle:
         for line_number, line in enumerate(handle, start=1):
@@ -87,6 +90,9 @@ def load_dataset(path: str | Path) -> list[QAExample]:
                 raise SchemaError(where, f"invalid JSON: {exc}") from exc
             if not isinstance(record, dict):
                 raise SchemaError(where, "expected an object")
+            for key in record:
+                if key not in _RECORD_KEYS:
+                    raise SchemaError(where, f"unknown key {key!r}; the keys are {', '.join(_RECORD_KEYS)}")
             filters = {} if record.get("filters") is None else record["filters"]
             if not isinstance(filters, dict):
                 raise SchemaError(where, f"filters: expected an object, got {filters!r}")

@@ -13,14 +13,13 @@ Chunk metadata is typed (a str, an int or None), so each field keeps a
 dict from value to code and a column of int32 codes, one per row: a
 filter is one dict lookup and a mask over a column rather than a scan
 over the chunks. Questions repeat their filters (one company, one year),
-so each snapshot keeps a memo from a ``RetrievalConfig.filters`` tuple to
-the positions of the rows it keeps, and a repeated filter set costs one
-dict lookup. The memo belongs to one snapshot, and an append publishes a
-new snapshot with an empty one, so kept rows never go out of date. Since
-``check_filter`` pins each value's exact type, ``1`` and ``True`` (equal
-keys to a dict) never both reach it. It holds at most
-``_KEPT_ROWS_LIMIT`` positions, counting one more per filter set; a
-search that would pass that drops all of it first.
+so each snapshot keeps a ``Memo`` from a ``RetrievalConfig.filters``
+tuple to the positions of the rows it keeps, and a repeated filter set
+costs one dict lookup. An append publishes a new snapshot with an empty
+memo, so kept rows never go out of date. Since ``check_filter`` pins each
+value's exact type, ``1`` and ``True`` (equal keys to a dict) never both
+reach it. Its ``size`` counts the positions plus one per filter set, at
+most ``_KEPT_ROWS_LIMIT``.
 
 A filter ``(name, value)`` keeps the chunks whose metadata field ``name``
 equals ``value``; several filters must all hold. ``RetrievalConfig``
@@ -66,8 +65,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .chunking import ChunkMetadata, DocumentChunk, check_filter
-from .embedding import EmbeddingVector
+from .chunking import ChunkMetadata, DocumentChunk, checked_filters
+from .embedding import EmbeddingVector, Memo
 from .errors import IndexLoadError, ProviderError
 from .providers import EmbeddingProvider
 from .tokens import DEFAULT_TOKENIZER
@@ -124,9 +123,7 @@ class RetrievalConfig:
             raise ValueError(f"k must be an integer, got {self.k!r}")
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        object.__setattr__(self, "filters", tuple((f, v) for f, v in self.filters))
-        for name, value in self.filters:
-            check_filter(name, value)
+        object.__setattr__(self, "filters", checked_filters(self.filters))
 
 
 @dataclass(frozen=True)
@@ -140,17 +137,6 @@ _FIELDS = tuple(f.name for f in fields(ChunkMetadata))
 
 # Most kept-row positions (plus one per filter set) a snapshot's filter memo holds.
 _KEPT_ROWS_LIMIT = 2**20
-
-
-class _KeptRows(dict):
-    """A snapshot's filter memo: filters -> the positions of the rows they
-    keep, read-only; ``size`` counts the positions plus one per entry."""
-
-    __slots__ = ("size",)
-
-    def __init__(self):
-        super().__init__()
-        self.size = 0
 
 
 def _grown(column: np.ndarray, count: int, total: int) -> np.ndarray:
@@ -191,8 +177,9 @@ class _Snapshot:
     unscorable_rows: int
     books: dict[str, dict]  # field -> {value: code}
     columns: dict[str, np.ndarray]  # field -> int32 code of each row
-    # filters -> kept positions; each snapshot starts with an empty memo
-    kept: _KeptRows = field(default_factory=_KeptRows, compare=False)
+    # filters -> kept positions; filled by _kept_rows, not by a fill of
+    # its own, which would tie the memo and its snapshot into a cycle
+    kept: Memo = field(default_factory=Memo, compare=False)
 
     @property
     def buckets(self) -> np.ndarray:

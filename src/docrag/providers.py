@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol
 
+from .embedding import Memo
 from .errors import ProviderError
 from .tables import BoundingRegion
 from .tokens import count_tokens
@@ -145,37 +146,29 @@ class ContextLookupLLM:
     no line spans a blank line, so the non-empty lines of the blocks, in
     order, are the context's non-empty lines, and an empty line holds no
     pair. A retrieved chunk recurs across questions, so each reader keeps
-    a memo from a block to its pairs, each key already lowercased and
+    a ``Memo`` from a block to its pairs, each key already lowercased and
     stripped, in both its forms (with and without a trailing ";"); a
     prompt then costs one dict lookup per block and the substring tests.
-    The memo is bounded: a call that leaves it with more than
-    ``_BLOCK_MEMO_LIMIT`` blocks drops all of it. One reader may be
-    shared between threads (as ``run_eval``'s are): a call keeps the memo
-    it started with, a drop swaps in an empty one, and two threads that
-    fill one block store equal values.
+    The memo holds at most ``_BLOCK_MEMO_LIMIT`` blocks between calls.
     """
 
     tag = "lookup"
 
     def __init__(self):
-        self._blocks: dict[str, tuple[tuple[str, str], ...]] = {}
+        self._blocks = Memo(self._harvest)
 
     def complete(self, request: LLMRequest) -> LLMResponse:
         from .generation import read_prompt  # generation imports this module
         memo = self._blocks  # this call's generation, whatever another thread swaps in
         context, question = read_prompt(request.prompt)
-        entries = []
-        for block in context.split("\n\n"):
-            found = memo.get(block)
-            if found is None:
-                found = memo[block] = self._harvest(block)
-            entries.append(found)
+        entries = list(map(memo.__getitem__, context.split("\n\n")))
         if len(memo) > _BLOCK_MEMO_LIMIT and self._blocks is memo:
-            self._blocks = {}
+            self._blocks = Memo(self._harvest)
         text = self._lookup(entries, question)
         return LLMResponse(text=text, completion_tokens=count_tokens(text))
 
-    def _harvest(self, block: str) -> tuple[tuple[str, str], ...]:
+    @staticmethod
+    def _harvest(block: str) -> tuple[tuple[str, str], ...]:
         """The block's pairs, in order, as (candidate key, value) entries:
         each key lowercased and stripped, and again less a trailing ";"
         (flattened table keys carry one) when that differs and is not empty."""

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import docrag
-from docrag.cli import main
+from docrag.cli import _load_config, main
+from docrag.costs import load_pricing
 from docrag.embedding import HashingEmbedder
 from docrag.errors import SchemaError
 from docrag.evaluation import load_dataset
@@ -815,6 +816,10 @@ MALFORMED_INPUTS = {
     "dataset-list-document-id": (
         "dataset", _qa_line(document_id=["alpha-10k"]), "SchemaError", "document_id"
     ),
+    # a misspelt key would leave the question unfiltered
+    "dataset-unknown-key": (
+        "dataset", _qa_line(filtres={"company": "ALPHA"}), "SchemaError", "'filtres'"
+    ),
     "pricing-not-object": ("pricing", "[1]", "ValueError", "pricing file"),
     "pricing-group-not-object": ("pricing", {"per_token": [1]}, "ValueError", "per_token"),
     "pricing-null-rate": (
@@ -835,6 +840,14 @@ MALFORMED_INPUTS = {
     "pricing-fractional-tokens-per-page": (
         "pricing", {"tokens_per_page": 2.5}, "ValueError", "tokens_per_page"
     ),
+    # an unknown key would leave the default rate in place
+    "pricing-unknown-key": ("pricing", {"per_tokens": {"gpt-4o": 1.0}}, "ValueError", "'per_tokens'"),
+    "pricing-credits-unknown-key": (
+        "pricing",
+        {"credits": {"x": {"credits_per_page": 1, "usd_per_credit": 0.1, "usd_per_credits": 2}}},
+        "ValueError",
+        "'usd_per_credits'",
+    ),
     "config-null-k": ("config query", {"k": None}, "ValueError", "'k'"),
     "config-float-k": ("config query", {"k": 2.5}, "ValueError", "'k'"),
     "config-list-model-tag": ("config query", {"model_tag": ["gpt-4o"]}, "ValueError", "model_tag"),
@@ -848,6 +861,10 @@ MALFORMED_INPUTS = {
     ),
     "config-string-eval-workers": (
         "config eval", {"eval_workers": "2"}, "ValueError", "eval_workers"
+    ),
+    # unknown keys would leave eval on 4 workers with the lookup reader
+    "config-unknown-keys": (
+        "config eval", {"eval_worker": 1, "provder": "mock"}, "ValueError", "'eval_worker'"
     ),
     "answers-number-answer": ("answers", {"What is x?": 5}, "ValueError", "'What is x?'"),
     "answers-null-answer": ("answers", {"q": None}, "ValueError", "'q'"),
@@ -895,6 +912,52 @@ def test_malformed_input_file_fails_with_one_json_error(corpus, tmp_path, capsys
         assert message["message"].startswith("line 1:")
     if command == "answers":
         assert str(path) in message["message"]
+
+
+def test_unknown_key_errors_name_the_known_keys(tmp_path):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"provder": "mock"}), encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        _load_config(str(path))
+    assert str(info.value) == (
+        "config key 'provder' is not a setting; the settings are chunk_size, k, eval_workers, "
+        "table_format, charts, provider, model_tag, pricing"
+    )
+    path.write_text(json.dumps({"per_tokens": {}}), encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        load_pricing(path)
+    assert str(info.value) == (
+        "pricing key 'per_tokens' is not one of tokens_per_page, per_token, per_call_flat, "
+        "per_page, credits"
+    )
+    path.write_text(json.dumps({"credits": {"x": {"credit_per_page": 1}}}), encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        load_pricing(path)
+    assert str(info.value) == (
+        "pricing credits.x key 'credit_per_page' is not one of credits_per_page, usd_per_credit"
+    )
+    path.write_text(_qa_line(filtres={}), encoding="utf-8")
+    with pytest.raises(SchemaError) as info:
+        load_dataset(path)
+    assert str(info.value) == (
+        "line 1: unknown key 'filtres'; the keys are question, gold_answer, difficulty, target, "
+        "document_id, reference_count, filters"
+    )
+
+
+@pytest.mark.parametrize("content", ["", "\n  \n"])
+def test_eval_refuses_a_dataset_with_no_examples(corpus, tmp_path, capsys, content):
+    # An accuracy of 0/0 measures nothing.
+    index_path, _ = ingest(corpus, tmp_path, capsys)
+    dataset = tmp_path / "empty.jsonl"
+    dataset.write_text(content, encoding="utf-8")
+    report = tmp_path / "report.json"
+    code, out, err = run(
+        capsys, "eval", "--index", str(index_path), "--dataset", str(dataset), "--report", str(report)
+    )
+    assert (code, out, err.count("\n")) == (1, "", 1)
+    assert json.loads(err) == {"error": "ValueError", "message": f"dataset {dataset} holds no examples"}
+    assert not report.exists()
 
 
 def test_unknown_provider_rejected_by_parser(corpus, tmp_path, capsys):

@@ -225,6 +225,14 @@ def test_memo_is_per_embedder():
     assert len(HashingEmbedder()._memo) == 0
 
 
+def test_memo_fills_a_missing_key_once():
+    calls = []
+    memo = embedding.Memo(lambda key: calls.append(key) or 2 * key)
+    assert (memo[3], memo[3], memo.get(4), calls) == (6, 6, None, [3])
+    with pytest.raises(KeyError):
+        embedding.Memo()["absent"]  # no fill: a plain dict
+
+
 def test_features_run_once_per_distinct_word(monkeypatch):
     embedder = HashingEmbedder()
     seen = []

@@ -1,4 +1,5 @@
 import copy
+import gc
 import json
 import math
 import os
@@ -7,6 +8,7 @@ import re
 import stat
 import sys
 import threading
+import weakref
 from decimal import Decimal
 from fractions import Fraction
 
@@ -605,6 +607,21 @@ def test_filter_memo_belongs_to_its_snapshot():
     found = [r.chunk.chunk_id for r in index.search([1.0, 0.0, 0.0], acme)]
     assert sorted(found) == [f"a:1:{i}" for i in range(4)] + [f"b:1:{i}" for i in range(3)]
     assert held.search([1.0, 0.0, 0.0], acme) == before  # after the new snapshot filled its own
+
+
+def test_replaced_snapshot_is_freed_without_a_cycle_collection():
+    # A filter memo that referred back to its snapshot would keep every
+    # replaced snapshot, and its columns, until the cyclic collector ran.
+    index = VectorIndex(dimension=2)
+    index.upsert_many([entry("a:1:0", [1.0, 0.0], company="ACME")])
+    index.search([1.0, 0.0], RetrievalConfig(k=1, filters=(("company", "ACME"),)))
+    replaced = weakref.ref(index._snapshot)
+    gc.disable()
+    try:
+        index.upsert_many([entry("b:1:0", [0.0, 1.0], company="ACME")])
+        assert replaced() is None
+    finally:
+        gc.enable()
 
 
 def test_filter_on_a_value_no_chunk_holds_is_empty_cold_and_warm():
