@@ -98,36 +98,42 @@ class Memo(dict):
 
 
 class _Generation:
-    """One generation of an embedder's memo: its three maps."""
+    """One generation of an embedder's memo: its three maps.
+
+    The fills close over the maps and the embedder, not the generation, so
+    a generation the embedder drops is freed when its last call ends,
+    without waiting for a cyclic collection.
+    """
 
     def __init__(self, embedder: "HashingEmbedder"):
-        self.embedder = embedder
-        self.span = 2 * embedder.dimension
-        self.words = Memo(self._word_ids)  # word -> its tokens' ids
-        self.ids: dict[str, int] = {}  # lowercased token -> id
-        self.tokens: list[str] = []  # serial -> lowercased token
-        self.pairs = Memo(self._bigram_code)  # pair key -> the bigram's code
-        self._lock = threading.Lock()  # gives each token one id
+        dimension = embedder.dimension
+        span = self.span = 2 * dimension
+        ids: dict[str, int] = {}  # lowercased token -> id
+        tokens: list[str] = []  # serial -> lowercased token
+        lock = threading.Lock()  # gives each token one id
+
+        def word_ids(word: str) -> tuple[int, ...]:
+            features = embedder._features(word)
+            word_tokens = features[: (len(features) + 1) // 2]  # t tokens, then t - 1 bigrams
+            found = []
+            with lock:
+                for token in word_tokens:
+                    token_id = ids.get(token)
+                    if token_id is None:
+                        token_id = ids[token] = len(tokens) * span + _code(token, dimension)
+                        tokens.append(token)
+                    found.append(token_id)
+            return tuple(found)
+
+        def bigram_code(key: int) -> int:
+            return _code(_bigram(tokens[key >> 32], tokens[key & _LOW]), dimension)
+
+        self.words = Memo(word_ids)  # word -> its tokens' ids
+        self.ids = ids
+        self.pairs = Memo(bigram_code)  # pair key -> the bigram's code
 
     def __len__(self) -> int:
         return len(self.words) + len(self.ids) + len(self.pairs)
-
-    def _word_ids(self, word: str) -> tuple[int, ...]:
-        features = self.embedder._features(word)
-        tokens = features[: (len(features) + 1) // 2]  # t tokens, then t - 1 bigrams
-        ids = []
-        with self._lock:
-            for token in tokens:
-                token_id = self.ids.get(token)
-                if token_id is None:
-                    token_id = len(self.tokens) * self.span + _code(token, self.embedder.dimension)
-                    self.ids[token] = token_id
-                    self.tokens.append(token)
-                ids.append(token_id)
-        return tuple(ids)
-
-    def _bigram_code(self, key: int) -> int:
-        return _code(_bigram(self.tokens[key >> 32], self.tokens[key & _LOW]), self.embedder.dimension)
 
 
 class HashingEmbedder:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
@@ -121,15 +120,13 @@ def load_dataset(path: str | Path) -> list[QAExample]:
     return examples
 
 
-_CURRENCY_RE = re.compile(r"[$€£¥¢,%]")
-_WS_RE = re.compile(r"\s+")
+_DROPPED = str.maketrans("", "", "$€£¥¢,%")
 
 
 def normalize_answer(text: str) -> str:
     """Lowercase, drop currency symbols/commas/percent signs, collapse
-    whitespace."""
-    text = _CURRENCY_RE.sub("", text.lower())
-    return _WS_RE.sub(" ", text).strip()
+    whitespace (the characters ``str.isspace`` holds, as ``re``'s ``\\s``)."""
+    return " ".join(text.lower().translate(_DROPPED).split())
 
 
 def _as_number(text: str) -> float | None:

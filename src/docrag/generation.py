@@ -54,7 +54,10 @@ def read_prompt(prompt: str) -> tuple[str, str]:
     before, head, block = prompt.rpartition(_QUESTION)
     if not head or not block.endswith(_TAIL):
         return prompt, prompt
-    return before.removeprefix(_HEAD).removesuffix("\n\n"), block[: -len(_TAIL)]
+    # One slice: less _HEAD, then less a "\n\n" that follows it.
+    start = len(_HEAD) if before.startswith(_HEAD) else 0
+    end = len(before) - 2 if before.endswith("\n\n", start) else len(before)
+    return before[start:end], block[: -len(_TAIL)]
 
 
 # The tokens of every prompt less its context and question.
@@ -120,7 +123,7 @@ def answer_question(
     results = retrieve(question, index, retrieval, embedder)
     if not results:
         logger.warning("no chunks retrieved for question %r; prompting with empty context", question)
-    prompt = build_prompt([r.chunk.text for r in results], question)
+    prompt = _render(CONTEXT_SEPARATOR.join([r.chunk.text for r in results]), question)  # build_prompt, less its check
     tag = model_tag if model_tag is not None else llm.tag
     try:
         response = llm.complete(LLMRequest(model_tag=tag, prompt=prompt))

@@ -33,6 +33,15 @@ computed float64 score: which buckets are summed, and in what order,
 rounds the last bit, so two chunks whose exact cosines are equal may
 still be ordered by that rounding.
 
+A filtered question scores tens to a few hundred rows, so a search's
+fixed steps weigh more than its arithmetic. The query's norm is
+``math.sqrt(query.dot(query))``: the arithmetic ``np.linalg.norm`` does
+for a 1-D float64 array, so the same bits, without its wrapper. The top
+k of fewer than ``_SORT_ALL_BELOW`` scored rows is one stable sort of
+every score; of more, a partition picks the rows at least as good as the
+k-th best and only those are sorted. Both break ties by chunk_id, so
+both give the same results.
+
 Every per-row column (the chunks, the store, the norms, one code
 column per metadata field) and each field's value-to-code dict is only
 appended to. A snapshot is a row count plus references to them, and a reader
@@ -84,7 +93,9 @@ def embed(text: str, provider: EmbeddingProvider) -> EmbeddingVector:
             f"dimension mismatch: provider {provider.tag} declared {provider.dimension}, "
             f"returned {len(vector)}"
         )
-    if not all(map(math.isfinite, vector)):
+    # A finite sum has finite terms; finite terms can still sum past
+    # float64's range, so only a non-finite sum walks the components.
+    if not math.isfinite(sum(vector)) and not all(map(math.isfinite, vector)):
         raise ProviderError(f"provider {provider.tag} returned non-finite values")
     return vector
 
@@ -109,7 +120,7 @@ class IndexEntry:
             except OverflowError:  # an int or Fraction past float64's range
                 raise ValueError("vector entries must be finite") from None
         object.__setattr__(self, "vector", vector)
-        if not all(map(math.isfinite, vector)):
+        if not math.isfinite(sum(vector)) and not all(map(math.isfinite, vector)):  # see embed
             raise ValueError("vector entries must be finite")
 
 
@@ -137,6 +148,10 @@ _FIELDS = tuple(f.name for f in fields(ChunkMetadata))
 
 # Most kept-row positions (plus one per filter set) a snapshot's filter memo holds.
 _KEPT_ROWS_LIMIT = 2**20
+
+# Fewest scored rows whose top k a search partitions out before sorting;
+# below it one sort of every score is cheaper.
+_SORT_ALL_BELOW = 256
 
 
 def _grown(column: np.ndarray, count: int, total: int) -> np.ndarray:
@@ -343,6 +358,10 @@ class VectorIndex:
         nonzero vector whose squared components sum below about 5e-324).
         Every score is then finite: ``|dot| <= |row| * |query|``, at most the
         larger squared norm. An all-zero query or row scores 0.
+
+        The query's norm is bit for bit ``np.linalg.norm(query)``, and the
+        top k is one stable sort below ``_SORT_ALL_BELOW`` scored rows, a
+        partition and then a sort from there on (see the module docstring).
         """
         if len(query_vector) != self.dimension:
             raise ValueError(
@@ -350,7 +369,7 @@ class VectorIndex:
             )
         query = np.asarray(query_vector, dtype=np.float64)
         with np.errstate(over="ignore"):
-            query_norm = float(np.linalg.norm(query))
+            query_norm = math.sqrt(query.dot(query))  # np.linalg.norm's arithmetic
         if not math.isfinite(query_norm):  # a NaN or inf component, or overflow
             if not np.isfinite(query).all():
                 raise ValueError("query vector has a non-finite component")
@@ -399,17 +418,19 @@ class VectorIndex:
             else:
                 scores = dots / (norms * query_norm)
 
-        # Every row at least as good as the k-th best, then a stable sort of
-        # those: rows are in chunk_id order, so ties break by id.
+        # A stable sort: rows are in chunk_id order, so ties break by id.
         negated = -scores
-        k = min(config.k, len(negated))
-        bound = np.partition(negated, k - 1)[k - 1]
-        candidates = np.flatnonzero(negated <= bound)
-        ranked = candidates[np.argsort(negated[candidates], kind="stable")[:k]]
+        k = min(config.k, count)
+        if count < _SORT_ALL_BELOW:
+            ranked = np.argsort(negated, kind="stable")[:k]
+        else:
+            bound = np.partition(negated, k - 1)[k - 1]
+            candidates = np.flatnonzero(negated <= bound)
+            ranked = candidates[np.argsort(negated[candidates], kind="stable")[:k]]
         positions = ranked if kept is None else kept[ranked]
         return [
-            RetrievalResult(chunk=snapshot.chunks[p], score=float(scores[i]))
-            for p, i in zip(positions.tolist(), ranked.tolist())
+            RetrievalResult(chunk=snapshot.chunks[p], score=score)
+            for p, score in zip(positions.tolist(), scores[ranked].tolist())
         ]
 
     def persist(self, path: str | Path) -> None:

@@ -119,10 +119,11 @@ class MockLLM:
 
     def __init__(self, answers: dict[str, str]):
         self.answers = dict(answers)
+        from .generation import read_prompt  # once per reader: generation imports this module
+        self._read_prompt = read_prompt
 
     def complete(self, request: LLMRequest) -> LLMResponse:
-        from .generation import read_prompt  # generation imports this module
-        text = self.answers.get(read_prompt(request.prompt)[1], "")
+        text = self.answers.get(self._read_prompt(request.prompt)[1], "")
         return LLMResponse(text=text, completion_tokens=count_tokens(text))
 
 
@@ -156,11 +157,12 @@ class ContextLookupLLM:
 
     def __init__(self):
         self._blocks = Memo(self._harvest)
+        from .generation import read_prompt  # once per reader: generation imports this module
+        self._read_prompt = read_prompt
 
     def complete(self, request: LLMRequest) -> LLMResponse:
-        from .generation import read_prompt  # generation imports this module
         memo = self._blocks  # this call's generation, whatever another thread swaps in
-        context, question = read_prompt(request.prompt)
+        context, question = self._read_prompt(request.prompt)
         entries = list(map(memo.__getitem__, context.split("\n\n")))
         if len(memo) > _BLOCK_MEMO_LIMIT and self._blocks is memo:
             self._blocks = Memo(self._harvest)

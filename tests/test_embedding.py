@@ -1,8 +1,10 @@
+import gc
 import hashlib
 import json
 import math
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -260,6 +262,22 @@ def test_memo_stays_bounded_and_vectors_unchanged():
     assert len(embedder._memo) <= limit
     assert [embedder.embed(text) for text in probes] == before
     assert before == [reference_embed(text, 32) for text in probes]
+
+
+def test_dropped_generation_is_freed_without_a_cycle_collection(monkeypatch):
+    # Fills bound to their generation would keep every dropped one (up to
+    # _MEMO_LIMIT entries) until the cyclic collector ran.
+    monkeypatch.setattr(embedding, "_MEMO_LIMIT", 8)
+    embedder = HashingEmbedder()
+    embedder.embed("a b c")  # 3 words, 3 tokens, 2 pairs: at the bound
+    dropped = weakref.ref(embedder._memo)
+    gc.disable()
+    try:
+        embedder.embed("d e f g h")  # past it
+        assert len(embedder._memo) == 0
+        assert dropped() is None
+    finally:
+        gc.enable()
 
 
 def test_threads_sharing_one_embedder_match_serial(corpus, monkeypatch):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -39,6 +40,22 @@ def test_normalize_is_idempotent():
     for text in ("$ 159", "A  B", "6%", "", "plain"):
         once = normalize_answer(text)
         assert normalize_answer(once) == once
+
+
+_WHITESPACE = [c for c in map(chr, range(0x3001)) if c.isspace()]
+
+
+def regex_normalize_answer(text: str) -> str:
+    """normalize_answer as two regex substitutions, its earlier form."""
+    text = re.sub(r"[$€£¥¢,%]", "", text.lower())
+    return re.sub(r"\s+", " ", text).strip()
+
+
+@settings(max_examples=500)
+@given(st.text(alphabet=st.sampled_from(_WHITESPACE + list("$€£¥¢,%") + ["İ", "ß", "A", "b", "7", "."]), max_size=40))
+def test_property_normalize_matches_the_regex_form(text):
+    # str.split and re's \s split on the same characters.
+    assert normalize_answer(text) == regex_normalize_answer(text)
 
 
 # --- scoring ---------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import logging
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from docrag.embedding import HashingEmbedder
@@ -122,6 +122,20 @@ _PROMPT_LIKE = st.one_of(st.lists(_PROMPT_PIECE, max_size=8).map("".join), _CHUN
 )
 def test_read_prompt_inverts_build_prompt(chunks, question):
     assert read_prompt(build_prompt(chunks, question)) == (CONTEXT_SEPARATOR.join(chunks), question)
+
+
+@settings(max_examples=300)
+@given(st.lists(_PROMPT_PIECE, max_size=8).map("".join))
+@example(PREAMBLE + "\n\n\n")  # the prefix's "\n\n" and the suffix overlap
+@example(PREAMBLE + "\n\n")
+@example(PREAMBLE + "\n\n\n\n")
+@example("\n")
+def test_read_prompt_context_matches_the_remove_affixes_form(before):
+    # read_prompt cuts the context with one slice; its earlier form took
+    # removeprefix(PREAMBLE + "\n\n"), then removesuffix("\n\n") of what was left.
+    prompt = before + _QUESTION_MARKER + "Q?\nAnswer:"
+    expected = prompt.rpartition(_QUESTION_MARKER)[0].removeprefix(PREAMBLE + "\n\n").removesuffix("\n\n")
+    assert read_prompt(prompt) == (expected, "Q?")
 
 
 def test_prompt_determinism():

@@ -117,6 +117,31 @@ def test_embed_rejects_non_finite():
         embed("q", FakeProvider([1.0, float("nan"), 2.0]))
 
 
+# Finite components whose float sum overflows, then non-finite ones (whose
+# sums are inf, -inf or nan): embed and IndexEntry test the sum first and
+# walk the components only when it is not finite.
+_SUM_OVERFLOWS = [1e308, 1e308, 0.0]
+_NON_FINITE = {
+    "nan": [math.nan, 0.0, 0.0],
+    "inf": [math.inf, 0.0, 0.0],
+    "inf-minus-inf": [math.inf, -math.inf, 0.0],
+}
+
+
+def test_finite_components_whose_sum_overflows_are_accepted():
+    assert not math.isfinite(sum(_SUM_OVERFLOWS))
+    assert embed("q", FakeProvider(_SUM_OVERFLOWS)) == _SUM_OVERFLOWS
+    assert entry("a:1:0", _SUM_OVERFLOWS).vector == tuple(_SUM_OVERFLOWS)
+
+
+@pytest.mark.parametrize("vector", _NON_FINITE.values(), ids=_NON_FINITE)
+def test_non_finite_components_are_refused_by_embed_and_entry(vector):
+    with pytest.raises(ProviderError, match="provider fake returned non-finite values"):
+        embed("q", FakeProvider(vector))
+    with pytest.raises(ValueError, match="vector entries must be finite"):
+        entry("a:1:0", vector)
+
+
 # --- upsert and lookup --------------------------------------------------------
 
 def test_upsert_and_get():
@@ -701,6 +726,116 @@ def test_sparse_search_matches_bruteforce_at_dimension_256(rows, filters, query,
     assert [r.chunk.chunk_id for r in found] == expected
     by_id = {e.chunk.chunk_id: e for e in entries}
     assert [r.score for r in found] == [cosine(by_id[cid].vector, query) for cid in expected]
+
+
+class _RecordingMath:
+    """``math`` whose ``sqrt`` keeps each root it takes: the query norm a
+    search computed."""
+
+    def __init__(self):
+        self.roots = []
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def sqrt(self, value):
+        self.roots.append(math.sqrt(value))
+        return self.roots[-1]
+
+
+def numpy_reference_search(vectors, ids, query, k):
+    """Top k of (vectors, ids) by cosine, ties by id, normed with
+    ``np.linalg.norm``; None when the query's norm overflows float64."""
+    query = np.array(query)
+    with np.errstate(over="ignore"):
+        query_norm = np.linalg.norm(query)
+    if not np.isfinite(query_norm):
+        return None
+    scored = []
+    for vector, chunk_id in zip(vectors, ids):
+        vector = np.array(vector)
+        norm = np.linalg.norm(vector)
+        score = 0.0 if norm == 0.0 or query_norm == 0.0 else float(vector @ query / (norm * query_norm))
+        scored.append((-score, chunk_id))
+    scored.sort()
+    return [(chunk_id, -negated) for negated, chunk_id in scored[:k]]
+
+
+_SORT_ALL_BELOW = index_module._SORT_ALL_BELOW
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kept_count=st.sampled_from([_SORT_ALL_BELOW - 1, _SORT_ALL_BELOW, _SORT_ALL_BELOW + 1])
+    | st.integers(0, 2 * _SORT_ALL_BELOW),
+    other_count=st.integers(0, 40),
+    filtered=st.booleans(),
+    equal_rows=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    query=st.lists(st.integers(-2, 2), min_size=8, max_size=8),
+    scale=st.sampled_from([1.0, 2.0**511]),  # 2**511 is about 6.7e153
+    extra_k=st.integers(-40, 3),
+)
+def test_search_matches_a_numpy_reference_on_both_sides_of_the_sort_size(
+    kept_count, other_count, filtered, equal_rows, seed, query, scale, extra_k
+):
+    # Small integer components (the query's times a power of two) keep every
+    # dot product exact, so ids, scores and tie order must equal the
+    # reference's, whether search sorts every kept row or partitions first.
+    # A query scaled near 1e154 overflows float64 once its squared
+    # components sum to 2**1024.
+    rng = random.Random(seed)
+    if not filtered:
+        kept_count, other_count = kept_count + other_count, 0
+    companies = ["KEPT"] * kept_count + ["OTHER"] * other_count
+    rng.shuffle(companies)
+    shared = [float(rng.randint(-2, 2)) for _ in range(8)]
+    vectors = [
+        shared if equal_rows else [float(rng.choice((-2, -1, 0, 0, 0, 1, 2))) for _ in range(8)]
+        for _ in companies
+    ]
+    ids = [f"d:1:{i:04d}" for i in range(len(companies))]
+    index = VectorIndex(dimension=8)
+    index.upsert_many([entry(chunk_id, vector, company=company)
+                       for chunk_id, vector, company in zip(ids, vectors, companies)])
+    query = [component * scale for component in query]
+    k = max(1, kept_count + extra_k)  # from 1 to past the kept count
+    config = RetrievalConfig(k=k, filters=(("company", "KEPT"),) if filtered else ())
+    kept = [i for i, company in enumerate(companies) if company == "KEPT"]
+    expected = numpy_reference_search([vectors[i] for i in kept], [ids[i] for i in kept], query, k)
+    recording = _RecordingMath()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(index_module, "math", recording)
+        if expected is None:
+            with pytest.raises(ValueError, match="query vector's norm overflows float64"):
+                index.search(query, config)
+        else:
+            found = index.search(query, config)
+            assert [(r.chunk.chunk_id, r.score) for r in found] == expected
+    with np.errstate(over="ignore"):
+        assert recording.roots == [np.linalg.norm(np.array(query))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(
+    st.floats(allow_nan=False, allow_infinity=False) | st.floats(-1e160, 1e160) | st.integers(-3, 3).map(float),
+    min_size=1, max_size=300,
+))
+def test_query_norm_is_bit_equal_to_numpy(query):
+    # The norm search takes, against np.linalg.norm, including overflow to
+    # inf and underflow to 0; no RuntimeWarning may escape either.
+    index = VectorIndex(dimension=len(query))
+    recording = _RecordingMath()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(index_module, "math", recording)
+        try:
+            index.search(query, RetrievalConfig(k=1))
+        except ValueError:  # an overflowed or underflowed norm
+            pass
+    with np.errstate(over="ignore"):
+        expected = np.linalg.norm(np.array(query))
+    assert recording.roots == [expected]
+    assert np.float64(recording.roots[0]).tobytes() == expected.tobytes()
 
 
 # --- persistence ---------------------------------------------------------------

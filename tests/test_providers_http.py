@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -314,6 +316,23 @@ def test_lookup_llm_empty_when_no_key_matches():
 def test_lookup_llm_skips_unparseable_json_lines():
     prompt = build_prompt(["[not json", "Margin: 8%"], "What was the margin?")
     assert ContextLookupLLM().complete(request(prompt=prompt)).text == "8%"
+
+
+def test_readers_work_when_providers_is_imported_first():
+    # Each reader resolves generation.read_prompt when it is made, so it
+    # needs no earlier import of docrag.generation.
+    code = (
+        "from docrag.providers import ContextLookupLLM, LLMRequest, MockLLM\n"
+        "readers = ContextLookupLLM(), MockLLM({'revenue?': '11'})\n"
+        "from docrag.generation import build_prompt\n"
+        "prompt = build_prompt(['Revenue: 10'], 'revenue?')\n"
+        "print(*(reader.complete(LLMRequest('m', prompt)).text for reader in readers))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(docrag.__file__))}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
+    )
+    assert done.stdout.split() == ["10", "11"]
 
 
 def test_mock_llm_takes_the_question_after_the_postamble():
