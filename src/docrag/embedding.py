@@ -36,13 +36,12 @@ from __future__ import annotations
 import hashlib
 import math
 import threading
+import weakref
 from itertools import chain
 
 import numpy as np
 
 from .tokens import DEFAULT_TOKENIZER
-
-EmbeddingVector = list[float]
 
 DEFAULT_DIMENSION = 256
 
@@ -100,20 +99,23 @@ class Memo(dict):
 class _Generation:
     """One generation of an embedder's memo: its three maps.
 
-    The fills close over the maps and the embedder, not the generation, so
-    a generation the embedder drops is freed when its last call ends,
-    without waiting for a cyclic collection.
+    The fills close over the maps and a weak reference to the embedder,
+    not the generation or the embedder itself, so neither a generation
+    the embedder drops nor a dropped embedder waits for a cyclic
+    collection. A fill looks ``_features`` up on the embedder when it
+    runs, so a patch of it on one instance is seen.
     """
 
     def __init__(self, embedder: "HashingEmbedder"):
         dimension = embedder.dimension
+        owner = weakref.ref(embedder)  # alive while a call runs: the call holds it
         span = self.span = 2 * dimension
         ids: dict[str, int] = {}  # lowercased token -> id
         tokens: list[str] = []  # serial -> lowercased token
         lock = threading.Lock()  # gives each token one id
 
         def word_ids(word: str) -> tuple[int, ...]:
-            features = embedder._features(word)
+            features = owner()._features(word)
             word_tokens = features[: (len(features) + 1) // 2]  # t tokens, then t - 1 bigrams
             found = []
             with lock:
@@ -154,8 +156,9 @@ class HashingEmbedder:
         features.extend(map(_bigram, tokens, tokens[1:]))
         return features
 
-    def embed(self, text: str) -> EmbeddingVector:
-        """Empty input embeds to the zero vector (flagged downstream)."""
+    def embed(self, text: str) -> np.ndarray:
+        """``text``'s vector, a float64 array of ``dimension`` entries; empty
+        input embeds to the zero vector (flagged downstream)."""
         memo = self._memo  # this call's generation, whatever another thread swaps in
         span = memo.span
         ids = np.fromiter(chain.from_iterable(map(memo.words.__getitem__, text.split())), np.int64)
@@ -168,5 +171,5 @@ class HashingEmbedder:
         values = counts[1::2] - counts[0::2]
         norm = math.sqrt(int(values @ values))
         if norm == 0.0:
-            return [0.0] * self.dimension
-        return (values / norm).tolist()
+            return np.zeros(self.dimension)
+        return values / norm

@@ -57,6 +57,11 @@ any other (a replacement, or an id that sorts inside the index) gathers
 every live row in chunk_id order and appends it to fresh, empty columns.
 Persistence is JSON-lines with a header line, written atomically and
 synced to disk before it replaces the old file.
+
+A vector is a float64 array, from the embedder to the search. ``_vector``
+is the one rule for every vector that enters, through ``embed``,
+``IndexEntry``, ``search`` or ``load``: an embedder's array passes as it
+is, and any other sequence only if each component is a real number.
 """
 
 from __future__ import annotations
@@ -75,7 +80,7 @@ from typing import Sequence
 import numpy as np
 
 from .chunking import ChunkMetadata, DocumentChunk, checked_filters
-from .embedding import EmbeddingVector, Memo
+from .embedding import Memo
 from .errors import IndexLoadError, ProviderError
 from .providers import EmbeddingProvider
 from .tokens import DEFAULT_TOKENIZER
@@ -85,18 +90,41 @@ logger = logging.getLogger(__name__)
 DEFAULT_K = 3
 
 
-def embed(text: str, provider: EmbeddingProvider) -> EmbeddingVector:
+def _vector(values, *, finite: bool = True) -> np.ndarray:
+    """``values`` as a float64 array: the one rule for a vector that enters
+    the index. A 1-D float64 array passes as it is; any other sequence
+    passes when every component is a real number and not a bool (numpy
+    would read ``True`` and ``"0.5"`` as numbers) and is converted once.
+    An int or ``Fraction`` past float64's range raises ``ValueError``, and
+    so, when ``finite``, does a NaN or infinite entry."""
+    if type(values) is not np.ndarray or values.dtype.type is not np.float64 or values.ndim != 1:
+        for kind in set(map(type, values)):
+            if kind is not float and (kind is bool or not issubclass(kind, numbers.Real)):
+                bad = next(value for value in values if type(value) is kind)
+                raise TypeError(f"vector components must be real numbers, got {bad!r:.80}")
+        try:
+            values = np.array(values, dtype=np.float64)
+        except OverflowError:  # an int or Fraction past float64's range
+            raise ValueError("vector entries must be finite") from None
+    if finite and not np.isfinite(values).all():
+        raise ValueError("vector entries must be finite")
+    return values
+
+
+def embed(text: str, provider: EmbeddingProvider) -> np.ndarray:
     """Embed text through a provider, validating the returned vector."""
-    vector = provider.embed(text)
+    returned = provider.embed(text)
+    try:
+        vector = _vector(returned)
+    except TypeError as exc:
+        raise ProviderError(f"provider {provider.tag} returned a bad vector: {exc}") from exc
+    except ValueError:
+        raise ProviderError(f"provider {provider.tag} returned non-finite values") from None
     if len(vector) != provider.dimension:
         raise ProviderError(
             f"dimension mismatch: provider {provider.tag} declared {provider.dimension}, "
             f"returned {len(vector)}"
         )
-    # A finite sum has finite terms; finite terms can still sum past
-    # float64's range, so only a non-finite sum walks the components.
-    if not math.isfinite(sum(vector)) and not all(map(math.isfinite, vector)):
-        raise ProviderError(f"provider {provider.tag} returned non-finite values")
     return vector
 
 
@@ -106,22 +134,7 @@ class IndexEntry:
     vector: tuple[float, ...]
 
     def __post_init__(self):
-        vector = tuple(self.vector)
-        # One pass over the components' types, as VectorIndex.load makes:
-        # float() alone would read "0.5" and True as numbers.
-        kinds = set(map(type, vector))
-        if not kinds <= {float}:
-            for kind in kinds:
-                if kind is bool or not issubclass(kind, numbers.Real):
-                    bad = next(value for value in vector if type(value) is kind)
-                    raise TypeError(f"vector components must be real numbers, got {bad!r:.80}")
-            try:
-                vector = tuple(map(float, vector))
-            except OverflowError:  # an int or Fraction past float64's range
-                raise ValueError("vector entries must be finite") from None
-        object.__setattr__(self, "vector", vector)
-        if not math.isfinite(sum(vector)) and not all(map(math.isfinite, vector)):  # see embed
-            raise ValueError("vector entries must be finite")
+        object.__setattr__(self, "vector", tuple(_vector(self.vector).tolist()))
 
 
 @dataclass(frozen=True)
@@ -304,7 +317,7 @@ class VectorIndex:
         position = bisect_left(snapshot.chunks, chunk_id, 0, snapshot.count, key=lambda chunk: chunk.chunk_id)
         if position == snapshot.count or snapshot.chunks[position].chunk_id != chunk_id:
             return None
-        return IndexEntry(chunk=snapshot.chunks[position], vector=snapshot.store[:, position].tolist())
+        return IndexEntry(chunk=snapshot.chunks[position], vector=snapshot.store[:, position])
 
     def upsert(self, entry: IndexEntry) -> None:
         """Store an entry; a repeated chunk_id replaces the prior entry."""
@@ -347,15 +360,17 @@ class VectorIndex:
                 old = _empty(self.dimension)
             self._snapshot = _appended(old, chunks, rows)
 
-    def search(self, query_vector: Sequence[float], config: RetrievalConfig) -> list[RetrievalResult]:
+    def search(self, query_vector: np.ndarray | Sequence[float], config: RetrievalConfig) -> list[RetrievalResult]:
         """Exact top-k by cosine among entries passing every metadata filter.
 
         Results sort by descending score, ties by ascending chunk_id. An
         empty index (or one emptied by the filters) yields no results. A
-        query with a NaN or infinite component raises ``ValueError``, and so
-        does a query or kept chunk whose vector's norm overflows float64 (its
-        squared components sum past about 1.8e308) or underflows it (a
-        nonzero vector whose squared components sum below about 5e-324).
+        query with a component that is no real number (a bool, a str) raises
+        ``TypeError``; one with a NaN or infinite component raises
+        ``ValueError``, and so does a query or kept chunk whose vector's
+        norm overflows float64 (its squared components sum past about
+        1.8e308) or underflows it (a nonzero vector whose squared
+        components sum below about 5e-324).
         Every score is then finite: ``|dot| <= |row| * |query|``, at most the
         larger squared norm. An all-zero query or row scores 0.
 
@@ -363,11 +378,11 @@ class VectorIndex:
         top k is one stable sort below ``_SORT_ALL_BELOW`` scored rows, a
         partition and then a sort from there on (see the module docstring).
         """
-        if len(query_vector) != self.dimension:
+        query = _vector(query_vector, finite=False)  # the norm below finds a non-finite entry
+        if len(query) != self.dimension:
             raise ValueError(
-                f"dimension mismatch: index is {self.dimension}, query is {len(query_vector)}"
+                f"dimension mismatch: index is {self.dimension}, query is {len(query)}"
             )
-        query = np.asarray(query_vector, dtype=np.float64)
         with np.errstate(over="ignore"):
             query_norm = math.sqrt(query.dot(query))  # np.linalg.norm's arithmetic
         if not math.isfinite(query_norm):  # a NaN or inf component, or overflow
@@ -511,19 +526,12 @@ class VectorIndex:
                         vector = record["vector"]
                         if type(vector) is not list:
                             raise TypeError(f"vector must be an array, got {vector!r:.80}")
-                        # numpy would read true, false and "0.5" as numbers.
-                        if not set(map(type, vector)) <= {int, float}:
-                            bad = next(value for value in vector if type(value) not in (int, float))
-                            raise TypeError(f"vector components must be numbers, got {bad!r:.80}")
-                        # An integer past float64's range raises OverflowError.
-                        vector = np.array(vector, dtype=np.float64)
+                        vector = _vector(vector)
                         if vector.shape != (dimension,):
                             raise ValueError(
                                 f"vector has shape {vector.shape}, header says {dimension}"
                             )
-                        if not np.isfinite(vector).all():
-                            raise ValueError("vector entries must be finite")
-                    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+                    except (ValueError, KeyError, TypeError) as exc:
                         raise IndexLoadError(offset, f"bad entry line: {exc}") from exc
                     if chunk.chunk_id in seen:
                         raise IndexLoadError(

@@ -17,7 +17,9 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol
+from typing import Protocol, Sequence
+
+import numpy as np
 
 from .embedding import Memo
 from .errors import ProviderError
@@ -76,10 +78,14 @@ class DirectoryChartProvider:
 
 
 class EmbeddingProvider(Protocol):
+    """Embeds text as ``dimension`` real numbers: a float64 array (as
+    ``embedding.HashingEmbedder`` returns), which the index takes as it
+    is, or a sequence of real numbers, which it converts once."""
+
     tag: str
     dimension: int
 
-    def embed(self, text: str) -> list[float]: ...
+    def embed(self, text: str) -> np.ndarray | Sequence[float]: ...
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ def test_vector_has_declared_dimension():
 def test_embedding_is_deterministic():
     a = HashingEmbedder().embed("Total revenue rose 6% in fiscal 2013.")
     b = HashingEmbedder().embed("Total revenue rose 6% in fiscal 2013.")
-    assert a == b
+    assert a.tolist() == b.tolist()
 
 
 def test_unit_norm():
@@ -43,18 +43,18 @@ def test_unit_norm():
 
 
 def test_empty_text_is_zero_vector():
-    assert HashingEmbedder().embed("") == [0.0] * 256
-    assert HashingEmbedder().embed(" \n\t ") == [0.0] * 256
+    assert HashingEmbedder().embed("").tolist() == [0.0] * 256
+    assert HashingEmbedder().embed(" \n\t ").tolist() == [0.0] * 256
 
 
 def test_case_insensitive():
     embedder = HashingEmbedder()
-    assert embedder.embed("Revenue GROWTH") == embedder.embed("revenue growth")
+    assert embedder.embed("Revenue GROWTH").tolist() == embedder.embed("revenue growth").tolist()
 
 
 def test_word_order_matters_through_bigrams():
     embedder = HashingEmbedder()
-    assert embedder.embed("alpha beta") != embedder.embed("beta alpha")
+    assert embedder.embed("alpha beta").tolist() != embedder.embed("beta alpha").tolist()
 
 
 def test_shared_vocabulary_scores_higher_than_disjoint():
@@ -88,7 +88,7 @@ def test_property_norm_is_zero_or_one(text):
 def test_property_deterministic_and_finite(text):
     embedder = HashingEmbedder(dimension=32)
     vector = embedder.embed(text)
-    assert vector == embedder.embed(text)
+    assert vector.tolist() == embedder.embed(text).tolist()
     assert all(math.isfinite(v) for v in vector)
 
 
@@ -171,7 +171,7 @@ _WARM = HashingEmbedder(dimension=64)
 @given(st.lists(_TRICKY, min_size=1, max_size=3))
 def test_property_warm_memo_matches_reference(texts):
     for text in texts + texts:
-        assert _WARM.embed(text) == reference_embed(text, 64)
+        assert _WARM.embed(text).tolist() == reference_embed(text, 64)
 
 
 # Every separator str.split() knows (the tokenizer's \s is the same set),
@@ -197,7 +197,7 @@ _SPLIT_EMBEDDERS = [HashingEmbedder(dimension=1), HashingEmbedder(dimension=256)
 @given(_SPLIT_TRAPS, st.sampled_from(range(len(_SPLIT_EMBEDDERS))))
 def test_property_word_memo_matches_reference(text, which):
     embedder = _SPLIT_EMBEDDERS[which]
-    assert embedder.embed(text) == reference_embed(text, embedder.dimension)
+    assert embedder.embed(text).tolist() == reference_embed(text, embedder.dimension)
 
 
 def test_separators_are_the_tokenizers_whitespace():
@@ -211,13 +211,13 @@ def test_lowercases_each_token_not_the_text():
     # "İSTANBUL".lower() tokenizes as "i", "\u0307", "stanbul"; per token it is one.
     embedder = HashingEmbedder()
     assert embedder._features("İSTANBUL") == ["i\u0307stanbul"]
-    assert embedder.embed("İSTANBUL ß") == reference_embed("İSTANBUL ß", 256)
+    assert embedder.embed("İSTANBUL ß").tolist() == reference_embed("İSTANBUL ß", 256)
 
 
 def test_lone_surrogate_hashes_like_the_reference():
     # json.loads('"\\ud800"') yields a lone surrogate, which strict UTF-8 refuses.
     text = "rev\ud800 growth \udfff"
-    assert HashingEmbedder().embed(text) == reference_embed(text, 256)
+    assert HashingEmbedder().embed(text).tolist() == reference_embed(text, 256)
 
 
 def test_memo_is_per_embedder():
@@ -241,7 +241,7 @@ def test_features_run_once_per_distinct_word(monkeypatch):
     features = embedder._features
     monkeypatch.setattr(embedder, "_features", lambda word: seen.append(word) or features(word))
     text = "Revenue rose; revenue rose 6% (Revenue)"
-    assert embedder.embed(text) == reference_embed(text, 256)
+    assert embedder.embed(text).tolist() == reference_embed(text, 256)
     assert sorted(seen) == sorted(set(text.split()))
     embedder.embed(text)
     embedder.embed("rose; 6%")
@@ -254,13 +254,13 @@ def test_memo_stays_bounded_and_vectors_unchanged():
     flood = " ".join(words)
     probes = _PINNED_TEXTS + ["revenue growth in asia", flood[:5000]]
     embedder = HashingEmbedder(dimension=32)
-    before = [embedder.embed(text) for text in probes]
+    before = [embedder.embed(text).tolist() for text in probes]
     assert 0 < len(embedder._memo) <= limit
-    assert embedder.embed(flood) == reference_embed(flood, 32)
+    assert embedder.embed(flood).tolist() == reference_embed(flood, 32)
     assert len(embedder._memo) <= limit
     embedder.embed(" ".join(reversed(words)))
     assert len(embedder._memo) <= limit
-    assert [embedder.embed(text) for text in probes] == before
+    assert [embedder.embed(text).tolist() for text in probes] == before
     assert before == [reference_embed(text, 32) for text in probes]
 
 
@@ -280,19 +280,33 @@ def test_dropped_generation_is_freed_without_a_cycle_collection(monkeypatch):
         gc.enable()
 
 
+def test_dropped_embedder_is_freed_without_a_cycle_collection():
+    # Fills that held the embedder, to look _features up on it, tied it to
+    # its own memo in a cycle.
+    embedder = HashingEmbedder()
+    embedder.embed("revenue growth in asia")
+    dropped = weakref.ref(embedder)
+    gc.disable()
+    try:
+        del embedder
+        assert dropped() is None
+    finally:
+        gc.enable()
+
+
 def test_threads_sharing_one_embedder_match_serial(corpus, monkeypatch):
     # A small bound makes the threads clear the memo under each other.
     monkeypatch.setattr(embedding, "_MEMO_LIMIT", 64)
     texts = _PINNED_TEXTS + _corpus_chunk_texts(corpus)
     texts += [f"row {n} of table {n % 7}" for n in range(40)]
-    serial = [HashingEmbedder().embed(text) for text in texts]
+    serial = [HashingEmbedder().embed(text).tolist() for text in texts]
     shared = HashingEmbedder()
     start = threading.Barrier(4)
     results = [None] * 4
 
     def work(slot):
         start.wait(timeout=60)
-        results[slot] = [shared.embed(text) for text in texts * 5]
+        results[slot] = [shared.embed(text).tolist() for text in texts * 5]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

@@ -104,7 +104,7 @@ class FakeProvider:
 
 
 def test_embed_passes_valid_vector():
-    assert embed("q", FakeProvider([1.0, 2.0, 3.0])) == [1.0, 2.0, 3.0]
+    assert embed("q", FakeProvider([1.0, 2.0, 3.0])).tolist() == [1.0, 2.0, 3.0]
 
 
 def test_embed_rejects_wrong_dimension():
@@ -118,8 +118,8 @@ def test_embed_rejects_non_finite():
 
 
 # Finite components whose float sum overflows, then non-finite ones (whose
-# sums are inf, -inf or nan): embed and IndexEntry test the sum first and
-# walk the components only when it is not finite.
+# sums are inf, -inf or nan): embed and IndexEntry test each component, so
+# a sum past float64's range refuses nothing.
 _SUM_OVERFLOWS = [1e308, 1e308, 0.0]
 _NON_FINITE = {
     "nan": [math.nan, 0.0, 0.0],
@@ -130,7 +130,7 @@ _NON_FINITE = {
 
 def test_finite_components_whose_sum_overflows_are_accepted():
     assert not math.isfinite(sum(_SUM_OVERFLOWS))
-    assert embed("q", FakeProvider(_SUM_OVERFLOWS)) == _SUM_OVERFLOWS
+    assert embed("q", FakeProvider(_SUM_OVERFLOWS)).tolist() == _SUM_OVERFLOWS
     assert entry("a:1:0", _SUM_OVERFLOWS).vector == tuple(_SUM_OVERFLOWS)
 
 
@@ -234,6 +234,104 @@ def test_entry_keeps_real_components_as_floats(vector):
 def test_index_dimension_must_be_positive(dimension):
     with pytest.raises(ValueError, match="dimension must be an integer >= 1"):
         VectorIndex(dimension=dimension)
+
+
+# --- one vector rule: a table run through every entry point -------------------
+
+# Components numpy would read as numbers, which no entry point may.
+_REFUSED_VECTORS = {
+    "strings": ["1", "0"],
+    "bools": [True, False],
+    "float-and-bool": [1.0, True],
+    "bool-array": np.array([True, False]),
+    "string-array": np.array(["1", "0"]),
+    "object-array-with-none": np.array([None, 0.0], dtype=object),
+}
+# Each reads as the float list [3.0, -4.0].
+_ACCEPTED_VECTORS = {
+    "float32-array": np.array([3.0, -4.0], dtype=np.float32),
+    "int-list": [3, -4],
+    "float64-array": np.array([3.0, -4.0]),
+    "float64-column-view": np.array([[3.0, 9.0], [-4.0, 9.0]])[:, 0],
+}
+
+
+def searched(tmp_path, vector):
+    index = VectorIndex(dimension=2)
+    index.upsert_many([entry("a:1:0", [1.0, 0.0]), entry("b:1:0", [0.0, 1.0]), entry("c:1:0", [3.0, -4.0])])
+    return [(r.chunk.chunk_id, r.score) for r in index.search(vector, RetrievalConfig(k=3))]
+
+
+def embedded(tmp_path, vector):
+    provider = FakeProvider(vector)
+    provider.dimension = 2
+    result = embed("q", provider)
+    assert type(result) is np.ndarray and result.dtype == np.float64
+    return result.tolist()
+
+
+def entered(tmp_path, vector):
+    stored = IndexEntry(chunk=chunk("a:1:0"), vector=vector).vector
+    assert {type(value) for value in stored} == {float}
+    return stored
+
+
+def loaded(tmp_path, vector):
+    """The vector loaded from a persisted one-entry index whose entry line
+    holds ``vector`` (an array as JSON holds it: a list)."""
+    path = tmp_path / "index.jsonl"
+    index = VectorIndex(dimension=2)
+    index.upsert(entry("a:1:0", [1.0, 0.0]))
+    index.persist(path)
+    header, line = path.read_bytes().splitlines(keepends=True)
+    record = json.loads(line)
+    record["vector"] = vector.tolist() if isinstance(vector, np.ndarray) else vector
+    path.write_bytes(header + json.dumps(record).encode() + b"\n")
+    return VectorIndex.load(path).get("a:1:0").vector
+
+
+# Each entry point and the error it refuses a vector with.
+_ENTRY_POINTS = {
+    "search": (searched, TypeError),
+    "embed": (embedded, ProviderError),
+    "entry": (entered, TypeError),
+    "load": (loaded, IndexLoadError),
+}
+
+
+@pytest.mark.parametrize("vector", _REFUSED_VECTORS.values(), ids=_REFUSED_VECTORS)
+@pytest.mark.parametrize("entry_point", _ENTRY_POINTS)
+def test_every_entry_point_refuses_components_that_are_no_real_numbers(tmp_path, entry_point, vector):
+    # search read ["1", "0"] and [True, False] as (1, 0), which scored 1.0
+    # against a (1, 0) row, and embed passed [True, False] through.
+    read, error = _ENTRY_POINTS[entry_point]
+    with pytest.raises(error, match="real numbers") as info:
+        read(tmp_path, vector)
+    if error is IndexLoadError:  # at the entry line, just past the header
+        header = (tmp_path / "index.jsonl").read_bytes().splitlines(keepends=True)[0]
+        assert info.value.byte_offset == len(header)
+
+
+@pytest.mark.parametrize("vector", _ACCEPTED_VECTORS.values(), ids=_ACCEPTED_VECTORS)
+@pytest.mark.parametrize("entry_point", _ENTRY_POINTS)
+def test_every_entry_point_reads_real_components_as_the_float_list(tmp_path, entry_point, vector):
+    read, _ = _ENTRY_POINTS[entry_point]
+    assert read(tmp_path, vector) == read(tmp_path, [3.0, -4.0])
+
+
+def test_the_float_list_reads_alike_at_every_entry_point(tmp_path):
+    assert searched(tmp_path, [3.0, -4.0]) == [("c:1:0", 1.0), ("a:1:0", 0.6), ("b:1:0", -0.8)]
+    assert embedded(tmp_path, [3.0, -4.0]) == [3.0, -4.0]
+    assert entered(tmp_path, [3.0, -4.0]) == loaded(tmp_path, [3.0, -4.0]) == (3.0, -4.0)
+
+
+def test_a_float64_array_passes_embed_as_it_is():
+    column = _ACCEPTED_VECTORS["float64-column-view"]
+    assert not column.flags.contiguous
+    for vector in (_ACCEPTED_VECTORS["float64-array"], column):
+        provider = FakeProvider(vector)
+        provider.dimension = 2
+        assert embed("q", provider) is vector
 
 
 # --- search -----------------------------------------------------------------
