@@ -6,10 +6,16 @@ charts; blank lines join them into one page string. The packer fills each
 chunk greedily: a table or chart of at most ``chunk_size`` tokens that does
 not fit in the current chunk moves to the next one whole, and every other
 token (narrative, or an oversized table or chart) packs one at a time.
-Cuts are computed from per-segment token counts: each segment is
-tokenized once into pieces (a token with the whitespace before it), the
-cuts' token indices follow from the counts, and only the pieces before a
-cut are summed to place it. Each cut falls at the start of a token, so
+Cuts cost a segment's words, not its tokens. No token holds whitespace,
+and ``str.split`` and the tokenizer's ``\\s`` split on the same
+characters, so a segment's token count is the sum of its words' counts,
+each read from one memo of word -> token count (``_word_tokens``, a
+``Memo`` dropped whole once it holds more than ``_WORD_MEMO_LIMIT``
+words). A cut's word is a bisection of the running counts; its offset
+comes from splitting the words since the previous cut off a window of
+the segment that grows until it reaches the word, so placing every cut
+reads the segment about once; a cut inside a word of several tokens
+tokenizes that word alone. Each cut falls at the start of a token, so
 joining a page's chunks reproduces the page string byte for byte. A
 whitespace-only page is one zero-token chunk; an empty page yields none.
 Chunk records are typed: a field of the wrong kind, such as a ``year`` of
@@ -18,12 +24,15 @@ Chunk records are typed: a field of the wrong kind, such as a ``year`` of
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, fields
+from itertools import accumulate
 from typing import Iterable
 
+from .embedding import Memo
 from .layout import DocumentAttributes, check_quarter
 from .preprocess import PageContent
-from .tokens import DEFAULT_TOKENIZER
+from .tokens import DEFAULT_TOKENIZER, count_tokens
 
 DEFAULT_CHUNK_SIZE = 600
 
@@ -31,6 +40,15 @@ DEFAULT_CHUNK_SIZE = 600
 INTEGER_FIELDS = ("page_number", "year")
 
 _SEPARATOR = "\n\n"
+
+# Most words the token-count memo holds between pages.
+_WORD_MEMO_LIMIT = 2**16
+
+# word -> its token count, shared by every caller: a count is a function of
+# the word alone, so sharing changes no result, and documents share most of
+# their words. Dropped whole, never in part, once it holds more than
+# ``_WORD_MEMO_LIMIT`` words; a page keeps the memo it started with.
+_word_tokens = Memo(count_tokens)
 
 
 def _check_types(record, types: Iterable[tuple[str, tuple]]) -> None:
@@ -155,41 +173,71 @@ def combine_page_text(page: PageContent) -> str:
     return _SEPARATOR.join(text for text, _ in _segments(page))
 
 
+def _token_starts(segment: str, words: list[str], sizes: list[int], indices: range) -> list[int]:
+    """The offset in ``segment`` of the start of each token at ``indices``
+    (ascending), given ``words = segment.split()`` and their token counts."""
+    ends = list(accumulate(sizes))  # ends[j]: the tokens of words[: j + 1]
+    width = len(segment) / len(words)  # characters a word spans, with its whitespace
+    starts = []
+    word = position = 0  # word ``word`` starts at or after ``position``
+    spanned, inside = -1, []  # a word and its tokens' offsets in it
+    for index in indices:
+        target = bisect_right(ends, index)  # the word holding token ``index``
+        skip = target - word
+        # Skip ``skip`` whole words: the window must also reach the target's
+        # first character, and grows until it does.
+        span = int((skip + 1) * width) + 8
+        while True:
+            window = segment[position : position + span]
+            parts = window.split(None, skip)
+            if len(parts) > skip:
+                break
+            span *= 2
+        position += len(window) - len(parts[-1])
+        word = target
+        inner = index - ends[target] + sizes[target]  # the token's place in its word
+        if inner and spanned != target:
+            spanned, inside = target, [start for start, _ in DEFAULT_TOKENIZER.spans(words[target])]
+        starts.append(position + inside[inner] if inner else position)
+    return starts
+
+
 def _split_page(
     page: PageContent,
     chunk_size: int,
     attributes: DocumentAttributes | None,
 ) -> list[DocumentChunk]:
+    global _word_tokens
     text = combine_page_text(page)
     if not text:
         return []
 
+    counts = _word_tokens  # this page's memo, whatever another thread swaps in
     # Each cut is (token index, character offset) of the token opening a chunk.
     cuts = [(0, 0)]
     count = tokens = offset = 0  # tokens in the open chunk, in the page, chars before the segment
     for segment, protected in _segments(page):
-        pieces = DEFAULT_TOKENIZER.pieces(segment)
-        size = len(pieces)
+        words = segment.split()
+        sizes = list(map(counts.__getitem__, words))
+        size = sum(sizes)
         if protected and size <= chunk_size:
             # A table or chart that fits in one chunk moves to a chunk whole.
             if count + size > chunk_size:
-                head = pieces[0]
-                cuts.append((tokens, offset + len(head) - len(head.lstrip())))
+                cuts.append((tokens, offset + len(segment) - len(segment.lstrip())))
                 count = 0
             count += size
         else:
             # Every other token packs one at a time: a cut falls each time
             # the open chunk is full.
-            done, position = 0, offset  # piece ``done`` begins at ``position``
-            for token in range(chunk_size - count, size, chunk_size):
-                position += sum(map(len, pieces[done:token]))
-                piece = pieces[token]
-                cuts.append((tokens + token, position + len(piece) - len(piece.lstrip())))
-                done = token
-                count -= chunk_size
-            count += size
+            indices = range(chunk_size - count, size, chunk_size)
+            if indices:
+                starts = _token_starts(segment, words, sizes, indices)
+                cuts += [(tokens + index, offset + start) for index, start in zip(indices, starts)]
+            count += size - len(indices) * chunk_size
         tokens += size
         offset += len(segment) + len(_SEPARATOR)
+    if len(counts) > _WORD_MEMO_LIMIT and _word_tokens is counts:
+        _word_tokens = Memo(count_tokens)
 
     # The first chunk opens at the page start and the last closes at its
     # end, so a whitespace-only page is one zero-token chunk.

@@ -8,11 +8,22 @@ holding a lone surrogate (which a JSON ``"\\ud800"`` escape decodes to) is
 refused too: the index is UTF-8 and cannot hold it. The regions of text
 blocks, tables and cells, and table captions, are validated and then
 dropped, since no stage reads them; figures keep their regions.
+
+Parsing costs the payload's values, not the reports it might write. A
+dropped region that passes one cheap accepting test (``_region_fits``:
+exact JSON types, the enclosing page, at least 3 points of 2 numbers
+each, every coordinate in ``[0, sys.float_info.max]``) is never built;
+anything else takes the full check, ``_parse_region``, so each error keeps
+its path, its message and its order. A list's items are parsed without
+their path strings, and a list that fails is parsed again with them:
+parsing is a pure function of the data, so the same item fails again, now
+at its own path.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any
@@ -93,7 +104,7 @@ def _expect(data: Any, key: str, types, path: str, *, optional: bool = False):
     if not isinstance(value, types) or (types is int and isinstance(value, bool)):
         want = types.__name__ if isinstance(types, type) else "/".join(t.__name__ for t in types)
         raise SchemaError(f"{path}.{key}" if path else key, f"expected {want}, got {type(value).__name__}")
-    if isinstance(value, str):
+    if isinstance(value, str) and not value.isascii():
         try:
             value.encode("utf-8")
         except UnicodeEncodeError as exc:
@@ -123,6 +134,52 @@ def _parse_region(data: Any, path: str, expected_page: int | None = None) -> Bou
     return region
 
 
+_NUMBERS = (int, float)
+_FLOAT_MAX = sys.float_info.max
+
+
+def _region_fits(data: Any, page_number: int) -> bool:
+    """True only if ``_parse_region(data, path, page_number)`` accepts
+    ``data``; False means "take the full check", not "invalid". The bounds
+    ``0 <= v <= _FLOAT_MAX`` refuse NaN, infinities and ints past float
+    range as well as negative values."""
+    if type(data) is not dict:
+        return False
+    polygon = data.get("polygon")
+    if type(polygon) is not list or len(polygon) < 3:
+        return False
+    number = data.get("page_number")
+    if type(number) is not int or number != page_number:
+        return False
+    for point in polygon:
+        if type(point) is not list or len(point) != 2:
+            return False
+        x, y = point
+        if type(x) not in _NUMBERS or type(y) not in _NUMBERS:
+            return False
+        if not (0 <= x <= _FLOAT_MAX and 0 <= y <= _FLOAT_MAX):
+            return False
+    return True
+
+
+def _check_region(data: Any, path: str, page_number: int) -> None:
+    """Validate a region that is dropped after parsing."""
+    if not _region_fits(data, page_number):
+        _parse_region(data, f"{path}.region", page_number)
+
+
+def _parse_each(parse, items: list, path: str, name: str, *args) -> tuple:
+    """``parse(item, item_path, *args)`` for each of ``items``, the list at
+    ``path``'s key ``name``; the items' paths are built only to report an
+    error (see the module docstring)."""
+    try:
+        return tuple([parse(item, "", *args) for item in items])
+    except SchemaError:
+        pass
+    prefix = f"{path}.{name}" if path else name
+    return tuple([parse(item, f"{prefix}[{i}]", *args) for i, item in enumerate(items)])
+
+
 def _parse_cell(data: Any, path: str, page_number: int) -> TableCell:
     kind_text = _expect(data, "kind", str, path)
     try:
@@ -134,7 +191,7 @@ def _parse_cell(data: Any, path: str, page_number: int) -> TableCell:
               for name in ("row_index", "column_index", "row_span", "column_span")}
     content = _expect(data, "content", str, path)
     if region_data is not None:
-        _parse_region(region_data, f"{path}.region", page_number)
+        _check_region(region_data, path, page_number)
     try:
         return TableCell(**fields, kind=kind, content=content)
     except ValueError as exc:
@@ -143,13 +200,13 @@ def _parse_cell(data: Any, path: str, page_number: int) -> TableCell:
 
 def _parse_table(data: Any, path: str, page_number: int) -> TableGrid:
     cells_data = _expect(data, "cells", list, path)
-    cells = tuple(_parse_cell(cell, f"{path}.cells[{i}]", page_number) for i, cell in enumerate(cells_data))
+    cells = _parse_each(_parse_cell, cells_data, path, "cells", page_number)
     region_data = _expect(data, "region", dict, path, optional=True)
     row_count = _expect(data, "row_count", int, path)
     column_count = _expect(data, "column_count", int, path)
     _expect(data, "caption", str, path, optional=True)
     if region_data is not None:
-        _parse_region(region_data, f"{path}.region", page_number)
+        _check_region(region_data, path, page_number)
     try:
         return TableGrid(row_count=row_count, column_count=column_count, cells=cells)
     except ValueError as exc:
@@ -163,7 +220,7 @@ def _parse_block(data: Any, path: str, page_number: int) -> TextBlock:
     except ValueError:
         raise SchemaError(f"{path}.role", f"unknown role {role_text!r}") from None
     content = _expect(data, "content", str, path)
-    _parse_region(_expect(data, "region", dict, path), f"{path}.region", page_number)
+    _check_region(_expect(data, "region", dict, path), path, page_number)
     return TextBlock(role=role, content=content)
 
 
@@ -176,15 +233,9 @@ def _parse_page(data: Any, path: str) -> LayoutPage:
     figures_data = _expect(data, "figures", list, path)
     return LayoutPage(
         page_number=page_number,
-        text_blocks=tuple(
-            _parse_block(block, f"{path}.text_blocks[{i}]", page_number) for i, block in enumerate(blocks_data)
-        ),
-        tables=tuple(
-            _parse_table(table, f"{path}.tables[{i}]", page_number) for i, table in enumerate(tables_data)
-        ),
-        figures=tuple(
-            _parse_region(fig, f"{path}.figures[{i}]", page_number) for i, fig in enumerate(figures_data)
-        ),
+        text_blocks=_parse_each(_parse_block, blocks_data, path, "text_blocks", page_number),
+        tables=_parse_each(_parse_table, tables_data, path, "tables", page_number),
+        figures=_parse_each(_parse_region, figures_data, path, "figures", page_number),
     )
 
 
@@ -207,7 +258,7 @@ def parse_layout_payload(data: Any) -> LayoutPayload:
             )
         except ValueError as exc:
             raise SchemaError("attributes.quarter", str(exc)) from exc
-    pages = tuple(_parse_page(page, f"pages[{i}]") for i, page in enumerate(pages_data))
+    pages = _parse_each(_parse_page, pages_data, "", "pages")
     try:
         return LayoutPayload(document_id=document_id, pages=pages, attributes=attributes)
     except ValueError as exc:

@@ -7,13 +7,14 @@ model-agnostic. Chunk sizes, stored token counts, embedding features and
 prompt prices all come from ``DEFAULT_TOKENIZER``; an index header names
 its tag (``ws-punct-v1``), and an index naming any other tag is refused.
 Its entry points are ``tokens`` (the token strings), ``spans`` (their
-character offsets), ``pieces`` (each token with the whitespace before it,
-which the chunker sums to place its cuts) and ``count_tokens``; one
-pattern defines them all.
+character offsets) and ``count_tokens``; one pattern defines them all.
 
 No token contains whitespace, so the count of texts joined by whitespace
 is the sum of their counts. Prompt pricing relies on this: a prompt is
-counted as its template plus the retrieved chunks' stored counts.
+counted as its template plus the retrieved chunks' stored counts. The
+pattern's ``\\s`` is ``str.isspace``, so a text's tokens are also its
+``str.split`` words' tokens in order: the chunker counts a text's tokens
+once per distinct word, and the embedder hashes them so.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ import re
 # A token is a maximal run of word characters or a maximal run of
 # non-word, non-whitespace characters (punctuation/symbols).
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]+", re.UNICODE)
-# One token together with the whitespace before it.
-_PIECE_RE = re.compile(r"\s*(?:" + _TOKEN_RE.pattern + ")", re.UNICODE)
 
 
 class WhitespacePunctTokenizer:
@@ -39,13 +38,6 @@ class WhitespacePunctTokenizer:
     def tokens(self, text: str) -> list[str]:
         """The tokens themselves: ``[text[s:e] for s, e in spans(text)]``."""
         return _TOKEN_RE.findall(text)  # the pattern has no groups
-
-    def pieces(self, text: str) -> list[str]:
-        """Each token with the whitespace before it, in order: ``p.lstrip()``
-        is the token, and the pieces joined are ``text`` less any trailing
-        whitespace, so the lengths of the first ``i`` pieces sum to the end
-        of token ``i - 1``."""
-        return _PIECE_RE.findall(text)
 
 
 DEFAULT_TOKENIZER = WhitespacePunctTokenizer()

@@ -1,12 +1,14 @@
 import hashlib
 import json
 import random
+import re
 from bisect import bisect_left
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from docrag import chunking
 from docrag.chunking import (
     DEFAULT_CHUNK_SIZE,
     ChunkMetadata,
@@ -416,6 +418,158 @@ def test_property_cuts_equal_the_per_token_packer(p, chunk_size):
     assert [(c.chunk_id, c.text, c.token_count) for c in chunks] == split_page_by_spans(
         p, chunk_size
     )
+
+
+# --- the word-count cuts equal the piece-sum chunker ------------------------------
+
+# One token with the whitespace before it: the chunker summed these pieces'
+# lengths to place its cuts before it counted tokens per distinct word.
+_PIECE_RE = re.compile(r"\s*(?:\w+|[^\w\s]+)")
+
+
+def split_pages_by_pieces(pages, chunk_size, attributes=None):
+    """The chunker as it was when it tokenized each segment into pieces."""
+    chunks = []
+    for p in pages:
+        text = combine_page_text(p)
+        if not text:
+            continue
+        segments = [(p.narrative_text, False)] if p.narrative_text else []
+        segments += [(t, True) for t in (*p.table_texts, *p.chart_texts)]
+        cuts = [(0, 0)]
+        count = tokens = offset = 0
+        for segment, protected in segments:
+            pieces = _PIECE_RE.findall(segment)
+            size = len(pieces)
+            if protected and size <= chunk_size:
+                if count + size > chunk_size:
+                    head = pieces[0]
+                    cuts.append((tokens, offset + len(head) - len(head.lstrip())))
+                    count = 0
+                count += size
+            else:
+                done, position = 0, offset
+                for token in range(chunk_size - count, size, chunk_size):
+                    position += sum(map(len, pieces[done:token]))
+                    piece = pieces[token]
+                    cuts.append((tokens + token, position + len(piece) - len(piece.lstrip())))
+                    done = token
+                    count -= chunk_size
+                count += size
+            tokens += size
+            offset += len(segment) + len("\n\n")
+        cuts.append((tokens, len(text)))
+        metadata = ChunkMetadata(
+            document_id=p.document_id,
+            page_number=p.page_number,
+            company=attributes.company if attributes else None,
+            year=attributes.year if attributes else None,
+            quarter=attributes.quarter if attributes else None,
+            section_title=p.section_title,
+        )
+        chunks += [
+            DocumentChunk(f"{p.document_id}:{p.page_number}:{ordinal}", text[start:end], last - first, metadata)
+            for ordinal, ((first, start), (last, end)) in enumerate(zip(cuts, cuts[1:]))
+        ]
+    return chunks
+
+
+# Unicode whitespace beyond ASCII (NEL, NBSP, ogham space mark, line
+# separator, ideographic space, the information separators) and
+# punctuation, among letters, digits and combining marks.
+_PIECE_EDGES = ["\x85", "\xa0", "\u1680", "\u2028", "\u3000", "\x1c", "\x1d", "\x1e", "\x1f", " ", "\n"]
+_PIECE_TEXT = st.text(
+    alphabet=st.one_of(
+        st.sampled_from(
+            [*_PIECE_EDGES, "a", "Q", "4", "\u0130", "\u0301", "\u0663", "$", ",", ".", "\u2014", "("]
+        ),
+        st.characters(),
+    ),
+    max_size=200,
+)
+
+
+@given(_PIECE_TEXT)
+def test_oracle_pieces_are_tokens_with_the_whitespace_before_them(text):
+    pieces = _PIECE_RE.findall(text)
+    assert [p.lstrip() for p in pieces] == DEFAULT_TOKENIZER.tokens(text)
+    joined = "".join(pieces)
+    assert text.startswith(joined)
+    assert not text[len(joined):].strip()
+    # The oracle's cut offsets: the pieces before a token, then its whitespace.
+    starts = [sum(map(len, pieces[:i])) + len(p) - len(p.lstrip()) for i, p in enumerate(pieces)]
+    assert starts == [start for start, _ in DEFAULT_TOKENIZER.spans(text)]
+
+
+# Words of one token and of several (``Q1/23E`` is three, ``...`` one, the
+# dotted capital I one), and the whitespace between them, long runs too.
+_ORACLE_WORDS = ["a", "rev", "2013", "Q1/23E", "...", "\u0130", "$1,234.5", "(6%)", "\u55b6\u696d",
+                 "x\u0301", "a.b.c.d.e"]
+_ORACLE_GAPS = [" ", " ", "\u3000", "\x1c", "\u2003", "\r\n", "\n\n", "\t ", " " * 40]
+_SINGLE_TOKEN_WORDS = ["a", "rev", "2013", "...", "\u0130", "\u55b6\u696d"]
+
+
+@st.composite
+def _oracle_segment(draw, chunk_size):
+    kind = draw(st.integers(min_value=0, max_value=4))
+    if kind == 0:
+        return draw(st.sampled_from(["", " ", "\r\n", "\u3000\x1c", " " * 50]))
+    if kind == 1:
+        # a segment of exactly chunk_size or chunk_size + 1 tokens
+        n = chunk_size + draw(st.integers(min_value=0, max_value=1))
+        chosen = draw(st.lists(st.sampled_from(_SINGLE_TOKEN_WORDS), min_size=n, max_size=n))
+    else:
+        chosen = draw(st.lists(st.sampled_from(_ORACLE_WORDS), max_size=30))
+    text = "".join(word + draw(st.sampled_from(_ORACLE_GAPS)) for word in chosen)
+    # leading whitespace or none, trailing whitespace or none
+    lead = draw(st.sampled_from(["", " ", "\u3000", "\r\n"]))
+    return lead + (text if draw(st.booleans()) else text.rstrip())
+
+
+@st.composite
+def _oracle_case(draw):
+    chunk_size = draw(st.integers(min_value=1, max_value=7))
+    segment = _oracle_segment(chunk_size)
+    pages = [
+        page(
+            narrative=draw(segment),
+            tables=draw(st.lists(segment, max_size=3)),
+            charts=draw(st.lists(segment, max_size=2)),
+            page_number=number,
+            section_title=draw(st.sampled_from([None, "Results"])),
+        )
+        for number in range(1, draw(st.integers(min_value=1, max_value=3)) + 1)
+    ]
+    attributes = draw(st.sampled_from([None, DocumentAttributes(company="ACME", year=2013, quarter="Q4")]))
+    return pages, chunk_size, attributes
+
+
+@settings(max_examples=400)
+@given(_oracle_case())
+@example(([page(narrative=" \u3000 ")], 1, None))
+@example(([page(narrative="Q1/23E  ...\r\nx", tables=["a b c", "a b c d"])], 3, None))
+def test_property_chunks_equal_the_piece_sum_chunker(case):
+    pages, chunk_size, attributes = case
+    assert split_pages(pages, chunk_size, attributes) == split_pages_by_pieces(pages, chunk_size, attributes)
+
+
+def test_many_token_word_is_tokenized_once(monkeypatch):
+    # Cuts inside one word of many tokens read that word's offsets once,
+    # so a long word costs linear work, not quadratic.
+    calls = []
+    spans = DEFAULT_TOKENIZER.spans
+    monkeypatch.setattr(DEFAULT_TOKENIZER, "spans", lambda text: calls.append(text) or spans(text))
+    p = page(narrative="lead " + "a." * 500 + "  tail")
+    assert split_pages([p], chunk_size=1) == split_pages_by_pieces([p], 1)
+    assert calls == ["a." * 500]
+
+
+def test_word_memo_stays_bounded_and_chunks_unchanged():
+    # More distinct words than the memo holds, on one page.
+    narrative = " ".join(f"w{i}" if i % 3 else f"w{i}.x" for i in range(chunking._WORD_MEMO_LIMIT + 5000))
+    p = page(narrative=narrative, tables=["q1 2013"])
+    assert split_pages([p]) == split_pages_by_pieces([p], DEFAULT_CHUNK_SIZE)
+    assert len(chunking._word_tokens) <= chunking._WORD_MEMO_LIMIT
 
 
 # --- golden digest over seeded random pages -----------------------------------------

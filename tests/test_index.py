@@ -1288,6 +1288,25 @@ def test_load_then_persist_is_byte_identical(tmp_path, rows):
     assert again.read_bytes() == path.read_bytes()
 
 
+def _block_rows(count):
+    """``count`` rows of dimension 4: even rows share their values (signed
+    zeros, the least subnormal, 1e-300), odd rows share none."""
+    return [
+        [-0.0, 5e-324, 1e-300, 0.0] if i % 2 == 0 else [i + 0.5, -(i + 0.25), 1e-300 * (i + 2), i / 7]
+        for i in range(count)
+    ]
+
+
+_BLOCK = index_module._TEXT_BLOCK
+
+
+# No rows: test_persist_overwrites_atomically persists an empty index.
+@pytest.mark.parametrize("count", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1], ids=["1", "block-1", "block", "block+1"])
+def test_persisted_lines_equal_json_dumps_across_text_blocks(tmp_path, count):
+    _, lines, expected = persisted_lines(tmp_path, _block_rows(count))
+    assert lines == expected
+
+
 _FINITE = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 0.5, -0.5]),
     st.floats(allow_nan=False, allow_infinity=False),

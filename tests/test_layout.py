@@ -1,9 +1,13 @@
 import copy
 import json
+import math
+import sys
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from docrag.errors import SchemaError
 from docrag.layout import (
@@ -11,6 +15,8 @@ from docrag.layout import (
     DocumentAttributes,
     LayoutPage,
     LayoutPayload,
+    _parse_region,
+    _region_fits,
     parse_layout_payload,
 )
 from docrag.tables import CellKind
@@ -101,6 +107,171 @@ def test_parser_and_schema_agree_on_rejection(revenue_payload, label, mutate, pa
     assert info.value.path.startswith(path_prefix)
     with pytest.raises(jsonschema.ValidationError):
         jsonschema.validate(broken, SCHEMA)
+
+
+# --- every region refusal, in full ------------------------------------------
+
+# Where a region sits in the revenue fixture's first page: text block,
+# table and cell regions are checked and dropped, a figure is one.
+REGION_SITES = {
+    "block": ("pages[0].text_blocks[0].region", ("text_blocks", 0, "region")),
+    "table": ("pages[0].tables[0].region", ("tables", 0, "region")),
+    "cell": ("pages[0].tables[0].cells[0].region", ("tables", 0, "cells", 0, "region")),
+    "figure": ("pages[0].figures[0]", ("figures", 0)),
+}
+
+_SQUARE = [[0, 0], [10, 0], [10, 10]]
+
+# (label, region, the error's path after the region's own, its message)
+REGION_REFUSALS = [
+    ("empty object", {}, ".page_number", "missing required field"),
+    ("page_number missing", {"polygon": _SQUARE}, ".page_number", "missing required field"),
+    ("page_number true", {"page_number": True, "polygon": _SQUARE}, ".page_number", "expected int, got bool"),
+    ("page_number a float", {"page_number": 1.0, "polygon": _SQUARE}, ".page_number", "expected int, got float"),
+    ("page_number zero", {"page_number": 0, "polygon": _SQUARE}, "", "page_number must be >= 1, got 0"),
+    ("page_number of another page", {"page_number": 2, "polygon": _SQUARE}, ".page_number",
+     "must equal enclosing page 1"),
+    ("polygon missing", {"page_number": 1}, ".polygon", "missing required field"),
+    ("polygon not a list", {"page_number": 1, "polygon": "0 0 1 1"}, ".polygon", "expected list, got str"),
+    ("polygon too short", {"page_number": 1, "polygon": [[0, 0], [1, 1]]}, "",
+     "polygon needs at least 3 vertices, got 2"),
+    ("point not a list", {"page_number": 1, "polygon": [[0, 0], [1, 1], 2]}, ".polygon[2]",
+     "expected [x, y] number pair"),
+    ("point of one number", {"page_number": 1, "polygon": [[0, 0], [1, 1], [2]]}, ".polygon[2]",
+     "expected [x, y] number pair"),
+    ("point of three numbers", {"page_number": 1, "polygon": [[0, 0], [1, 1], [2, 2, 2]]}, ".polygon[2]",
+     "expected [x, y] number pair"),
+    ("coordinate true", {"page_number": 1, "polygon": [[0, 0], [1, 1], [True, 2]]}, ".polygon[2]",
+     "expected [x, y] number pair"),
+    ("coordinate a string", {"page_number": 1, "polygon": [[0, 0], [1, 1], [2, "2"]]}, ".polygon[2]",
+     "expected [x, y] number pair"),
+    ("coordinate null", {"page_number": 1, "polygon": [[0, 0], [1, 1], [2, None]]}, ".polygon[2]",
+     "expected [x, y] number pair"),
+    # json.load reads NaN and Infinity
+    ("coordinate NaN", {"page_number": 1, "polygon": [[0, 0], [1, 1], [math.nan, 2]]}, "",
+     "polygon coordinates must be finite"),
+    ("coordinate infinite", {"page_number": 1, "polygon": [[0, 0], [1, 1], [2, math.inf]]}, "",
+     "polygon coordinates must be finite"),
+    ("coordinate negative", {"page_number": 1, "polygon": [[0, 0], [1, 1], [-2, 3]]}, "",
+     "polygon coordinates must be non-negative"),
+    ("coordinate past float range", {"page_number": 1, "polygon": [[0, 0], [1, 1], [10**400, 3]]}, "",
+     "polygon coordinates must be finite"),
+    ("bad point before a short polygon", {"page_number": 1, "polygon": [[0, "x"]]}, ".polygon[0]",
+     "expected [x, y] number pair"),
+    ("negative before non-finite", {"page_number": 1, "polygon": [[-1, 0], [1, 1], [math.nan, 3]]}, "",
+     "polygon coordinates must be non-negative"),
+]
+
+
+def _with_region(payload: dict, site: str, region) -> dict:
+    data = copy.deepcopy(payload)
+    page = data["pages"][0]
+    if site == "figure":
+        page["figures"] = [None]
+    _set(page, copy.deepcopy(region), *REGION_SITES[site][1])
+    return data
+
+
+@pytest.mark.parametrize("site", REGION_SITES)
+@pytest.mark.parametrize(
+    "label,region,suffix,message", REGION_REFUSALS, ids=[r[0] for r in REGION_REFUSALS]
+)
+def test_region_refusal_keeps_its_path_and_message(revenue_payload, site, label, region, suffix, message):
+    with pytest.raises(SchemaError) as info:
+        parse_layout_payload(_with_region(revenue_payload, site, region))
+    path = REGION_SITES[site][0] + suffix
+    assert info.value.path == path
+    assert str(info.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("site", REGION_SITES)
+def test_region_that_is_no_object_is_refused_at_its_path(revenue_payload, site):
+    path = REGION_SITES[site][0]
+    # A figure is parsed as a region; the others are fields of type dict.
+    message = "expected object, got list" if site == "figure" else "expected dict, got list"
+    with pytest.raises(SchemaError) as info:
+        parse_layout_payload(_with_region(revenue_payload, site, []))
+    assert str(info.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("site", REGION_SITES)
+def test_region_of_tuples_from_a_library_caller_is_accepted(revenue_payload, site):
+    # The polygon must be a list; its points may be tuples.
+    region = {"page_number": 1, "polygon": [(0, 0), (10.5, 0), (10, 10**300), [-0.0, 1]]}
+    payload = parse_layout_payload(_with_region(revenue_payload, site, region))
+    if site == "figure":
+        assert payload.pages[0].figures[0].polygon == ((0.0, 0.0), (10.5, 0.0), (10.0, 1e300), (-0.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "mutate,path,message",
+    [
+        # a cell's region is checked after its other fields, a table's after
+        # its cells and counts, and a block before the next block
+        (lambda page: (_set(page, {"page_number": 1, "polygon": [[0, 0]]}, "tables", 0, "cells", 1, "region"),
+                       _drop(page, "tables", 0, "cells", 1, "content")),
+         "pages[0].tables[0].cells[1].content", "missing required field"),
+        (lambda page: (_set(page, {"page_number": 1, "polygon": [[0, 0]]}, "tables", 0, "region"),
+                       _drop(page, "tables", 0, "row_count")),
+         "pages[0].tables[0].row_count", "missing required field"),
+        (lambda page: (_set(page, {"page_number": 1, "polygon": [[0, 0]]}, "tables", 0, "cells", 2, "region"),
+                       _set(page, {"page_number": 1, "polygon": [[0, 0]]}, "text_blocks", 1, "region")),
+         "pages[0].text_blocks[1].region", "polygon needs at least 3 vertices, got 1"),
+        (lambda page: (_set(page, {"page_number": 1, "polygon": [[0, 0]]}, "text_blocks", 2, "region"),
+                       _set(page, "x", "text_blocks", 1, "role")),
+         "pages[0].text_blocks[1].role", "unknown role 'x'"),
+        (lambda page: (_set(page, {"page_number": 1, "polygon": [[0, 0]]}, "tables", 0, "cells", 3, "region"),
+                       _set(page, {"page_number": 2, "polygon": _SQUARE}, "tables", 0, "region")),
+         "pages[0].tables[0].cells[3].region", "polygon needs at least 3 vertices, got 1"),
+    ],
+    ids=["cell content first", "table counts first", "blocks before tables", "earlier block first",
+         "cells before the table region"],
+)
+def test_first_fault_in_parse_order_is_reported(revenue_payload, mutate, path, message):
+    broken = copy.deepcopy(revenue_payload)
+    mutate(broken["pages"][0])
+    with pytest.raises(SchemaError) as info:
+        parse_layout_payload(broken)
+    assert str(info.value) == f"{path}: {message}"
+
+
+_COORDINATE = st.one_of(
+    st.integers(min_value=-3, max_value=10**6),
+    st.sampled_from([0, 0.0, -0.0, sys.float_info.max, int(sys.float_info.max), int(sys.float_info.max) + 1,
+                     10**400, math.nan, math.inf, -math.inf, True, False, None, "1"]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+_POINT = st.one_of(
+    st.lists(_COORDINATE, min_size=2, max_size=2),
+    st.lists(_COORDINATE, min_size=1, max_size=3),
+    st.tuples(_COORDINATE, _COORDINATE),
+)
+_REGION = st.one_of(
+    # mostly well formed, so the quick check accepts often
+    st.fixed_dictionaries(
+        {"page_number": st.just(1),
+         "polygon": st.lists(st.lists(_COORDINATE, min_size=2, max_size=2), min_size=3, max_size=5)}
+    ),
+    st.fixed_dictionaries(
+        {"page_number": st.sampled_from([1, 2, 0, True, 1.0]), "polygon": st.lists(_POINT, max_size=6)}
+    ),
+    st.fixed_dictionaries({"polygon": st.lists(_POINT, max_size=4)}),
+    st.sampled_from([{}, [], None]),
+)
+
+
+@given(_REGION)
+def test_whatever_the_quick_region_check_accepts_the_full_check_accepts(region):
+    if _region_fits(region, 1):
+        _parse_region(region, "region", 1)
+
+
+def test_quick_region_check_accepts_plain_json_regions():
+    assert _region_fits({"page_number": 3, "polygon": [[36, 40], [576.5, 40], [0, 1e300]]}, 3)
+    assert _region_fits({"page_number": 1, "polygon": [[0, 0], [1, 1], [sys.float_info.max, -0.0]]}, 1)
+    # not refusals, only cases left to the full check
+    assert not _region_fits({"page_number": 1, "polygon": [(0, 0), (1, 1), (2, 2)]}, 1)
+    assert not _region_fits({"page_number": 1, "polygon": [[0, 0], [1, 1], [int(sys.float_info.max) + 1, 0]]}, 1)
 
 
 # --- constraints only the parser can check --------------------------------

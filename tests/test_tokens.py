@@ -76,34 +76,8 @@ def test_tokens_and_count_agree_with_spans(text):
 
 
 def test_regex_whitespace_is_str_isspace_on_every_code_point():
-    # pieces() puts the whitespace before a token in its piece and the
-    # chunker finds the token by str.lstrip, so the two must agree.
+    # The chunker and the embedder take a text's tokens as its str.split
+    # words' tokens, and the chunker finds a segment's first token by
+    # str.lstrip, so the tokenizer's \s must be str.isspace.
     everything = "".join(map(chr, range(0x110000)))
     assert re.findall(r"\s", everything) == [c for c in everything if c.isspace()]
-
-
-# Unicode whitespace beyond ASCII (NEL, NBSP, ogham space mark, line
-# separator, ideographic space, the information separators) and
-# punctuation, among letters, digits and combining marks.
-_EDGES = ["\x85", "\xa0", "\u1680", "\u2028", "\u3000", "\x1c", "\x1d", "\x1e", "\x1f", " ", "\n"]
-_PIECE_TEXT = st.text(
-    alphabet=st.one_of(
-        st.sampled_from(
-            [*_EDGES, "a", "Q", "4", "\u0130", "\u0301", "\u0663", "$", ",", ".", "\u2014", "("]
-        ),
-        st.characters(),
-    ),
-    max_size=200,
-)
-
-
-@given(_PIECE_TEXT)
-def test_pieces_are_tokens_with_the_whitespace_before_them(text):
-    pieces = DEFAULT_TOKENIZER.pieces(text)
-    assert [p.lstrip() for p in pieces] == DEFAULT_TOKENIZER.tokens(text)
-    joined = "".join(pieces)
-    assert text.startswith(joined)
-    assert not text[len(joined):].strip()
-    # The chunker's cut offsets: the pieces before a token, then its whitespace.
-    starts = [sum(map(len, pieces[:i])) + len(p) - len(p.lstrip()) for i, p in enumerate(pieces)]
-    assert starts == [start for start, _ in DEFAULT_TOKENIZER.spans(text)]
