@@ -28,7 +28,9 @@ from .errors import (
 )
 from .evaluation import (
     EvalReport,
+    Outcome,
     QAExample,
+    evaluate_example,
     load_dataset,
     run_eval,
     score_answer,
@@ -85,6 +87,7 @@ __all__ = [
     "LayoutPage",
     "LayoutPayload",
     "MissingDocumentsError",
+    "Outcome",
     "PageContent",
     "PricingConfig",
     "ProviderError",
@@ -106,6 +109,7 @@ __all__ = [
     "cost_per_page",
     "count_tokens",
     "embed",
+    "evaluate_example",
     "flatten_table",
     "load_dataset",
     "merge_column_headers",

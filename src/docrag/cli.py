@@ -18,13 +18,13 @@ import logging
 import sys
 from pathlib import Path
 
-from .chunking import DEFAULT_CHUNK_SIZE, INTEGER_FIELDS, split_pages
+from .chunking import DEFAULT_CHUNK_SIZE, INTEGER_FIELDS
 from .costs import DEFAULT_PRICING, PricingConfig, format_cost_report, load_pricing
 from .embedding import HashingEmbedder
 from .errors import DocragError
 from .evaluation import DEFAULT_EVAL_WORKERS, load_dataset, run_eval, write_report
 from .generation import answer_question
-from .index import DEFAULT_K, IndexEntry, RetrievalConfig, VectorIndex, embed
+from .index import DEFAULT_K, RetrievalConfig, VectorIndex
 from .layout import parse_layout_payload
 from .preprocess import TABLE_FORMATS, preprocess_document
 from .providers import (
@@ -183,8 +183,7 @@ def cmd_ingest(args, config: dict) -> int:
                 f"{sources[payload.document_id]} and {path}"
             )
         sources[payload.document_id] = path
-        chunks = split_pages(pages, chunk_size=chunk_size, attributes=payload.attributes)
-        index.upsert_many([IndexEntry(chunk=c, vector=embed(c.text, embedder)) for c in chunks])
+        index.add_pages(pages, embedder, chunk_size=chunk_size, attributes=payload.attributes)
     index.persist(args.index)
     print(f"indexed {len(index)} chunks from {len(sources)} documents into {args.index}")
     return 0

@@ -5,6 +5,8 @@ Scoring is a deliberate proxy for human judgment: answers are normalized
 tolerance, and everything else requires the gold string to appear
 token-bounded inside the prediction. Paraphrases a human would accept can
 still score as wrong.
+``evaluate_example`` is one question's pass (retrieve, answer, score,
+price) and returns an ``Outcome``; ``run_eval`` maps it over a dataset.
 """
 
 from __future__ import annotations
@@ -15,12 +17,13 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from pathlib import Path
 
 from .chunking import checked_filters
 from .costs import DEFAULT_PRICING, PricingConfig, cost_per_call
 from .errors import MissingDocumentsError, SchemaError
-from .generation import answer_question, check_question
+from .generation import Answer, answer_question, check_question
 from .index import DEFAULT_K, RetrievalConfig, VectorIndex
 from .providers import EmbeddingProvider, LLMProvider
 from .tokens import DEFAULT_TOKENIZER
@@ -161,6 +164,26 @@ def score_answer(predicted: str, gold: str) -> bool:
     )
 
 
+@dataclass(frozen=True)
+class Outcome:
+    """One example's answer (with its retrieved results), verdict and call cost."""
+    answer: Answer
+    correct: bool
+    cost_usd: float
+
+
+def evaluate_example(
+    example: QAExample, index: VectorIndex, llm: LLMProvider, embedder: EmbeddingProvider,
+    k: int = DEFAULT_K, model_tag: str | None = None, pricing: PricingConfig = DEFAULT_PRICING,
+) -> Outcome:
+    """Answer ``example`` from its filtered top k, score and price it. A
+    provider failure propagates with the prompt attached (``answer_question``)."""
+    config = RetrievalConfig(k=k, filters=example.filters)
+    answer = answer_question(example.question, index, config, llm, embedder, model_tag=model_tag)
+    correct = score_answer(answer.text, example.gold_answer)
+    return Outcome(answer, correct, cost_per_call(answer.model_tag, answer.prompt_token_count, pricing))
+
+
 def run_eval(
     examples: list[QAExample],
     index: VectorIndex,
@@ -187,32 +210,24 @@ def run_eval(
         raise MissingDocumentsError(missing)
     cost_per_call(model_tag if model_tag is not None else llm.tag, 0, pricing)
 
-    def answer_one(example: QAExample):
-        config = RetrievalConfig(k=k, filters=example.filters)
-        answer = answer_question(
-            example.question, index, config, llm, embedder, model_tag=model_tag
-        )
-        correct = score_answer(answer.text, example.gold_answer)
-        cost = cost_per_call(answer.model_tag, answer.prompt_token_count, pricing)
-        return correct, cost
-
+    one = partial(evaluate_example, index=index, llm=llm, embedder=embedder, k=k, model_tag=model_tag, pricing=pricing)
     with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        outcomes = list(pool.map(answer_one, examples))
+        outcomes = list(pool.map(one, examples))
 
     per_target: dict[str, dict[str, int]] = {}
     per_difficulty: dict[str, dict[str, int]] = {}
     correct_total = 0
     cost_total = 0.0
-    for example, (correct, cost) in zip(examples, outcomes):
-        correct_total += int(correct)
-        cost_total += cost
+    for example, outcome in zip(examples, outcomes):
+        correct_total += int(outcome.correct)
+        cost_total += outcome.cost_usd
         for bucket, key in (
             (per_target, example.target.value),
             (per_difficulty, example.difficulty.value),
         ):
             counts = bucket.setdefault(key, {"total": 0, "correct": 0})
             counts["total"] += 1
-            counts["correct"] += int(correct)
+            counts["correct"] += int(outcome.correct)
 
     total = len(examples)
     return EvalReport(

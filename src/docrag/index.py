@@ -65,7 +65,9 @@ most of their values).
 A vector is a float64 array, from the embedder to the search. ``_vector``
 is the one rule for every vector that enters, through ``embed``,
 ``IndexEntry``, ``search`` or ``load``: an embedder's array passes as it
-is, and any other sequence only if each component is a real number.
+is, and any other sequence only if each component is a real number. The
+write paths ``upsert_many``, ``load`` and ``add_pages`` end in one merge;
+``add_pages`` first refuses an embedder whose dimension is not the index's.
 """
 
 from __future__ import annotations
@@ -79,13 +81,15 @@ import threading
 from bisect import bisect_left
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .chunking import ChunkMetadata, DocumentChunk, checked_filters
+from .chunking import DEFAULT_CHUNK_SIZE, ChunkMetadata, DocumentChunk, checked_filters, split_pages
 from .embedding import Memo
 from .errors import IndexLoadError, ProviderError
+from .layout import DocumentAttributes
+from .preprocess import PageContent
 from .providers import EmbeddingProvider
 from .tokens import DEFAULT_TOKENIZER
 
@@ -347,6 +351,21 @@ class VectorIndex:
                 )
         rows = np.array([entry.vector for entry in entries], dtype=np.float64)
         self._merge([entry.chunk for entry in entries], rows.reshape(len(entries), self.dimension))
+
+    def add_pages(
+        self, pages: Iterable[PageContent], embedder: EmbeddingProvider,
+        chunk_size: int = DEFAULT_CHUNK_SIZE, attributes: DocumentAttributes | None = None,
+    ) -> list[DocumentChunk]:
+        """Split one document's pages (``split_pages``), embed each chunk (``embed``)
+        into one array and store them as ``upsert_many`` would; return the chunks."""
+        if embedder.dimension != self.dimension:
+            raise ValueError(f"dimension mismatch: index is {self.dimension}, embedder is {embedder.dimension}")
+        chunks = split_pages(pages, chunk_size=chunk_size, attributes=attributes)
+        rows = np.empty((len(chunks), self.dimension))
+        for row, chunk in zip(rows, chunks):
+            row[:] = embed(chunk.text, embedder)  # checked finite and of the embedder's dimension
+        self._merge(chunks, rows)
+        return chunks
 
     def _merge(self, chunks: Sequence[DocumentChunk], rows: np.ndarray) -> None:
         """Publish the current snapshot plus ``chunks`` (``rows`` holds their

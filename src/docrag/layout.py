@@ -136,6 +136,10 @@ def _parse_region(data: Any, path: str, expected_page: int | None = None) -> Bou
 
 _NUMBERS = (int, float)
 _FLOAT_MAX = sys.float_info.max
+# Value -> member, a dict lookup in place of an Enum call; a str member
+# hashes and compares as its value, so a member given as the value finds itself.
+_ROLES = {role.value: role for role in BlockRole}
+_KINDS = {kind.value: kind for kind in CellKind}
 
 
 def _region_fits(data: Any, page_number: int) -> bool:
@@ -182,10 +186,9 @@ def _parse_each(parse, items: list, path: str, name: str, *args) -> tuple:
 
 def _parse_cell(data: Any, path: str, page_number: int) -> TableCell:
     kind_text = _expect(data, "kind", str, path)
-    try:
-        kind = CellKind(kind_text)
-    except ValueError:
-        raise SchemaError(f"{path}.kind", f"unknown cell kind {kind_text!r}") from None
+    kind = _KINDS.get(kind_text)
+    if kind is None:
+        raise SchemaError(f"{path}.kind", f"unknown cell kind {kind_text!r}")
     region_data = _expect(data, "region", dict, path, optional=True)
     fields = {name: _expect(data, name, int, path)
               for name in ("row_index", "column_index", "row_span", "column_span")}
@@ -215,10 +218,9 @@ def _parse_table(data: Any, path: str, page_number: int) -> TableGrid:
 
 def _parse_block(data: Any, path: str, page_number: int) -> TextBlock:
     role_text = _expect(data, "role", str, path)
-    try:
-        role = BlockRole(role_text)
-    except ValueError:
-        raise SchemaError(f"{path}.role", f"unknown role {role_text!r}") from None
+    role = _ROLES.get(role_text)
+    if role is None:
+        raise SchemaError(f"{path}.role", f"unknown role {role_text!r}")
     content = _expect(data, "content", str, path)
     _check_region(_expect(data, "region", dict, path), path, page_number)
     return TextBlock(role=role, content=content)

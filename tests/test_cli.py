@@ -8,12 +8,17 @@ from pathlib import Path
 import pytest
 
 import docrag
+from docrag.chunking import split_pages
 from docrag.cli import _load_config, main
 from docrag.costs import load_pricing
 from docrag.embedding import HashingEmbedder
 from docrag.errors import SchemaError
 from docrag.evaluation import load_dataset
-from docrag.index import RetrievalConfig, VectorIndex
+from docrag.index import IndexEntry, RetrievalConfig, VectorIndex, embed
+from docrag.layout import parse_layout_payload
+from docrag.preprocess import preprocess_document
+from docrag.providers import DirectoryChartProvider
+from docrag.tokens import DEFAULT_TOKENIZER
 
 
 def run(capsys, *argv):
@@ -65,6 +70,22 @@ def test_ingest_matches_golden_digest(corpus, tmp_path, capsys):
         hashlib.sha256(index_path.read_bytes()).hexdigest()
         == "5bed4487e00f72d6ef8b16178a47898b99a426c9190ba1a79d7652ef9c25fd3d"
     )
+
+
+def test_ingest_writes_the_bytes_of_the_entry_by_entry_sequence(corpus, tmp_path, capsys):
+    # The library calls a caller of an earlier release made, and the
+    # benchmark's ingest pass still makes: per document split_pages, one
+    # IndexEntry of a tuple of floats per chunk and upsert_many; then persist.
+    index_path, _ = ingest(corpus, tmp_path, capsys)
+    embedder = HashingEmbedder()
+    index = VectorIndex(dimension=embedder.dimension, tokenizer_tag=DEFAULT_TOKENIZER.tag, provider_tag=embedder.tag)
+    charts = DirectoryChartProvider(corpus["charts_dir"])
+    for path in sorted(corpus["layout_dir"].glob("*.json")):
+        payload = parse_layout_payload(json.loads(path.read_text(encoding="utf-8")))
+        chunks = split_pages(preprocess_document(payload, charts, "json"), attributes=payload.attributes)
+        index.upsert_many([IndexEntry(chunk=c, vector=tuple(embed(c.text, embedder))) for c in chunks])
+    index.persist(tmp_path / "entries.index")
+    assert (tmp_path / "entries.index").read_bytes() == index_path.read_bytes()
 
 
 def test_ingest_empty_directory_fails(tmp_path, capsys):

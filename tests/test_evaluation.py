@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -5,24 +6,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from docrag.costs import DEFAULT_PRICING, cost_per_call
 from docrag.embedding import HashingEmbedder
-from docrag.errors import MissingDocumentsError, SchemaError
+from docrag.errors import MissingDocumentsError, ProviderError, SchemaError
 from docrag.evaluation import (
     Difficulty,
     EvalReport,
+    Outcome,
     QAExample,
     Target,
+    evaluate_example,
     load_dataset,
     normalize_answer,
     run_eval,
     score_answer,
     write_report,
 )
-from docrag.index import IndexEntry, VectorIndex
+from docrag.generation import answer_question, build_prompt, retrieve
+from docrag.index import RetrievalConfig, VectorIndex
 from docrag.layout import parse_layout_payload
 from docrag.preprocess import preprocess_document
 from docrag.providers import ContextLookupLLM, DirectoryChartProvider, LLMResponse
-from docrag.chunking import split_pages
 from docrag.tokens import count_tokens
 
 
@@ -263,12 +267,37 @@ def build_index(corpus):
     charts = DirectoryChartProvider(corpus["charts_dir"])
     for path in sorted(corpus["layout_dir"].glob("*.json")):
         payload = parse_layout_payload(json.loads(path.read_text(encoding="utf-8")))
-        pages = preprocess_document(payload, charts)
-        chunks = split_pages(pages, attributes=payload.attributes)
-        index.upsert_many(
-            [IndexEntry(chunk=c, vector=tuple(embedder.embed(c.text))) for c in chunks]
-        )
+        index.add_pages(preprocess_document(payload, charts), embedder, attributes=payload.attributes)
     return index, embedder
+
+
+@pytest.mark.parametrize("pricing", [DEFAULT_PRICING, dataclasses.replace(DEFAULT_PRICING, per_token={"gpt-4o": 0.5})],
+                         ids=["default", "override"])
+def test_evaluate_example_is_answer_question_scored_and_priced(corpus, pricing):
+    index, embedder = build_index(corpus)
+    for example in load_dataset(corpus["dataset"]):
+        outcome = evaluate_example(example, index, ContextLookupLLM(), embedder, k=2, model_tag="gpt-4o", pricing=pricing)
+        config = RetrievalConfig(k=2, filters=example.filters)
+        answer = answer_question(example.question, index, config, ContextLookupLLM(), embedder, model_tag="gpt-4o")
+        correct = score_answer(answer.text, example.gold_answer)
+        assert outcome == Outcome(answer, correct, cost_per_call("gpt-4o", answer.prompt_token_count, pricing))
+        assert len(answer.retrieved) == 2 and outcome.correct and outcome.cost_usd > 0
+
+
+def test_provider_failure_leaves_evaluate_example_with_the_prompt(corpus):
+    index, embedder = build_index(corpus)
+    example = load_dataset(corpus["dataset"])[0]
+
+    class Down:
+        tag = "mock"
+
+        def complete(self, request):
+            raise ProviderError("service unavailable")
+
+    with pytest.raises(ProviderError, match="service unavailable") as info:
+        evaluate_example(example, index, Down(), embedder)
+    results = retrieve(example.question, index, RetrievalConfig(filters=example.filters), embedder)
+    assert info.value.prompt == build_prompt([r.chunk.text for r in results], example.question)
 
 
 def test_run_eval_full_marks_on_corpus(corpus):
@@ -292,12 +321,15 @@ def test_run_eval_breakdowns_sum_to_total(corpus):
     assert report.per_target["chart"]["total"] == 3
 
 
-def test_run_eval_deterministic_across_worker_counts(corpus):
+def test_run_eval_deterministic_across_worker_counts(corpus, tmp_path):
+    # Priced, so the summed cost's bits show the order of the sum too.
     index, embedder = build_index(corpus)
     examples = load_dataset(corpus["dataset"])
-    serial = run_eval(examples, index, ContextLookupLLM(), embedder, max_workers=1)
-    threaded = run_eval(examples, index, ContextLookupLLM(), embedder, max_workers=4)
-    assert serial == threaded
+    for workers in (1, 4):
+        report = run_eval(examples, index, ContextLookupLLM(), embedder, model_tag="gpt-4o", max_workers=workers)
+        write_report(report, tmp_path / f"{workers}.json")
+    assert report.total_cost_usd > 0
+    assert (tmp_path / "1.json").read_bytes() == (tmp_path / "4.json").read_bytes()
 
 
 def test_run_eval_costs_sum_per_call(corpus):

@@ -18,7 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from docrag import index as index_module
-from docrag.chunking import ChunkMetadata, DocumentChunk
+from docrag.chunking import ChunkMetadata, DocumentChunk, split_pages
+from docrag.embedding import HashingEmbedder
 from docrag.errors import IndexLoadError, ProviderError
 from docrag.index import (
     IndexEntry,
@@ -27,6 +28,8 @@ from docrag.index import (
     VectorIndex,
     embed,
 )
+from docrag.layout import DocumentAttributes
+from docrag.preprocess import PageContent
 
 
 def chunk(chunk_id, text="text", **meta):
@@ -234,6 +237,97 @@ def test_entry_keeps_real_components_as_floats(vector):
 def test_index_dimension_must_be_positive(dimension):
     with pytest.raises(ValueError, match="dimension must be an integer >= 1"):
         VectorIndex(dimension=dimension)
+
+
+# --- add_pages: one document's pages in one call ---------------------------------
+
+def page(document_id, page_number, text, tables=()):
+    return PageContent(document_id, page_number, text, tuple(tables), (), ())
+
+
+def add_entry_by_entry(index, pages, embedder, chunk_size, attributes):
+    """The write sequence ``add_pages`` replaces: split, one ``IndexEntry``
+    of a tuple of floats per chunk, then ``upsert_many``."""
+    chunks = split_pages(pages, chunk_size=chunk_size, attributes=attributes)
+    index.upsert_many([IndexEntry(chunk=c, vector=tuple(embed(c.text, embedder))) for c in chunks])
+    return chunks
+
+
+def persisted(index, directory):
+    path = directory / "index.jsonl"
+    index.persist(path)
+    return path.read_bytes()
+
+
+_WORDS = ["alpha", "beta", "Gamma", "revenue:", "42", "$1,204", "(6%)", "{\"k\": \"v\"}", "été"]
+_PAGE_TEXT = st.one_of(
+    st.sampled_from(["", " ", "\n\t  \n"]),  # empty and whitespace-only pages
+    st.lists(st.sampled_from(_WORDS), min_size=1, max_size=14).map(" ".join),
+)
+_DOCUMENT = st.tuples(
+    st.sampled_from(["b-10k", "a-10k", "c-10k", "b-10k-2"]),  # re-added, and sorting inside the index
+    st.lists(st.tuples(_PAGE_TEXT, st.lists(_PAGE_TEXT, max_size=2)), max_size=11),
+    st.one_of(st.none(), st.builds(DocumentAttributes, company=st.sampled_from(["ACME", "BETA"]),
+                                   year=st.sampled_from([2020, 2021]))),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(documents=st.lists(_DOCUMENT, max_size=5), chunk_size=st.integers(1, 6))
+def test_add_pages_persists_like_entry_by_entry(tmp_path_factory, documents, chunk_size):
+    # Pages past 9 give ids ("d:10:0" < "d:2:0") that sort inside a document.
+    embedder = HashingEmbedder(dimension=16)
+    added, entered = (VectorIndex(dimension=16, provider_tag=embedder.tag) for _ in range(2))
+    for document_id, texts, attributes in documents:
+        pages = [page(document_id, number, text, tables) for number, (text, tables) in enumerate(texts, 1)]
+        chunks = added.add_pages(pages, embedder, chunk_size=chunk_size, attributes=attributes)
+        assert chunks == add_entry_by_entry(entered, pages, embedder, chunk_size, attributes)
+    directory = tmp_path_factory.mktemp("add-pages")
+    assert persisted(added, directory) == persisted(entered, directory)
+
+
+def test_add_pages_replaces_a_readded_documents_chunks():
+    embedder = HashingEmbedder(dimension=16)
+    index = VectorIndex(dimension=16)
+    index.add_pages([page("a", 1, "old words here")], embedder, attributes=DocumentAttributes(company="OLD"))
+    chunks = index.add_pages([page("a", 1, "new words")], embedder, attributes=DocumentAttributes(company="NEW"))
+    assert index.chunks() == tuple(chunks)
+    assert index.get("a:1:0").vector == tuple(embed("new words", embedder).tolist())
+
+
+def test_add_pages_of_no_chunks_leaves_the_index_as_it_was(tmp_path):
+    embedder = HashingEmbedder(dimension=16)
+    index = VectorIndex(dimension=16)
+    index.add_pages([page("a", 1, "some text")], embedder)
+    before = persisted(index, tmp_path)
+    assert index.add_pages([page("b", 1, ""), page("b", 2, "", [""])], embedder) == []
+    assert index.add_pages([], embedder) == []
+    assert persisted(index, tmp_path) == before
+
+
+def test_add_pages_refuses_an_embedder_of_another_dimension_and_leaves_the_index(tmp_path):
+    # Without the check numpy would report a broadcast error part-way.
+    index = VectorIndex(dimension=16)
+    index.add_pages([page("a", 1, "kept text")], HashingEmbedder(dimension=16))
+    before = persisted(index, tmp_path)
+    with pytest.raises(ValueError, match=r"^dimension mismatch: index is 16, embedder is 8$"):
+        index.add_pages([page("b", 1, "more text")], HashingEmbedder(dimension=8))
+    assert persisted(index, tmp_path) == before
+    assert index.chunk_ids() == ("a:1:0",)
+
+
+@pytest.mark.parametrize(
+    "vector,message",
+    [([1.0, math.nan, 0.0], "non-finite values"), ([1.0, 0.0], "declared 3, returned 2"), (["1", 0, 0], "bad vector")],
+    ids=["nan", "short", "str"],
+)
+def test_add_pages_raises_the_embed_rule_and_leaves_the_index(tmp_path, vector, message):
+    index = VectorIndex(dimension=3)
+    index.add_pages([page("a", 1, "kept")], FakeProvider([1.0, 0.0, 0.0]))
+    before = persisted(index, tmp_path)
+    with pytest.raises(ProviderError, match=message):
+        index.add_pages([page("b", 1, "one two three four")], FakeProvider(vector), chunk_size=2)
+    assert persisted(index, tmp_path) == before
 
 
 # --- one vector rule: a table run through every entry point -------------------

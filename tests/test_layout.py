@@ -401,3 +401,40 @@ def test_parsed_cell_kinds(revenue_payload):
     kinds = {cell.kind for cell in table.cells}
     assert CellKind.COLUMN_HEADER in kinds
     assert CellKind.CONTENT in kinds
+
+
+@pytest.mark.parametrize("as_member", [False, True], ids=["value", "member"])
+def test_every_role_and_kind_parses_to_its_member(revenue_payload, as_member):
+    # A library caller may give the member itself (BlockRole.PARAGRAPH):
+    # a str member hashes and compares as its value, so it finds itself.
+    data = copy.deepcopy(revenue_payload)
+    page = data["pages"][0]
+    for role in BlockRole:
+        _set(page, role if as_member else role.value, "text_blocks", 0, "role")
+        assert parse_layout_payload(data).pages[0].text_blocks[0].role is role
+    for kind in CellKind:
+        _set(page, kind if as_member else kind.value, "tables", 0, "cells", 0, "kind")
+        assert parse_layout_payload(data).pages[0].tables[0].cells[0].kind is kind
+
+
+_BLOCK_ROLE = ("text_blocks", 0, "role")
+_CELL_KIND = ("tables", 0, "cells", 0, "kind")
+
+
+@pytest.mark.parametrize(
+    "keys,value,message",
+    [
+        (_BLOCK_ROLE, "Paragraph", "role: unknown role 'Paragraph'"),
+        (_BLOCK_ROLE, CellKind.CONTENT, f"role: unknown role {CellKind.CONTENT!r}"),
+        (_CELL_KIND, "header", "kind: unknown cell kind 'header'"),
+        (_CELL_KIND, BlockRole.PARAGRAPH, f"kind: unknown cell kind {BlockRole.PARAGRAPH!r}"),
+    ],
+    ids=["role", "kind-as-role", "kind", "role-as-kind"],
+)
+def test_unknown_role_or_kind_is_refused_at_its_path(revenue_payload, keys, value, message):
+    data = copy.deepcopy(revenue_payload)
+    _set(data["pages"][0], value, *keys)
+    with pytest.raises(SchemaError) as info:
+        parse_layout_payload(data)
+    where = "text_blocks[0]" if keys is _BLOCK_ROLE else "tables[0].cells[0]"
+    assert str(info.value) == f"pages[0].{where}.{message}"
