@@ -60,7 +60,11 @@ synced to disk before it replaces the old file. Each line is the bytes
 ``json.dumps`` writes for the chunk's record with its vector list last;
 a vector's text is written a block of ``_TEXT_BLOCK`` rows at a time,
 with one ``repr`` per distinct value in the block (hashed vectors share
-most of their values).
+most of their values). ``load`` reads it back at the same cost: one
+decoder for the file, whose float hook is a ``Memo`` from a literal's
+text to its float, converts each distinct literal once (the text keeps
+every bit, ``-0.0`` too), and the rows' components go into one list that
+becomes the matrix in one conversion.
 
 A vector is a float64 array, from the embedder to the search. ``_vector``
 is the one rule for every vector that enters, through ``embed``,
@@ -179,6 +183,10 @@ _TEXT_BLOCK = 32
 # Fewest scored rows whose top k a search partitions out before sorting;
 # below it one sort of every score is cheaper.
 _SORT_ALL_BELOW = 256
+
+# Most distinct float literals ``load`` keeps converted, besides one entry
+# line's own. Seed 101 (2.5k rows) holds 35k; its 20k-row size, 80k.
+_LITERALS_LIMIT = 2**16
 
 
 def _grown(column: np.ndarray, count: int, total: int) -> np.ndarray:
@@ -530,6 +538,15 @@ class VectorIndex:
         past float64's range) at its own offset,
         and a file whose entry lines disagree in number with the header's
         ``count`` (such as one cut at a line boundary) at its end offset.
+        A header ``tokenizer`` or ``provider`` that is present but no string
+        is refused at offset 0; a missing one loads as ``""``.
+
+        Each distinct float literal is converted once (a ``Memo`` dropped
+        whole past ``_LITERALS_LIMIT`` entries), and a line whose vector is
+        ``dimension`` floats with a finite sum adds them to one list that
+        becomes the matrix in one conversion. Any other vector goes through
+        ``_vector``, so its refusal keeps its message and its place among
+        the line's checks.
         """
         with open(path, "rb") as handle:
             raw_header = handle.readline()
@@ -542,29 +559,38 @@ class VectorIndex:
                 raise IndexLoadError(0, f"header dimension must be an integer >= 1, got {dimension!r}")
             if type(count) is not int or count < 0:
                 raise IndexLoadError(0, f"header count must be an integer >= 0, got {count!r}")
-            index = cls(
-                dimension=dimension,
-                tokenizer_tag=str(header.get("tokenizer", "")),
-                provider_tag=str(header.get("provider", "")),
-            )
+            tags = {name: header.get(name, "") for name in ("tokenizer", "provider")}
+            for name, tag in tags.items():
+                if type(tag) is not str:
+                    raise IndexLoadError(0, f"header {name} must be a string, got {tag!r:.80}")
+            index = cls(dimension=dimension, tokenizer_tag=tags["tokenizer"], provider_tag=tags["provider"])
             offset = len(raw_header)
-            chunks, rows, seen = [], [], set()
-            while True:
-                raw = handle.readline()
-                if not raw:
-                    break
-                if raw.strip():
+            literals = Memo(float)  # literal text -> float
+            decode = json.JSONDecoder(parse_float=literals.__getitem__).decode
+            chunks, flat, seen = [], [], set()
+            for raw in handle:
+                if not raw.isspace():
                     try:
-                        record = json.loads(raw.decode("utf-8"))
+                        text = raw.decode("utf-8")
+                        try:
+                            record = decode(text)
+                        except ValueError:
+                            json.loads(text)  # raises json.loads's own error, which names a BOM
+                            raise
                         chunk = DocumentChunk.from_dict(record)
                         vector = record["vector"]
                         if type(vector) is not list:
                             raise TypeError(f"vector must be an array, got {vector!r:.80}")
-                        vector = _vector(vector)
-                        if vector.shape != (dimension,):
-                            raise ValueError(
-                                f"vector has shape {vector.shape}, header says {dimension}"
-                            )
+                        if (len(vector) == dimension and {*map(type, vector)} == {float}
+                                and math.isfinite(sum(vector))):
+                            flat += vector  # floats _vector would pass as they are
+                        else:
+                            vector = _vector(vector)
+                            if vector.shape != (dimension,):
+                                raise ValueError(
+                                    f"vector has shape {vector.shape}, header says {dimension}"
+                                )
+                            flat += vector.tolist()
                     except (ValueError, KeyError, TypeError) as exc:
                         raise IndexLoadError(offset, f"bad entry line: {exc}") from exc
                     if chunk.chunk_id in seen:
@@ -573,13 +599,14 @@ class VectorIndex:
                         )
                     seen.add(chunk.chunk_id)
                     chunks.append(chunk)
-                    rows.append(vector)
+                    if len(literals) > _LITERALS_LIMIT:
+                        literals.clear()
                 offset += len(raw)
         if len(chunks) != count:
             raise IndexLoadError(
                 offset, f"header count {count} but the file holds {len(chunks)} entry lines"
             )
-        matrix = np.array(rows, dtype=np.float64).reshape(len(rows), dimension)
-        del rows  # the per-line arrays, before _merge copies the matrix bucket-major
+        matrix = np.array(flat, dtype=np.float64).reshape(len(chunks), dimension)
+        del flat  # the components, before _merge copies the matrix bucket-major
         index._merge(chunks, matrix)
         return index

@@ -500,6 +500,20 @@ def test_query_unknown_tokenizer_fails(corpus, tmp_path, capsys):
     assert "'bogus-tokenizer'" in error["message"]
 
 
+def test_query_index_header_tag_that_is_no_string_fails_at_byte_0(tmp_path, capsys):
+    # A null tag loaded as the tag 'None', and query then named an "unknown
+    # tokenizer 'None'", a value the file never held.
+    index_path = tmp_path / "bad.index"
+    _empty_index(index_path)
+    header = json.loads(index_path.read_text(encoding="utf-8"))
+    index_path.write_text(json.dumps({**header, "tokenizer": None}) + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "query", "--index", str(index_path), "--question", "q")
+    assert (code, out) == (1, "")
+    error = json.loads(err)
+    assert error["error"] == "IndexLoadError"
+    assert error["message"] == "byte 0: header tokenizer must be a string, got None"
+
+
 def test_query_refuses_dimension_that_disagrees_with_hash_tag(corpus, tmp_path, capsys):
     # The header's dimension and hashing tag must name the same embedder;
     # querying with either one alone would rank with the wrong vectors.

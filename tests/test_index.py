@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from docrag import index as index_module
@@ -1236,6 +1236,32 @@ def test_load_refuses_header_field_that_is_not_a_valid_integer(tmp_path, field, 
     assert info.value.byte_offset == 0
 
 
+@pytest.mark.parametrize("field", ["tokenizer", "provider"])
+@pytest.mark.parametrize("value", [None, 5, ["x"], {"tag": "x"}], ids=["null", "number", "array", "object"])
+def test_load_refuses_header_tag_that_is_no_string(tmp_path, field, value):
+    # str() made a null tag the tag 'None', which the file never held.
+    path = tmp_path / "index.jsonl"
+    populated_index().persist(path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[0] = json.dumps({**json.loads(lines[0]), field: value}).encode() + b"\n"
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(IndexLoadError, match=f"header {field} must be a string, got ") as info:
+        VectorIndex.load(path)
+    assert info.value.byte_offset == 0
+
+
+def test_load_reads_a_missing_header_tag_as_empty(tmp_path):
+    path = tmp_path / "index.jsonl"
+    populated_index().persist(path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    header = json.loads(lines[0])
+    del header["tokenizer"], header["provider"]
+    lines[0] = json.dumps(header).encode() + b"\n"
+    path.write_bytes(b"".join(lines))
+    loaded = VectorIndex.load(path)
+    assert (loaded.tokenizer_tag, loaded.provider_tag, len(loaded)) == ("", "", 3)
+
+
 @pytest.mark.parametrize(
     ("field", "value"),
     [
@@ -1415,6 +1441,180 @@ _FINITE = st.one_of(
 def test_property_persisted_lines_equal_json_dumps(tmp_path_factory, rows):
     _, lines, expected = persisted_lines(tmp_path_factory.mktemp("index"), rows)
     assert lines == expected
+
+
+# --- load: the per-line loop it replaced, kept as an oracle -----------------
+
+
+def load_line_by_line(path):
+    """What ``VectorIndex.load`` gave when it read each entry line with
+    ``json.loads`` into an array of its own and stacked the arrays: its
+    entry loop as it was. The header is taken as valid."""
+    with open(path, "rb") as handle:
+        raw_header = handle.readline()
+        header = json.loads(raw_header)
+        dimension, count = header["dimension"], header["count"]
+        index = VectorIndex(dimension=dimension, tokenizer_tag=header["tokenizer"], provider_tag=header["provider"])
+        offset = len(raw_header)
+        chunks, rows, seen = [], [], set()
+        while True:
+            raw = handle.readline()
+            if not raw:
+                break
+            if raw.strip():
+                try:
+                    record = json.loads(raw.decode("utf-8"))
+                    chunk = DocumentChunk.from_dict(record)
+                    vector = record["vector"]
+                    if type(vector) is not list:
+                        raise TypeError(f"vector must be an array, got {vector!r:.80}")
+                    vector = index_module._vector(vector)
+                    if vector.shape != (dimension,):
+                        raise ValueError(f"vector has shape {vector.shape}, header says {dimension}")
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise IndexLoadError(offset, f"bad entry line: {exc}") from exc
+                if chunk.chunk_id in seen:
+                    raise IndexLoadError(offset, f"chunk_id {chunk.chunk_id!r} repeats an earlier entry line")
+                seen.add(chunk.chunk_id)
+                chunks.append(chunk)
+                rows.append(vector)
+            offset += len(raw)
+    if len(chunks) != count:
+        raise IndexLoadError(offset, f"header count {count} but the file holds {len(chunks)} entry lines")
+    index._merge(chunks, np.array(rows, dtype=np.float64).reshape(len(rows), dimension))
+    return index
+
+
+def load_outcome(load, path):
+    """``("refused", offset, message)``, or ``("loaded", chunks, bytes)``
+    where the bytes are what the loaded index persists to: the same bytes
+    mean the same vector bits, ``-0.0`` included."""
+    try:
+        index = load(path)
+    except IndexLoadError as exc:
+        return "refused", exc.byte_offset, str(exc)
+    again = path.with_name(f"{path.name}.again")
+    index.persist(again)
+    return "loaded", index.chunks(), again.read_bytes()
+
+
+# Texts a component may be written as that load reads as a float64: signed
+# zeros, the least subnormal, the extremes, integers, and literals that are
+# no float's repr (1E5, 1.50, -0, 2.5e+3, 1e-400). Drawn from a short list,
+# they repeat across rows, as hashed vectors' values do.
+_GOOD_LITERALS = ["0.0", "-0.0", "5e-324", "-5e-324", "1e308", "-1e308", "0.25", "-0.125",
+                  "1E5", "1.50", "-0", "2.5e+3", "1e-400", "7", "-3", "1" + "0" * 300]
+# And ones it refuses: no number, not finite, an int past float64's range, nested.
+_BAD_LITERALS = ["true", "false", '"0.5"', "null", "NaN", "Infinity", "-Infinity", "1e999",
+                 "-1e999", "1" + "0" * 400, "[0.5]", "[]", "{}"]
+_LITERAL = st.one_of(st.sampled_from(_GOOD_LITERALS), st.floats(allow_nan=False, allow_infinity=False).map(repr))
+_BLANK_LINES = ["\n", "  \n", "\r\n", "\t \n"]
+_LINE_FAULTS = ["short", "long", "component", "token_count", "metadata", "float-year", "repeated-id", "garbage"]
+_METADATA = '{"document_id": "d", "page_number": 1, "year": 2013}'
+
+
+def _entry_line(chunk_id, vector, token_count="1", metadata=_METADATA, layout="last", ending="\n"):
+    """An entry line of dimension 3, written by hand. The vector text
+    ``vector`` comes last, first (``layout="first"``), or last after an
+    earlier ``"vector"`` key whose text is ``layout``."""
+    fields = f'"chunk_id": "{chunk_id}", "text": "t", "token_count": {token_count}, "metadata": {metadata}'
+    if layout == "last":
+        body = f'{fields}, "vector": {vector}'
+    elif layout == "first":
+        body = f'"vector": {vector}, {fields}'
+    else:  # a repeated key: json.loads keeps the last
+        body = f'"vector": {layout}, {fields}, "vector": {vector}'
+    return "{" + body + "}" + ending
+
+
+def _index_text(count, *lines):
+    header = json.dumps({"dimension": 3, "count": count, "tokenizer": "t", "provider": "p"})
+    return header + "\n" + "".join(lines)
+
+
+def _vector_text(draw, size, bad=None):
+    parts = draw(st.lists(_LITERAL, min_size=size, max_size=size))
+    if bad is not None:
+        parts[draw(st.integers(0, size - 1))] = bad
+    return "[" + ", ".join(parts) + "]"
+
+
+@st.composite
+def _index_texts(draw):
+    """A header and up to five lines, blank or entry lines; in a ``faulty``
+    file a line may carry one fault, and the header's count may be off."""
+    faulty = draw(st.booleans())
+    lines, entries = [], 0
+    for number in range(draw(st.integers(0, 5))):
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(st.sampled_from(_BLANK_LINES)))
+            continue
+        entries += 1
+        fault = draw(st.sampled_from([None, None, *_LINE_FAULTS])) if faulty else None
+        if fault == "garbage":
+            lines.append("{garbage\n")
+            continue
+        bad = draw(st.sampled_from(_BAD_LITERALS)) if fault == "component" else None
+        lines.append(_entry_line(
+            "d:1:0" if fault == "repeated-id" else f"d:1:{number}",
+            _vector_text(draw, {"short": 2, "long": 4}.get(fault, 3), bad),
+            token_count='"1"' if fault == "token_count" else "1",
+            metadata={"metadata": "null", "float-year": _METADATA.replace("2013", "2013.0")}.get(fault, _METADATA),
+            layout=draw(st.sampled_from(
+                ["last", "last", "first", _vector_text(draw, 3, draw(st.sampled_from([None, *_BAD_LITERALS])))]
+            )),
+            ending=draw(st.sampled_from(["\n", "\r\n"])),
+        ))
+    count = max(0, entries + (draw(st.sampled_from([0, 0, 1, -1])) if faulty else 0))
+    text = _index_text(count, *lines)
+    return text[:-1] if draw(st.booleans()) else text  # with or without a last newline
+
+
+@settings(max_examples=300, deadline=None)
+@given(_index_texts())
+# finite components whose sum overflows: loaded, through _vector
+@example(_index_text(1, _entry_line("d:1:0", "[1e308, 1e308, 0.0]")))
+# a bad vector on a line before another kind of fault, and on the same line after one
+@example(_index_text(2, _entry_line("d:1:0", "[true, 0.0, 0.0]"), "{garbage\n"))
+@example(_index_text(2, _entry_line("d:1:0", "[0.5, 0.5]"), _entry_line("d:1:0", "[0.5, 0.5, 0.5]")))
+@example(_index_text(1, _entry_line("d:1:0", '["0.5", 0.0, 0.0]', token_count='"1"')))
+@example(_index_text(1, "\ufeff" + _entry_line("d:1:0", "[0.5, 0.5, 0.5]")))
+def test_property_load_matches_the_line_by_line_oracle(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("index") / "index.jsonl"
+    path.write_bytes(text.encode("utf-8"))
+    assert load_outcome(VectorIndex.load, path) == load_outcome(load_line_by_line, path)
+
+
+def test_load_holds_at_most_its_bound_of_literals_plus_one_lines(tmp_path, monkeypatch):
+    # More distinct literals than the bound: the memo is dropped whole at
+    # least once, never holds more than the bound plus one line's own, and
+    # the file still loads to its own bytes.
+    limit = index_module._LITERALS_LIMIT
+    dimension = 64
+    rng = np.random.default_rng(7)
+    rows = rng.uniform(-1, 1, size=(limit // dimension + 8, dimension))
+    index = VectorIndex(dimension=dimension)
+    index.upsert_many([IndexEntry(chunk(f"d:{i:05d}:0"), row) for i, row in enumerate(rows)])
+    path = tmp_path / "index.jsonl"
+    index.persist(path)
+    sizes, drops = [], []
+
+    class Recording(index_module.Memo):
+        __slots__ = ()
+
+        def __missing__(self, key):
+            value = super().__missing__(key)
+            sizes.append(len(self))
+            return value
+
+        def clear(self):
+            drops.append(len(self))
+            super().clear()
+
+    monkeypatch.setattr(index_module, "Memo", Recording)
+    outcome = load_outcome(VectorIndex.load, path)
+    assert outcome == ("loaded", index.chunks(), path.read_bytes())
+    assert drops and max(sizes) <= limit + dimension
 
 
 # --- merges: appends into spare capacity, rebuilds otherwise ------------------
