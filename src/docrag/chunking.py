@@ -10,7 +10,7 @@ Cuts cost a segment's words, not its tokens. No token holds whitespace,
 and ``str.split`` and the tokenizer's ``\\s`` split on the same
 characters, so a segment's token count is the sum of its words' counts,
 each read from one memo of word -> token count (``_word_tokens``, a
-``Memo`` dropped whole once it holds more than ``_WORD_MEMO_LIMIT``
+``Memo`` cleared whole once it holds more than ``_WORD_MEMO_LIMIT``
 words). A cut's word is a bisection of the running counts; its offset
 comes from splitting the words since the previous cut off a window of
 the segment that grows until it reaches the word, so placing every cut
@@ -46,8 +46,8 @@ _WORD_MEMO_LIMIT = 2**16
 
 # word -> its token count, shared by every caller: a count is a function of
 # the word alone, so sharing changes no result, and documents share most of
-# their words. Dropped whole, never in part, once it holds more than
-# ``_WORD_MEMO_LIMIT`` words; a page keeps the memo it started with.
+# their words. Cleared whole, never in part, once it holds more than
+# ``_WORD_MEMO_LIMIT`` words; a count already read stays valid.
 _word_tokens = Memo(count_tokens)
 
 
@@ -207,18 +207,16 @@ def _split_page(
     chunk_size: int,
     attributes: DocumentAttributes | None,
 ) -> list[DocumentChunk]:
-    global _word_tokens
     text = combine_page_text(page)
     if not text:
         return []
 
-    counts = _word_tokens  # this page's memo, whatever another thread swaps in
     # Each cut is (token index, character offset) of the token opening a chunk.
     cuts = [(0, 0)]
     count = tokens = offset = 0  # tokens in the open chunk, in the page, chars before the segment
     for segment, protected in _segments(page):
         words = segment.split()
-        sizes = list(map(counts.__getitem__, words))
+        sizes = list(map(_word_tokens.__getitem__, words))
         size = sum(sizes)
         if protected and size <= chunk_size:
             # A table or chart that fits in one chunk moves to a chunk whole.
@@ -236,8 +234,8 @@ def _split_page(
             count += size - len(indices) * chunk_size
         tokens += size
         offset += len(segment) + len(_SEPARATOR)
-    if len(counts) > _WORD_MEMO_LIMIT and _word_tokens is counts:
-        _word_tokens = Memo(count_tokens)
+    if len(_word_tokens) > _WORD_MEMO_LIMIT:
+        _word_tokens.clear()
 
     # The first chunk opens at the page start and the last closes at its
     # end, so a whitespace-only page is one zero-token chunk.

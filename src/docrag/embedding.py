@@ -11,17 +11,19 @@ token holds whitespace (``str.split`` and the tokenizer's ``\\s`` split on
 the same characters), so a text's tokens are its words' tokens in order.
 Each embedder therefore memoises three maps:
 
-- word -> the ids of its tokens, filled from ``_features(word)`` the first
-  time a word is seen, so the tokenizer and ``str.lower`` run once per
-  distinct word, not once per token;
+- word -> the ids of its tokens, filled from ``_features(word)`` (the
+  word's lowercased tokens) the first time a word is seen, so the
+  tokenizer and ``str.lower`` run once per distinct word, not once per
+  token;
 - lowercased token -> id, where ``id = serial * 2 * dimension + code`` and
   ``code`` is the unigram's signed bucket code (``2 * bucket + 1`` if the
   feature adds, ``2 * bucket`` if it subtracts), so ``id % (2 * dimension)``
   is the unigram's code and ``id // (2 * dimension)`` its serial;
 - the serials of two adjacent tokens, ``serial_a << 32 | serial_b`` ->
-  the code of their bigram ``"a\\x1fb"``, hashed the first time the pair is
-  seen. A key needs serials below 2**31, which holds for any dimension:
-  the memo holds at most ``_MEMO_LIMIT`` entries plus one text's own.
+  the code of their bigram ``"a\\x1fb"``, built and hashed the first time
+  the pair is seen, and nowhere else. A key needs serials below 2**31,
+  which holds for any dimension: the memo holds at most ``_MEMO_LIMIT``
+  entries plus one text's own.
 
 A text then costs one ``str.split``, one dict lookup per word and one per
 adjacent token pair. The bound (see ``Memo``) counts the entries of all
@@ -74,12 +76,23 @@ class Memo(dict):
     ``fill``; ``size`` is what its owner counts toward its bound besides
     the entries.
 
-    The embedder's maps, the lookup reader's blocks and each index
-    snapshot's kept rows are memos. Each owner drops all of its memo at
-    its bound, never a part. A value a call has read stays valid whatever
-    is dropped after (a call keeps the memo it started with, and kept rows
-    are read-only), and two threads that fill one key store equal values,
-    so a memo may be shared between threads.
+    Each owner drops all of its memo at its bound, never a part, in one
+    of three ways:
+
+    - a memo whose values stand alone (the chunker's word counts, the
+      lookup reader's blocks, ``load``'s float literals: each value a pure
+      function of its key) is cleared in place once it holds more than its
+      bound; a value a call has read stays valid, and a later lookup fills
+      its key again;
+    - the embedder's three maps share token serials, so they are dropped
+      together: the embedder swaps in a fresh ``_Generation``, and a call
+      keeps the generation it started with;
+    - an index snapshot's kept rows count their positions in ``size``, so
+      that memo is cleared in place with its ``size`` reset to 0, before
+      a fill that would pass its bound; kept rows are read-only.
+
+    Two threads that fill one key store equal values, so a memo may be
+    shared between threads.
     """
 
     __slots__ = ("fill", "size")
@@ -115,8 +128,7 @@ class _Generation:
         lock = threading.Lock()  # gives each token one id
 
         def word_ids(word: str) -> tuple[int, ...]:
-            features = owner()._features(word)
-            word_tokens = features[: (len(features) + 1) // 2]  # t tokens, then t - 1 bigrams
+            word_tokens = owner()._features(word)
             found = []
             with lock:
                 for token in word_tokens:
@@ -148,13 +160,11 @@ class HashingEmbedder:
         self.tag = f"feature-hash-v1-{dimension}"
         self._memo = _Generation(self)
 
-    def _features(self, text: str) -> list[str]:
+    def _features(self, word: str) -> list[str]:
+        """``word``'s lowercased tokens; only the memo's pair fill builds bigrams."""
         # Lowercase each token, never the text first: "İ".lower() is "i" plus a
         # combining mark, which the tokenizer would cut into two tokens.
-        tokens = list(map(str.lower, DEFAULT_TOKENIZER.tokens(text)))
-        features = list(tokens)
-        features.extend(map(_bigram, tokens, tokens[1:]))
-        return features
+        return list(map(str.lower, DEFAULT_TOKENIZER.tokens(word)))
 
     def embed(self, text: str) -> np.ndarray:
         """``text``'s vector, a float64 array of ``dimension`` entries; empty

@@ -123,7 +123,7 @@ def answer_question(
     results = retrieve(question, index, retrieval, embedder)
     if not results:
         logger.warning("no chunks retrieved for question %r; prompting with empty context", question)
-    prompt = _render(CONTEXT_SEPARATOR.join([r.chunk.text for r in results]), question)  # build_prompt, less its check
+    prompt = build_prompt([r.chunk.text for r in results], question)
     tag = model_tag if model_tag is not None else llm.tag
     try:
         response = llm.complete(LLMRequest(model_tag=tag, prompt=prompt))

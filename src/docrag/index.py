@@ -56,7 +56,11 @@ the index's last one (documents ingested in order) appends as it comes;
 any other (a replacement, or an id that sorts inside the index) gathers
 every live row in chunk_id order and appends it to fresh, empty columns.
 Persistence is JSON-lines with a header line, written atomically and
-synced to disk before it replaces the old file. Each line is the bytes
+synced to disk before it replaces the old file. The header's dimension
+and tags are the constructor's arguments, and their rules are the
+constructor's alone: a dimension that is an integer >= 1, and tags that
+are strings UTF-8 can encode. So an index that builds also persists,
+and ``load`` refuses what the constructor refuses. Each line is the bytes
 ``json.dumps`` writes for the chunk's record with its vector list last;
 a vector's text is written a block of ``_TEXT_BLOCK`` rows at a time,
 with one ``repr`` per distinct value in the block (hashed vectors share
@@ -92,7 +96,7 @@ import numpy as np
 from .chunking import DEFAULT_CHUNK_SIZE, ChunkMetadata, DocumentChunk, checked_filters, split_pages
 from .embedding import Memo
 from .errors import IndexLoadError, ProviderError
-from .layout import DocumentAttributes
+from .layout import DocumentAttributes, _lone_surrogate
 from .preprocess import PageContent
 from .providers import EmbeddingProvider
 from .tokens import DEFAULT_TOKENIZER
@@ -318,8 +322,13 @@ class VectorIndex:
         tokenizer_tag: str = DEFAULT_TOKENIZER.tag,
         provider_tag: str = "",
     ):
-        if type(dimension) is not int or dimension < 1:  # the rule load applies to the header
+        if type(dimension) is not int or dimension < 1:
             raise ValueError(f"dimension must be an integer >= 1, got {dimension!r}")
+        for name, tag in (("tokenizer", tokenizer_tag), ("provider", provider_tag)):
+            if type(tag) is not str:
+                raise ValueError(f"{name} must be a string, got {tag!r:.80}")
+            if surrogate := _lone_surrogate(tag):  # persist writes strict UTF-8
+                raise ValueError(f"{name} holds a {surrogate}")
         self.dimension = dimension
         self.tokenizer_tag = tokenizer_tag
         self.provider_tag = provider_tag
@@ -530,16 +539,16 @@ class VectorIndex:
     def load(cls, path: str | Path) -> "VectorIndex":
         """Read a persisted index; corruption errors carry a byte offset.
 
-        A header ``dimension`` or ``count`` that is not a JSON integer
-        (``dimension`` >= 1, ``count`` >= 0) is refused at offset 0, an
-        entry line that repeats an earlier ``chunk_id``, breaks the chunk
-        record's field types (``chunking.DocumentChunk``) or holds a vector
-        component that is no finite float64 (``true``, ``"0.5"``, an integer
-        past float64's range) at its own offset,
-        and a file whose entry lines disagree in number with the header's
-        ``count`` (such as one cut at a line boundary) at its end offset.
-        A header ``tokenizer`` or ``provider`` that is present but no string
-        is refused at offset 0; a missing one loads as ``""``.
+        The header's ``dimension``, ``tokenizer`` and ``provider`` go to the
+        constructor, which holds their rules; a header it refuses, or whose
+        ``count`` is no JSON integer >= 0, is refused at offset 0, in that
+        order. A missing tag loads as ``""``. An entry line that repeats an
+        earlier ``chunk_id``, breaks the chunk record's field types
+        (``chunking.DocumentChunk``) or holds a vector component that is no
+        finite float64 (``true``, ``"0.5"``, an integer past float64's
+        range) is refused at its own offset, and a file whose entry lines
+        disagree in number with the header's ``count`` (such as one cut at
+        a line boundary) at its end offset.
 
         Each distinct float literal is converted once (a ``Memo`` dropped
         whole past ``_LITERALS_LIMIT`` entries), and a line whose vector is
@@ -555,15 +564,12 @@ class VectorIndex:
                 dimension, count = header["dimension"], header["count"]
             except (ValueError, KeyError, TypeError) as exc:
                 raise IndexLoadError(0, f"bad header line: {exc}") from exc
-            if type(dimension) is not int or dimension < 1:
-                raise IndexLoadError(0, f"header dimension must be an integer >= 1, got {dimension!r}")
+            try:
+                index = cls(dimension, header.get("tokenizer", ""), header.get("provider", ""))
+            except ValueError as exc:
+                raise IndexLoadError(0, f"header {exc}") from exc
             if type(count) is not int or count < 0:
                 raise IndexLoadError(0, f"header count must be an integer >= 0, got {count!r}")
-            tags = {name: header.get(name, "") for name in ("tokenizer", "provider")}
-            for name, tag in tags.items():
-                if type(tag) is not str:
-                    raise IndexLoadError(0, f"header {name} must be a string, got {tag!r:.80}")
-            index = cls(dimension=dimension, tokenizer_tag=tags["tokenizer"], provider_tag=tags["provider"])
             offset = len(raw_header)
             literals = Memo(float)  # literal text -> float
             decode = json.JSONDecoder(parse_float=literals.__getitem__).decode

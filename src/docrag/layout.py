@@ -91,6 +91,16 @@ class LayoutPayload:
             previous = page.page_number
 
 
+def _lone_surrogate(text: str) -> str | None:
+    """What keeps UTF-8 from encoding ``text``: its first lone surrogate
+    (which a JSON ``"\\ud800"`` escape decodes to), or None if there is none."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        return f"lone surrogate U+{ord(text[exc.start]):04X} at character {exc.start}"
+    return None
+
+
 def _expect(data: Any, key: str, types, path: str, *, optional: bool = False):
     if not isinstance(data, dict):
         raise SchemaError(path, f"expected object, got {type(data).__name__}")
@@ -104,14 +114,8 @@ def _expect(data: Any, key: str, types, path: str, *, optional: bool = False):
     if not isinstance(value, types) or (types is int and isinstance(value, bool)):
         want = types.__name__ if isinstance(types, type) else "/".join(t.__name__ for t in types)
         raise SchemaError(f"{path}.{key}" if path else key, f"expected {want}, got {type(value).__name__}")
-    if isinstance(value, str) and not value.isascii():
-        try:
-            value.encode("utf-8")
-        except UnicodeEncodeError as exc:
-            raise SchemaError(
-                f"{path}.{key}" if path else key,
-                f"lone surrogate U+{ord(value[exc.start]):04X} at character {exc.start}",
-            ) from None
+    if isinstance(value, str) and not value.isascii() and (surrogate := _lone_surrogate(value)):
+        raise SchemaError(f"{path}.{key}" if path else key, surrogate)
     return value
 
 

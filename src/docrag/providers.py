@@ -156,7 +156,9 @@ class ContextLookupLLM:
     a ``Memo`` from a block to its pairs, each key already lowercased and
     stripped, in both its forms (with and without a trailing ";"); a
     prompt then costs one dict lookup per block and the substring tests.
-    The memo holds at most ``_BLOCK_MEMO_LIMIT`` blocks between calls.
+    A block's pairs depend on the block alone, so the memo is cleared in
+    place once it holds more than ``_BLOCK_MEMO_LIMIT`` blocks; a call
+    has already read its entries, and a later one fills them again.
     """
 
     tag = "lookup"
@@ -167,11 +169,10 @@ class ContextLookupLLM:
         self._read_prompt = read_prompt
 
     def complete(self, request: LLMRequest) -> LLMResponse:
-        memo = self._blocks  # this call's generation, whatever another thread swaps in
         context, question = self._read_prompt(request.prompt)
-        entries = list(map(memo.__getitem__, context.split("\n\n")))
-        if len(memo) > _BLOCK_MEMO_LIMIT and self._blocks is memo:
-            self._blocks = Memo(self._harvest)
+        entries = list(map(self._blocks.__getitem__, context.split("\n\n")))
+        if len(self._blocks) > _BLOCK_MEMO_LIMIT:
+            self._blocks.clear()
         text = self._lookup(entries, question)
         return LLMResponse(text=text, completion_tokens=count_tokens(text))
 

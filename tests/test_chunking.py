@@ -2,6 +2,8 @@ import hashlib
 import json
 import random
 import re
+import sys
+import threading
 from bisect import bisect_left
 
 import pytest
@@ -612,3 +614,32 @@ def test_chunk_boundaries_match_golden_digest():
             total += 1
     assert total == 15708
     assert hasher.hexdigest() == "38497012685c90d84a7a74b8473ec87e1344913b99336df48f68380fc37cdff7"
+
+
+def test_threads_sharing_the_word_memo_match_the_oracle(monkeypatch):
+    # A small bound makes the threads clear the shared memo under each other.
+    monkeypatch.setattr(chunking, "_WORD_MEMO_LIMIT", 16)
+    rng = random.Random(20140101)
+    pages = [_golden_page(rng, number) for number in range(1, 201)]
+    assert len({word for p in pages for word in combine_page_text(p).split()}) > 4 * 16
+    expected = split_pages_by_pieces(pages, 5)
+    start = threading.Barrier(4)
+    results = [None] * 4
+
+    def work(slot):
+        start.wait(timeout=60)
+        results[slot] = [split_pages(pages, chunk_size=5) for _ in range(3)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(slot,)) for slot in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(result == [expected] * 3 for result in results)
+    assert len(chunking._word_tokens) <= 16

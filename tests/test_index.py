@@ -1262,6 +1262,58 @@ def test_load_reads_a_missing_header_tag_as_empty(tmp_path):
     assert (loaded.tokenizer_tag, loaded.provider_tag, len(loaded)) == ("", "", 3)
 
 
+@pytest.mark.parametrize(("field", "value"), [("tokenizer", None), ("provider", 7)])
+def test_constructor_refuses_a_tag_that_is_no_string(field, value):
+    # load's rule: the constructor stored any value, which persist then wrote.
+    with pytest.raises(ValueError, match=f"^{field} must be a string, got {value}$"):
+        VectorIndex(4, **{f"{field}_tag": value})
+
+
+@pytest.mark.parametrize("field", ["tokenizer", "provider"])
+def test_constructor_refuses_a_tag_utf8_cannot_encode(field):
+    # It built, and persist raised UnicodeEncodeError after the whole ingest.
+    with pytest.raises(ValueError, match=rf"^{field} holds a lone surrogate U\+D800 at character 1$"):
+        VectorIndex(4, **{f"{field}_tag": "x\ud800"})
+
+
+@pytest.mark.parametrize("field", ["tokenizer", "provider"])
+def test_load_refuses_header_tag_utf8_cannot_encode(tmp_path, field):
+    # The escape loaded, and the loaded index could not be persisted again.
+    path = tmp_path / "index.jsonl"
+    populated_index().persist(path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[0] = json.dumps({**json.loads(lines[0]), field: "tag\ud800"}).encode() + b"\n"
+    assert b"\\ud800" in lines[0]  # the escape, as json.dumps writes it
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(IndexLoadError, match=f"^byte 0: header {field} holds a lone surrogate U\\+D800") as info:
+        VectorIndex.load(path)
+    assert info.value.byte_offset == 0
+
+
+# Any text, lone surrogates included, which st.text() leaves out.
+_TAGS = st.text(st.one_of(st.characters(), st.characters(categories=["Cs"])), max_size=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tokenizer=_TAGS, provider=_TAGS)
+@example(tokenizer="", provider="")
+@example(tokenizer='\u2028"\\\n\x00', provider="\U0001F600 é")
+def test_property_tags_the_constructor_accepts_persist_and_load_back(tmp_path_factory, tokenizer, provider):
+    try:
+        index = VectorIndex(2, tokenizer_tag=tokenizer, provider_tag=provider)
+    except ValueError:
+        with pytest.raises(UnicodeEncodeError):  # refused only for what UTF-8 cannot encode
+            (tokenizer + provider).encode("utf-8")
+        return
+    index.upsert(entry("a:1:0", [1.0, -0.5]))
+    directory = tmp_path_factory.mktemp("tags")
+    index.persist(directory / "first.jsonl")
+    loaded = VectorIndex.load(directory / "first.jsonl")
+    assert (loaded.tokenizer_tag, loaded.provider_tag) == (tokenizer, provider)
+    loaded.persist(directory / "second.jsonl")
+    assert (directory / "second.jsonl").read_bytes() == (directory / "first.jsonl").read_bytes()
+
+
 @pytest.mark.parametrize(
     ("field", "value"),
     [
