@@ -19,7 +19,8 @@ tokenizes that word alone. Each cut falls at the start of a token, so
 joining a page's chunks reproduces the page string byte for byte. A
 whitespace-only page is one zero-token chunk; an empty page yields none.
 Chunk records are typed: a field of the wrong kind, such as a ``year`` of
-``"2013"``, raises TypeError.
+``"2013"``, raises TypeError, and a string field holding a lone surrogate
+raises ValueError.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from itertools import accumulate
 from typing import Iterable
 
 from .embedding import Memo
-from .layout import DocumentAttributes, check_quarter
+from .layout import DocumentAttributes, _lone_surrogate, check_quarter
 from .preprocess import PageContent
 from .tokens import DEFAULT_TOKENIZER, count_tokens
 
@@ -53,11 +54,17 @@ _word_tokens = Memo(count_tokens)
 
 def _check_types(record, types: Iterable[tuple[str, tuple]]) -> None:
     """Raise TypeError naming the first field of ``record`` whose value's
-    exact type (so a bool is no int) is none of its ``types``."""
+    exact type (so a bool is no int) is none of its ``types``, or
+    ValueError for the first string that UTF-8 cannot encode (a lone
+    surrogate, which a JSON ``"\\ud800"`` escape decodes to and which
+    ``VectorIndex.persist`` could not write). An ASCII string, told in
+    O(1), is never encoded."""
     for name, allowed in types:
         value = getattr(record, name)
         if type(value) not in allowed:
             raise TypeError(f"{name} must be {' or '.join(t.__name__ for t in allowed)}, got {value!r}")
+        if type(value) is str and not value.isascii() and (surrogate := _lone_surrogate(value)):
+            raise ValueError(f"{name} holds a {surrogate}")
 
 
 @dataclass(frozen=True)

@@ -61,19 +61,25 @@ and tags are the constructor's arguments, and their rules are the
 constructor's alone: a dimension that is an integer >= 1, and tags that
 are strings UTF-8 can encode. So an index that builds also persists,
 and ``load`` refuses what the constructor refuses. Each line is the bytes
-``json.dumps`` writes for the chunk's record with its vector list last;
-a vector's text is written a block of ``_TEXT_BLOCK`` rows at a time,
-with one ``repr`` per distinct value in the block (hashed vectors share
-most of their values). ``load`` reads it back at the same cost: one
-decoder for the file, whose float hook is a ``Memo`` from a literal's
-text to its float, converts each distinct literal once (the text keeps
-every bit, ``-0.0`` too), and the rows' components go into one list that
-becomes the matrix in one conversion.
+``json.dumps(..., ensure_ascii=False)`` writes for the chunk's record
+with its vector list last. A record whose strings are all ASCII without
+U+007F (``_plain``) has the same bytes under ``ensure_ascii=True``, whose
+escaper is the faster, so it is encoded that way; any other record is
+encoded once with ``ensure_ascii=False``. A vector's text is written a
+block of ``_TEXT_BLOCK`` rows at a time, with one ``repr`` per distinct
+value in the block (hashed vectors share most of their values). ``load``
+reads it back at the same cost: one decoder for the file, whose float
+hook is a ``Memo`` from a literal's text to its float, converts each
+distinct literal once (the text keeps every bit, ``-0.0`` too), and the
+rows' components go into one list that becomes the matrix in one
+conversion.
 
 A vector is a float64 array, from the embedder to the search. ``_vector``
 is the one rule for every vector that enters, through ``embed``,
 ``IndexEntry``, ``search`` or ``load``: an embedder's array passes as it
-is, and any other sequence only if each component is a real number. The
+is, and any other sequence only if each component is a real number. An
+``IndexEntry`` holds its vector as a tuple of ``dimension`` floats, so
+``upsert_many`` converts a batch's rows in one ``np.fromiter`` pass. The
 write paths ``upsert_many``, ``load`` and ``add_pages`` end in one merge;
 ``add_pages`` first refuses an embedder whose dimension is not the index's.
 """
@@ -88,6 +94,7 @@ import os
 import threading
 from bisect import bisect_left
 from dataclasses import dataclass, field, fields
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -216,6 +223,16 @@ def _vector_texts(rows: np.ndarray) -> Iterator[str]:
         bits, inverse = np.unique(np.ravel(block).view(np.int64), return_inverse=True)
         reprs = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())), dtype=object)
         yield from map(", ".join, reprs[inverse.reshape(block.shape)].tolist())
+
+
+def _plain(record: dict) -> bool:
+    """Whether every string in a chunk record (``DocumentChunk.as_dict``)
+    is ASCII without U+007F, the one character below 128 that only
+    ``ensure_ascii`` escapes: then ``json.dumps`` writes the record's bytes
+    alike either way, and its ASCII escaper is the faster."""
+    strings = "".join([record["chunk_id"], record["text"],
+                       *(value for value in record["metadata"].values() if type(value) is str)])
+    return strings.isascii() and "\x7f" not in strings
 
 
 # Snapshot shared by concurrent readers; replaced wholesale on writes.
@@ -366,7 +383,9 @@ class VectorIndex:
                     f"dimension mismatch: index is {self.dimension}, "
                     f"vector is {len(entry.vector)}"
                 )
-        rows = np.array([entry.vector for entry in entries], dtype=np.float64)
+        # Every vector is ``dimension`` floats (``IndexEntry``), so one pass fills the rows.
+        count = len(entries) * self.dimension
+        rows = np.fromiter(chain.from_iterable(entry.vector for entry in entries), np.float64, count)
         self._merge([entry.chunk for entry in entries], rows.reshape(len(entries), self.dimension))
 
     def add_pages(
@@ -501,7 +520,12 @@ class VectorIndex:
     def persist(self, path: str | Path) -> None:
         """Write the index as JSON-lines, atomically and durably: the temp
         file is synced before it is renamed over ``path``, and the
-        directory after. The file's mode is what ``open()`` would give."""
+        directory after. The file's mode is what ``open()`` would give.
+
+        Each entry line is what ``json.dumps({**record, "vector": [...]},
+        ensure_ascii=False)`` gives. A record whose strings are ASCII
+        without U+007F is encoded ASCII-first (``ensure_ascii=True``, the
+        faster escaper), which writes the same bytes."""
         path = Path(path)
         snapshot = self._snapshot
         header = {
@@ -520,8 +544,9 @@ class VectorIndex:
                 for chunk, vector in zip(snapshot.chunks[: snapshot.count], vectors):
                     # The record with "vector" as its last key, as json.dumps
                     # would write {**chunk.as_dict(), "vector": row.tolist()}.
-                    record = json.dumps(chunk.as_dict(), ensure_ascii=False)[:-1]
-                    handle.write(f'{record}, "vector": [{vector}]}}\n')
+                    record = chunk.as_dict()
+                    text = json.dumps(record, ensure_ascii=_plain(record))[:-1]
+                    handle.write(f'{text}, "vector": [{vector}]}}\n')
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(temp_name, path)
@@ -543,8 +568,8 @@ class VectorIndex:
         constructor, which holds their rules; a header it refuses, or whose
         ``count`` is no JSON integer >= 0, is refused at offset 0, in that
         order. A missing tag loads as ``""``. An entry line that repeats an
-        earlier ``chunk_id``, breaks the chunk record's field types
-        (``chunking.DocumentChunk``) or holds a vector component that is no
+        earlier ``chunk_id``, breaks the chunk record's field rules
+        (``chunking.DocumentChunk``: types, and no lone surrogate) or holds a vector component that is no
         finite float64 (``true``, ``"0.5"``, an integer past float64's
         range) is refused at its own offset, and a file whose entry lines
         disagree in number with the header's ``count`` (such as one cut at

@@ -279,6 +279,40 @@ def test_chunk_refuses_mistyped_field(field, value):
         DocumentChunk(**{**record, field: value})
 
 
+@pytest.mark.parametrize(
+    ("field", "value", "message"),
+    [
+        ("chunk_id", "d:1:\ud800", "chunk_id holds a lone surrogate U+D800 at character 4"),
+        ("text", "bad \ud800 text", "text holds a lone surrogate U+D800 at character 4"),
+        ("text", "café \udfff", "text holds a lone surrogate U+DFFF at character 5"),
+    ],
+)
+def test_chunk_refuses_a_lone_surrogate(field, value, message):
+    # persist writes strict UTF-8, which has no bytes for a lone surrogate.
+    record = {"chunk_id": "d:1:0", "text": "a b c", "token_count": 3,
+              "metadata": ChunkMetadata(document_id="d", page_number=1)}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        DocumentChunk(**{**record, field: value})
+
+
+@pytest.mark.parametrize("field", ["document_id", "company", "quarter", "section_title"])
+def test_metadata_refuses_a_lone_surrogate(field):
+    with pytest.raises(ValueError, match=f"^{field} holds a lone surrogate U\\+D800 at character 1$"):
+        ChunkMetadata(**{"document_id": "d", "page_number": 1, field: "Q\ud800"})
+
+
+def test_ascii_fields_are_never_encoded(monkeypatch):
+    # An ASCII string (str.isascii, O(1)) holds no surrogate: only other text is encoded.
+    seen = []
+    monkeypatch.setattr(chunking, "_lone_surrogate", lambda text: seen.append(text))
+    metadata = ChunkMetadata(document_id="d", page_number=1, company="ACME", quarter="Q2",
+                             section_title="Revenues")
+    DocumentChunk("d:1:0", "plain text\x7f", 2, metadata)
+    assert seen == []
+    DocumentChunk("d:1:0", "café", 1, metadata)
+    assert seen == ["café"]
+
+
 def test_chunk_refuses_negative_token_count():
     with pytest.raises(ValueError, match="token_count"):
         DocumentChunk("d:1:0", "", -1, ChunkMetadata(document_id="d", page_number=1))

@@ -220,6 +220,56 @@ def test_lone_surrogate_hashes_like_the_reference():
     assert HashingEmbedder().embed(text).tolist() == reference_embed(text, 256)
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["", " \n\t\u3000 ", "revenue", "Revenue (ACME, 2019.) rose 6% in asia; revenue (ACME, fell", "(ACME,", "2019."],
+    ids=["empty", "whitespace-only", "one-word", "many-words", "multi-token-word", "number-and-stop"],
+)
+def test_packed_word_memo_matches_reference_cold_and_warm(text):
+    embedder = HashingEmbedder()
+    cold = embedder.embed(text).tolist()
+    assert cold == reference_embed(text, 256)
+    assert embedder.embed(text).tolist() == cold
+    memo = embedder._memo
+    for word in text.split():  # each entry: the word's token ids, packed native int64
+        ids = np.frombuffer(memo.words[word], np.int64).tolist()
+        tokens = [token.lower() for token in DEFAULT_TOKENIZER.tokens(word)]
+        assert ids == [memo.ids[token] for token in tokens]
+
+
+def _fresh_code(feature: str, dimension: int) -> int:
+    digest = hashlib.blake2b(
+        feature.encode("utf-8", "surrogatepass"), key=b"docrag-hash-v1", digest_size=8
+    ).digest()
+    bucket = int.from_bytes(digest, "big")
+    return (bucket >> 1) % dimension * 2 + (bucket & 1)
+
+
+def test_shared_keyed_state_hashes_like_a_fresh_keyed_hasher_across_threads():
+    features = ["", "a", "rev\ud800", "\udfff", "x\x1f\ud800y", "営業\x1f\U0001F4C8"]
+    features += [f"w{n}{chr(0xDC00 + n % 100)}\x1f{n}" for n in range(400)]
+    expected = [_fresh_code(feature, 256) for feature in features]
+    start = threading.Barrier(4)
+    results = [None] * 4
+
+    def work(slot):
+        start.wait(timeout=60)
+        results[slot] = [embedding._code(feature, 256) for feature in features * 3]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(slot,)) for slot in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(result == expected * 3 for result in results)
+    assert embedding._KEYED.copy().digest() == hashlib.blake2b(key=b"docrag-hash-v1", digest_size=8).digest()
+
+
 def test_memo_is_per_embedder():
     warm = HashingEmbedder()
     warm.embed("revenue growth in asia")

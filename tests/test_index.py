@@ -200,6 +200,28 @@ def test_upsert_rejects_wrong_dimension():
         index.upsert(entry("a:1:0", [1.0, 2.0]))
 
 
+def test_upsert_many_refuses_a_wrong_dimension_before_converting_any_row(monkeypatch):
+    index = VectorIndex(dimension=3)
+    index.upsert(entry("a:1:0", [1.0, 2.0, 3.0]))
+    converted = []
+    monkeypatch.setattr(index_module, "chain", lambda *args: converted.append(args))
+    batch = [entry("b:1:0", [1.0, 0.0, 0.0]), entry("b:2:0", [1.0, 2.0]), entry("b:3:0", [0.0, 1.0, 0.0])]
+    with pytest.raises(ValueError, match="^dimension mismatch: index is 3, vector is 2$"):
+        index.upsert_many(batch)
+    assert converted == []
+    assert index.chunk_ids() == ("a:1:0",)
+
+
+def test_upsert_many_of_no_entries_is_a_no_op(tmp_path):
+    index = VectorIndex(dimension=3)
+    index.upsert_many([])
+    assert len(index) == 0
+    index = populated_index()
+    before = persisted(index, tmp_path)
+    index.upsert_many([])
+    assert persisted(index, tmp_path) == before
+
+
 @pytest.mark.parametrize(
     "component",
     [float("inf"), 10**400, -(10**400), Fraction(10**400)],
@@ -1393,6 +1415,23 @@ def test_load_refuses_vector_that_is_no_array_at_its_line(tmp_path, vector):
     assert info.value.byte_offset == len(lines[0]) + len(lines[1])
 
 
+@pytest.mark.parametrize("field", ["text", "company"])
+def test_load_refuses_a_lone_surrogate_at_its_line(tmp_path, field):
+    # json.loads reads the escape "\ud800" as a lone surrogate, which
+    # persist could not write back as UTF-8.
+    path = tmp_path / "index.jsonl"
+    populated_index().persist(path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    record = json.loads(lines[2])
+    (record if field in record else record["metadata"])[field] = "ab\ud800"
+    lines[2] = json.dumps(record).encode() + b"\n"
+    assert b'"ab\\ud800"' in lines[2]
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(IndexLoadError, match=f"{field} holds a lone surrogate U\\+D800 at character 2") as info:
+        VectorIndex.load(path)
+    assert info.value.byte_offset == len(lines[0]) + len(lines[1])
+
+
 def test_load_skips_blank_lines(tmp_path):
     path = tmp_path / "index.jsonl"
     populated_index().persist(path)
@@ -1477,6 +1516,33 @@ _BLOCK = index_module._TEXT_BLOCK
 def test_persisted_lines_equal_json_dumps_across_text_blocks(tmp_path, count):
     _, lines, expected = persisted_lines(tmp_path, _block_rows(count))
     assert lines == expected
+
+
+# (text, metadata, whether every string is ASCII without U+007F): records
+# on both sides of persist's ASCII-first rule.
+_RECORD_CASES = {
+    "ascii": ('say "hi" \\ {x: 1}\n\ttab', {"company": "ACME", "section_title": "Revenues"}, True),
+    "delete": ("rub\x7fout", {}, False),
+    "c0-controls": ("".join(map(chr, range(32))), {"quarter": "Q1"}, True),
+    "literal-backslash-u": ("a literal \\u00e9 and \\ud800, not escapes", {}, True),
+    "non-ascii-company": ("plain text", {"company": "Société"}, False),
+    "non-ascii-section-title": ("plain text", {"section_title": "Umsätze 2013"}, False),
+    "delete-in-company": ("plain text", {"company": "AC\x7fME"}, False),
+    "astral": ("growth \U0001F4C8 in \U0001D518 and 営業", {}, False),
+}
+
+
+@pytest.mark.parametrize(("text", "meta", "plain"), _RECORD_CASES.values(), ids=_RECORD_CASES)
+def test_persisted_line_is_json_dumps_on_both_sides_of_the_ascii_rule(tmp_path, text, meta, plain):
+    record = chunk("d:1:0", text, **meta).as_dict()
+    assert index_module._plain(record) is plain
+    index = VectorIndex(dimension=2)
+    index.upsert_many([IndexEntry(chunk("d:1:0", text, **meta), (0.5, -0.0))])
+    path = tmp_path / "index.jsonl"
+    index.persist(path)
+    line = path.read_bytes().splitlines(keepends=True)[1]
+    assert line == (json.dumps({**record, "vector": [0.5, -0.0]}, ensure_ascii=False) + "\n").encode("utf-8")
+    assert VectorIndex.load(path).chunks() == index.chunks()
 
 
 _FINITE = st.one_of(
