@@ -276,6 +276,8 @@ def split_pages(
     Joining one page's chunk texts in ordinal order reproduces that page's
     combined text exactly; an empty page yields no chunks.
     """
+    if type(chunk_size) is not int:  # RetrievalConfig.k's rule: True and 2.5 are refused
+        raise ValueError(f"chunk_size must be an integer, got {chunk_size!r}")
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
     chunks: list[DocumentChunk] = []

@@ -5,8 +5,12 @@ calling scripts can parse them; an error in one layout payload names its
 file first. The HTTP LLM's endpoint and API key are read from
 environment variables only (DOCRAG_LLM_ENDPOINT, DOCRAG_LLM_KEY); flags
 never carry secrets. Setting precedence: CLI flag, then --config file,
-then the built-in default in ``_SETTINGS``. Queries embed with the
-one embedder an index header can name, and refuse any other header.
+then the built-in default in ``_SETTINGS``; ``main`` resolves each
+setting once into ``args``. The config's types and choices are checked
+before any other file is read, and the question commands read the index
+only after every cheaper input (answers file, filters, dataset, pricing)
+has been checked. Queries embed with the one embedder an index header
+can name, and refuse any other header.
 """
 
 from __future__ import annotations
@@ -37,6 +41,8 @@ from .providers import (
 from .tokens import DEFAULT_TOKENIZER
 
 
+_PROVIDERS = ("lookup", "mock", "http")
+
 # Each setting's type and default: a config key must hold its type, and a
 # setting that neither a flag nor the config gives takes its default.
 _SETTINGS = {
@@ -50,6 +56,9 @@ _SETTINGS = {
     "pricing": (str, None),
 }
 
+# The settings whose flag offers choices: a config value must be one of them.
+_CHOICES = {"table_format": TABLE_FORMATS, "provider": _PROVIDERS}
+
 
 def _load_config(path: str | None) -> dict:
     if not path:
@@ -58,25 +67,16 @@ def _load_config(path: str | None) -> dict:
         config = json.load(handle)
     if not isinstance(config, dict):
         raise ValueError("config file must hold a JSON object")
-    for key in config:
+    for key, value in config.items():
         if key not in _SETTINGS:
             raise ValueError(f"config key {key!r} is not a setting; the settings are {', '.join(_SETTINGS)}")
-    for key, (kind, _) in _SETTINGS.items():
-        if key in config and type(config[key]) is not kind:
+        kind = _SETTINGS[key][0]
+        if type(value) is not kind:
             expected = "an integer" if kind is int else "a string"
-            raise ValueError(f"config key {key!r} must be {expected}, got {config[key]!r}")
-    table_format = config.get("table_format")
-    if table_format is not None and table_format not in TABLE_FORMATS:  # as the flag's choices
-        raise ValueError(f"config key 'table_format' must be one of {TABLE_FORMATS}, got {table_format!r}")
+            raise ValueError(f"config key {key!r} must be {expected}, got {value!r}")
+        if key in _CHOICES and value not in _CHOICES[key]:
+            raise ValueError(f"config key {key!r} must be one of {_CHOICES[key]}, got {value!r}")
     return config
-
-
-def _setting(args, config: dict, key: str):
-    """The flag named ``key`` if given, else the config's value, else the default."""
-    flag_value = getattr(args, key, None)
-    if flag_value is not None:
-        return flag_value
-    return config.get(key, _SETTINGS[key][1])
 
 
 def _parse_filters(pairs: list[str] | None) -> tuple[tuple[str, object], ...]:
@@ -138,27 +138,33 @@ def _llm_for(name: str, answers_path: str | None):
         return MockLLM(answers)
     if name == "http":
         return HttpLLM()
-    raise ValueError(f"unknown provider {name!r}; expected lookup, mock, or http")
+    raise ValueError(f"unknown provider {name!r}; expected one of {_PROVIDERS}")
 
 
-def _pricing_from(args, config: dict) -> PricingConfig:
-    path = _setting(args, config, "pricing")
-    pricing = load_pricing(path) if path else DEFAULT_PRICING
+def _reader(args):
+    """The index, its query embedder and the LLM that answers from it. The
+    LLM comes first, so its provider and answers file are refused before
+    the index is read."""
+    llm = _llm_for(args.provider, args.answers)
+    index = VectorIndex.load(args.index)
+    return index, _embedder_for_index(index), llm
+
+
+def _pricing_from(args) -> PricingConfig:
+    pricing = load_pricing(args.pricing) if args.pricing else DEFAULT_PRICING
     tokens = getattr(args, "tokens_per_page", None)
     if tokens is not None:
         pricing = dataclasses.replace(pricing, tokens_per_page=tokens)
     return pricing
 
 
-def cmd_ingest(args, config: dict) -> int:
+def cmd_ingest(args) -> int:
     layout_dir = Path(args.layout)
-    table_format = _setting(args, config, "table_format")
-    chunk_size = _setting(args, config, "chunk_size")
     payload_paths = sorted(layout_dir.glob("*.json"))
     if not payload_paths:
         raise ValueError(f"no layout payloads (*.json) found in {layout_dir}")
 
-    charts_dir = _setting(args, config, "charts")
+    charts_dir = args.charts
     if charts_dir is None and (layout_dir / "charts").is_dir():
         charts_dir = layout_dir / "charts"
     chart_provider = NullChartProvider() if charts_dir is None else DirectoryChartProvider(charts_dir)
@@ -174,7 +180,7 @@ def cmd_ingest(args, config: dict) -> int:
         try:
             with open(path, encoding="utf-8") as handle:
                 payload = parse_layout_payload(json.load(handle))
-            pages = preprocess_document(payload, chart_provider, table_format)
+            pages = preprocess_document(payload, chart_provider, args.table_format)
         except (DocragError, ValueError, OSError) as exc:
             return _fail(exc, f"{path}: ")
         if payload.document_id in sources:
@@ -183,20 +189,17 @@ def cmd_ingest(args, config: dict) -> int:
                 f"{sources[payload.document_id]} and {path}"
             )
         sources[payload.document_id] = path
-        index.add_pages(pages, embedder, chunk_size=chunk_size, attributes=payload.attributes)
+        index.add_pages(pages, embedder, chunk_size=args.chunk_size, attributes=payload.attributes)
     index.persist(args.index)
     print(f"indexed {len(index)} chunks from {len(sources)} documents into {args.index}")
     return 0
 
 
-def cmd_query(args, config: dict) -> int:
-    index = VectorIndex.load(args.index)
-    embedder = _embedder_for_index(index)
-    retrieval = RetrievalConfig(k=_setting(args, config, "k"), filters=_parse_filters(args.filter))
-    provider = _llm_for(_setting(args, config, "provider"), args.answers)
+def cmd_query(args) -> int:
+    retrieval = RetrievalConfig(k=args.k, filters=_parse_filters(args.filter))
+    index, embedder, llm = _reader(args)
     answer = answer_question(
-        args.question, index, retrieval, provider, embedder,
-        model_tag=_setting(args, config, "model_tag"),
+        args.question, index, retrieval, llm, embedder, model_tag=args.model_tag
     )
     print(f"answer: {answer.text}")
     print("retrieved:")
@@ -205,25 +208,24 @@ def cmd_query(args, config: dict) -> int:
     return 0
 
 
-def cmd_eval(args, config: dict) -> int:
-    workers = _setting(args, config, "eval_workers")
-    if workers < 1:
-        raise ValueError(f"eval_workers must be >= 1, got {workers}")
-    index = VectorIndex.load(args.index)
-    embedder = _embedder_for_index(index)
+def cmd_eval(args) -> int:
+    if args.eval_workers < 1:
+        raise ValueError(f"eval_workers must be >= 1, got {args.eval_workers}")
+    RetrievalConfig(k=args.k)  # refuses a bad k before the index is read
     examples = load_dataset(args.dataset)
     if not examples:  # run_eval would report accuracy 0.000 (0/0)
         raise ValueError(f"dataset {args.dataset} holds no examples")
-    provider = _llm_for(_setting(args, config, "provider"), args.answers)
+    pricing = _pricing_from(args)
+    index, embedder, llm = _reader(args)
     report = run_eval(
         examples,
         index,
-        provider,
+        llm,
         embedder,
-        k=_setting(args, config, "k"),
-        model_tag=_setting(args, config, "model_tag"),
-        pricing=_pricing_from(args, config),
-        max_workers=workers,
+        k=args.k,
+        model_tag=args.model_tag,
+        pricing=pricing,
+        max_workers=args.eval_workers,
     )
     write_report(report, args.report)
     print(
@@ -233,8 +235,8 @@ def cmd_eval(args, config: dict) -> int:
     return 0
 
 
-def cmd_cost(args, config: dict) -> int:
-    print(format_cost_report(_pricing_from(args, config)))
+def cmd_cost(args) -> int:
+    print(format_cost_report(_pricing_from(args)))
     return 0
 
 
@@ -246,6 +248,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON config file with default settings")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # Flags shared by the two question commands, and by the two priced ones.
+    asking = argparse.ArgumentParser(add_help=False)
+    asking.add_argument("--index", required=True)
+    asking.add_argument("--k", type=int)
+    asking.add_argument("--provider", choices=_PROVIDERS)
+    asking.add_argument("--answers", help="JSON question-to-answer mapping for --provider mock")
+    asking.add_argument("--model-tag", dest="model_tag")
+    priced = argparse.ArgumentParser(add_help=False)
+    priced.add_argument("--pricing", help="JSON pricing override file")
+
     ingest = sub.add_parser("ingest", help="build and persist an index from layout payloads")
     ingest.add_argument("--layout", required=True, help="directory of layout payload JSON files")
     ingest.add_argument("--index", required=True, help="output index file")
@@ -254,10 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.add_argument("--charts", help="directory of chart CSV fixtures")
     ingest.set_defaults(handler=cmd_ingest)
 
-    query = sub.add_parser("query", help="answer one question against an index")
-    query.add_argument("--index", required=True)
+    query = sub.add_parser("query", parents=[asking], help="answer one question against an index")
     query.add_argument("--question", required=True)
-    query.add_argument("--k", type=int)
     query.add_argument(
         "--filter",
         action="append",
@@ -265,24 +275,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="metadata equality filter; repeatable; the value of "
         f"{' or '.join(INTEGER_FIELDS)} must be an integer, any other is a string",
     )
-    query.add_argument("--provider", choices=("lookup", "mock", "http"))
-    query.add_argument("--answers", help="JSON question-to-answer mapping for --provider mock")
-    query.add_argument("--model-tag", dest="model_tag")
     query.set_defaults(handler=cmd_query)
 
-    evaluate = sub.add_parser("eval", help="run a QA dataset and write a report")
-    evaluate.add_argument("--index", required=True)
+    evaluate = sub.add_parser(
+        "eval", parents=[asking, priced], help="run a QA dataset and write a report"
+    )
     evaluate.add_argument("--dataset", required=True)
     evaluate.add_argument("--report", required=True)
-    evaluate.add_argument("--k", type=int)
-    evaluate.add_argument("--provider", choices=("lookup", "mock", "http"))
-    evaluate.add_argument("--answers", help="JSON question-to-answer mapping for --provider mock")
-    evaluate.add_argument("--model-tag", dest="model_tag")
-    evaluate.add_argument("--pricing", help="JSON pricing override file")
     evaluate.set_defaults(handler=cmd_eval)
 
-    cost = sub.add_parser("cost", help="print the per-page and per-call cost comparison")
-    cost.add_argument("--pricing", help="JSON pricing override file")
+    cost = sub.add_parser(
+        "cost", parents=[priced], help="print the per-page and per-call cost comparison"
+    )
     cost.add_argument("--tokens-per-page", type=int, dest="tokens_per_page")
     cost.set_defaults(handler=cmd_cost)
 
@@ -300,11 +304,13 @@ def _fail(exc: Exception, prefix: str = "") -> int:
 
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         config = _load_config(args.config)
-        return args.handler(args, config)
+        for key, (_, default) in _SETTINGS.items():  # flag, then config, then default
+            if getattr(args, key, None) is None:
+                setattr(args, key, config.get(key, default))
+        return args.handler(args)
     except (DocragError, ValueError, OSError) as exc:
         return _fail(exc)
 

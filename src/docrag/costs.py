@@ -56,8 +56,26 @@ def _default_credits() -> dict[str, CreditRate]:
     return {"llamaparse": CreditRate(credits_per_page=1.0, usd_per_credit=30 / 1000)}
 
 
+def _number(value, key: str) -> float:
+    """``value`` as a float; anything but a finite int or float (a bool
+    included) raises ``ValueError`` naming ``key``."""
+    number = math.nan
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    if not math.isfinite(number):
+        raise ValueError(f"pricing {key} must be a finite number, got {value!r}")
+    return number
+
+
 @dataclass(frozen=True)
 class PricingConfig:
+    """Every rate: an int or float (not a bool), finite and >= 0, held as a
+    float; ``tokens_per_page`` an int >= 1. Anything else raises
+    ``ValueError`` naming the group and key."""
+
     tokens_per_page: int = 600
     per_token: Mapping[str, float] = field(default_factory=_default_per_token)
     per_call_flat: Mapping[str, float] = field(default_factory=_default_per_call_flat)
@@ -65,15 +83,28 @@ class PricingConfig:
     credits: Mapping[str, CreditRate] = field(default_factory=_default_credits)
 
     def __post_init__(self):
-        if self.tokens_per_page < 1:
+        tokens = self.tokens_per_page
+        if type(tokens) is not int:
+            raise ValueError(f"pricing tokens_per_page must be an integer, got {tokens!r}")
+        if tokens < 1:
             raise ValueError("tokens_per_page must be >= 1")
-        for group in (self.per_token, self.per_call_flat, self.per_page):
-            for name, rate in group.items():
-                if rate < 0:
+        for group in ("per_token", "per_call_flat", "per_page"):
+            rates = {}
+            for name, rate in getattr(self, group).items():
+                rates[name] = _number(rate, f"{group}.{name}")
+                if rates[name] < 0:
                     raise ValueError(f"negative rate for {name!r}")
+            object.__setattr__(self, group, rates)
+        credits = {}
         for name, credit in self.credits.items():
-            if credit.credits_per_page < 0 or credit.usd_per_credit < 0:
+            where = f"credits.{name}"
+            credits[name] = CreditRate(
+                _number(credit.credits_per_page, f"{where}.credits_per_page"),
+                _number(credit.usd_per_credit, f"{where}.usd_per_credit"),
+            )
+            if credits[name].credits_per_page < 0 or credits[name].usd_per_credit < 0:
                 raise ValueError(f"negative credit rate for {name!r}")
+        object.__setattr__(self, "credits", credits)
 
 
 DEFAULT_PRICING = PricingConfig()
@@ -151,20 +182,11 @@ def _known(data: dict, kind: type, where: str) -> dict:
     return data
 
 
-def _number(value, key: str) -> float:
-    try:
-        number = float(value) if type(value) in (int, float) else math.nan
-    except OverflowError:  # an integer beyond the float range
-        number = math.inf
-    if not math.isfinite(number):
-        raise ValueError(f"pricing {key} must be a finite number, got {value!r}")
-    return number
-
-
 def load_pricing(path: str | Path) -> PricingConfig:
     """Read pricing overrides from a JSON file and merge onto the defaults.
 
-    A malformed value or an unknown key raises ``ValueError`` naming the key."""
+    A malformed value or an unknown key raises ``ValueError`` naming the key:
+    the file's shape here, each value in ``PricingConfig``."""
     with open(path, encoding="utf-8") as handle:
         data = _known(_object(json.load(handle), "file"), PricingConfig, "")
     groups = {
@@ -174,18 +196,13 @@ def load_pricing(path: str | Path) -> PricingConfig:
     }
     for group, rates in groups.items():
         for name, rate in _object(data.get(group, {}), group).items():
-            rates[str(name)] = _number(rate, f"{group}.{name}")
+            rates[str(name)] = rate
     credits = _default_credits()
     for name, spec in _object(data.get("credits", {}), "credits").items():
         where = f"credits.{name}"
         spec = _known(_object(spec, where), CreditRate, f"{where} ")
-        credits[str(name)] = CreditRate(
-            credits_per_page=_number(spec.get("credits_per_page"), f"{where}.credits_per_page"),
-            usd_per_credit=_number(spec.get("usd_per_credit"), f"{where}.usd_per_credit"),
-        )
+        credits[str(name)] = CreditRate(spec.get("credits_per_page"), spec.get("usd_per_credit"))
     tokens = data.get("tokens_per_page", PricingConfig.tokens_per_page)
-    if type(tokens) is not int:
-        raise ValueError(f"pricing tokens_per_page must be an integer, got {tokens!r}")
     return PricingConfig(tokens_per_page=tokens, credits=credits, **groups)
 
 

@@ -58,8 +58,10 @@ class DirectoryChartProvider:
 
     Expects files named <document_id>__p<page>__f<index>.csv; a missing
     file means the provider has no extraction for that figure, and one it
-    cannot read or decode as UTF-8 raises ``ProviderError`` naming it. A
-    ``root`` that is not a directory raises ``ValueError``.
+    cannot read or decode as UTF-8 raises ``ProviderError`` naming it, as
+    does a name that is no single file name in ``root`` (a ``document_id``
+    holding ``/``), so no file outside ``root`` is read. A ``root`` that is
+    not a directory raises ``ValueError``.
     """
 
     def __init__(self, root: str | Path):
@@ -68,7 +70,10 @@ class DirectoryChartProvider:
         self.root = Path(root)
 
     def csv_for(self, document_id, page_number, figure_index, region) -> str | None:
-        path = self.root / f"{document_id}__p{page_number}__f{figure_index}.csv"
+        name = f"{document_id}__p{page_number}__f{figure_index}.csv"
+        if Path(name).name != name:
+            raise ProviderError(f"chart CSV name {name!r} is not a file name in {self.root}")
+        path = self.root / name
         if not path.is_file():
             return None
         try:

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import docrag
+from docrag import cli
 from docrag.chunking import split_pages
 from docrag.cli import _load_config, main
 from docrag.costs import load_pricing
@@ -801,6 +802,104 @@ def test_config_must_be_object(tmp_path, capsys):
     code, _, err = run(capsys, "--config", str(config), "cost")
     assert code == 1
     assert "JSON object" in json.loads(err)["message"]
+
+
+# Each setting: (the command that reads it, its default, a config value,
+# the flag that overrides it and that flag's value, or None where no flag does).
+SETTING_SOURCES = {
+    "chunk_size": ("ingest", 600, 5, ("--chunk-size", "7", 7)),
+    "k": ("query", 3, 5, ("--k", "7", 7)),
+    "eval_workers": ("eval", 4, 2, None),
+    "table_format": ("ingest", "json", "dataframe", ("--table-format", "json", "json")),
+    "charts": ("ingest", None, "from-config", ("--charts", "from-flag", "from-flag")),
+    "provider": ("query", "lookup", "mock", ("--provider", "http", "http")),
+    "model_tag": ("eval", None, "gpt-4", ("--model-tag", "gpt-4o", "gpt-4o")),
+    "pricing": ("cost", None, "config.json", ("--pricing", "flag.json", "flag.json")),
+}
+
+_COMMAND_ARGV = {
+    "ingest": ["ingest", "--layout", "layout", "--index", "out.index"],
+    "query": ["query", "--index", "in.index", "--question", "q"],
+    "eval": ["eval", "--index", "in.index", "--dataset", "qa.jsonl", "--report", "r.json"],
+    "cost": ["cost"],
+}
+
+
+def test_setting_sources_cover_every_setting():
+    assert set(SETTING_SOURCES) == set(cli._SETTINGS)
+
+
+@pytest.mark.parametrize("key", SETTING_SOURCES)
+def test_each_setting_takes_flag_then_config_then_default(tmp_path, capsys, monkeypatch, key):
+    command, default, config_value, flag = SETTING_SOURCES[key]
+    seen = []
+    monkeypatch.setattr(cli, f"cmd_{command}", lambda args: seen.append(getattr(args, key)) or 0)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: config_value}), encoding="utf-8")
+    argv = _COMMAND_ARGV[command]
+    assert run(capsys, *argv)[0] == 0
+    assert run(capsys, "--config", str(config), *argv)[0] == 0
+    expected = [default, config_value]
+    if flag is not None:
+        name, text, value = flag
+        assert run(capsys, "--config", str(config), *argv, name, text)[0] == 0
+        expected.append(value)
+    assert seen == expected
+
+
+def _refused_before_load(tmp_path, case):
+    """(argv, error, text the message must hold) for ``case``, with --index
+    naming a file that does not exist."""
+    files = {
+        "answers.json": "{}",
+        "list.json": "[1]",
+        "config.json": json.dumps({"provider": "gpt"}),
+        "qa.jsonl": _qa_line(),
+        "unknown-key.jsonl": _qa_line(filtres={"company": "ALPHA"}),
+        "pricing.json": '{"per_token": {"gpt-4o": NaN}}',
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    absent = str(tmp_path / "absent.index")
+    query = ["query", "--index", absent, "--question", "q"]
+    evaluate = ["eval", "--index", absent, "--report", str(tmp_path / "r.json"), "--dataset"]
+    return {
+        "answers-list": (query + ["--provider", "mock", "--answers", str(tmp_path / "list.json")],
+                         "ValueError", "must hold a JSON object"),
+        "answers-lookup": (query + ["--provider", "lookup", "--answers", str(tmp_path / "answers.json")],
+                           "ValueError", "--answers is read only by provider 'mock'"),
+        "config-provider": (["--config", str(tmp_path / "config.json"), *query], "ValueError",
+                            "config key 'provider' must be one of ('lookup', 'mock', 'http'), got 'gpt'"),
+        "filter": (query + ["--filter", "year=x"], "ValueError", "filter year must be an integer"),
+        "query-k": (query + ["--k", "0"], "ValueError", "k must be >= 1"),
+        "eval-k": (evaluate + [str(tmp_path / "qa.jsonl"), "--k", "0"], "ValueError", "k must be >= 1"),
+        "dataset": (evaluate + [str(tmp_path / "unknown-key.jsonl")], "SchemaError", "'filtres'"),
+        "pricing": (evaluate + [str(tmp_path / "qa.jsonl"), "--pricing", str(tmp_path / "pricing.json")],
+                    "ValueError", "per_token.gpt-4o"),
+    }[case]
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["answers-list", "answers-lookup", "config-provider", "filter", "query-k", "eval-k",
+     "dataset", "pricing"],
+)
+def test_cheap_inputs_are_refused_before_the_index_is_read(tmp_path, capsys, case):
+    # Each reported FileNotFoundError for the index, which was loaded first.
+    argv, error, text = _refused_before_load(tmp_path, case)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err.count("\n")) == (1, "", 1)
+    message = json.loads(err)
+    assert message["error"] == error
+    assert text in message["message"]
+
+
+@pytest.mark.parametrize("command", ["ingest", "query", "eval", "cost"])
+def test_every_command_prints_its_help(capsys, command):
+    with pytest.raises(SystemExit) as done:
+        main([command, "--help"])
+    assert done.value.code == 0
+    assert f"usage: docrag {command}" in capsys.readouterr().out
 
 
 def _qa_line(**fields):

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 
@@ -188,6 +189,41 @@ def test_negative_rates_rejected():
         PricingConfig(per_token={"gpt-4o": -1.0})
     with pytest.raises(ValueError, match="negative credit"):
         PricingConfig(credits={"llamaparse": CreditRate(-1.0, 0.03)})
+
+
+# Rates the constructor refuses as load_pricing does, each as (fields, text the message names).
+REFUSED_PRICING = {
+    "nan-rate": ({"per_token": {"gpt-4o": math.nan}}, "per_token.gpt-4o"),
+    "inf-rate": ({"per_call_flat": {"gpt-4o-image": math.inf}}, "per_call_flat.gpt-4o-image"),
+    "bool-rate": ({"per_token": {"gpt-4o": True}}, "per_token.gpt-4o"),
+    "string-rate": ({"per_page": {"chart-to-table": "0.5"}}, "per_page.chart-to-table"),
+    "huge-int-rate": ({"per_token": {"gpt-4o": 10**400}}, "per_token.gpt-4o"),
+    "nan-credit-rate": (
+        {"credits": {"x": CreditRate(1.0, math.nan)}}, "credits.x.usd_per_credit"
+    ),
+    "null-credit-rate": (
+        {"credits": {"x": CreditRate(None, 0.1)}}, "credits.x.credits_per_page"
+    ),
+    "bool-tokens-per-page": ({"tokens_per_page": True}, "tokens_per_page"),
+    "float-tokens-per-page": ({"tokens_per_page": 600.0}, "tokens_per_page"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSED_PRICING)
+def test_pricing_config_refuses_what_load_pricing_refuses(case):
+    # nan priced a call at nan, inf at inf, and True priced 600 tokens at 600.
+    kwargs, key = REFUSED_PRICING[case]
+    with pytest.raises(ValueError, match=re.escape(key)):
+        PricingConfig(**kwargs)
+
+
+def test_pricing_config_holds_each_rate_as_a_float():
+    pricing = PricingConfig(
+        per_token={"gpt-4o": 1}, credits={"x": CreditRate(credits_per_page=2, usd_per_credit=0)}
+    )
+    assert type(pricing.per_token["gpt-4o"]) is float
+    assert cost_per_call("gpt-4o", 600, pricing) == 600.0
+    assert (pricing.credits["x"].credits_per_page, pricing.credits["x"].usd_per_credit) == (2.0, 0.0)
 
 
 # --- report formatting ----------------------------------------------------------------

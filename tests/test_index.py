@@ -327,6 +327,16 @@ def test_add_pages_of_no_chunks_leaves_the_index_as_it_was(tmp_path):
     assert persisted(index, tmp_path) == before
 
 
+def test_add_pages_refuses_a_chunk_size_that_is_no_integer_and_leaves_the_index(tmp_path):
+    embedder = HashingEmbedder(dimension=16)
+    index = VectorIndex(dimension=16)
+    index.add_pages([page("a", 1, "some text")], embedder)
+    before = persisted(index, tmp_path)
+    with pytest.raises(ValueError, match="chunk_size must be an integer, got True"):
+        index.add_pages([page("b", 1, "alpha beta gamma")], embedder, chunk_size=True)
+    assert persisted(index, tmp_path) == before
+
+
 def test_add_pages_refuses_an_embedder_of_another_dimension_and_leaves_the_index(tmp_path):
     # Without the check numpy would report a broadcast error part-way.
     index = VectorIndex(dimension=16)

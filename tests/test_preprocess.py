@@ -102,6 +102,25 @@ def test_directory_chart_provider(chart_payload, tmp_path, chart_csv):
     assert len(pages[0].chart_texts) == 1
 
 
+def test_directory_chart_provider_reads_no_file_outside_its_root(chart_payload, tmp_path, chart_csv, caplog):
+    # A document_id of "../../secret" read secret__p1__f0.csv two levels
+    # above the chart directory and indexed its records.
+    root = tmp_path / "layout" / "charts"
+    root.mkdir(parents=True)
+    (root / "chart-doc__p1__f0.csv").write_text(chart_csv, encoding="utf-8")
+    (tmp_path / "secret__p1__f0.csv").write_text("k,v\nsecret,42\n", encoding="utf-8")
+    provider = DirectoryChartProvider(root)
+    assert len(preprocess_document(parse_layout_payload(chart_payload), provider)[0].chart_texts) == 1
+    chart_payload["document_id"] = "../../secret"
+    with caplog.at_level(logging.WARNING, logger="docrag.preprocess"):
+        pages = preprocess_document(parse_layout_payload(chart_payload), provider)
+    assert pages[0].chart_texts == ()
+    assert len(pages[0].figure_manifest) == 1
+    assert any("'../../secret__p1__f0.csv'" in rec.getMessage() for rec in caplog.records)
+    with pytest.raises(ProviderError, match="is not a file name in"):
+        provider.csv_for("/etc/secret", 1, 0, None)
+
+
 def test_null_provider_keeps_manifest_only(chart_payload):
     pages = preprocess_document(parse_layout_payload(chart_payload), NullChartProvider())
     assert pages[0].chart_texts == ()
