@@ -8,9 +8,10 @@ never carry secrets. Setting precedence: CLI flag, then --config file,
 then the built-in default in ``_SETTINGS``; ``main`` resolves each
 setting once into ``args``. The config's types and choices are checked
 before any other file is read, and the question commands read the index
-only after every cheaper input (answers file, filters, dataset, pricing)
-has been checked. Queries embed with the one embedder an index header
-can name, and refuse any other header.
+only after every cheaper input (answers file, filters, question, dataset,
+pricing, priced model tag) has been checked. A provider's name is its
+LLM's tag. Queries embed with the one embedder an index header can name,
+and refuse any other header.
 """
 
 from __future__ import annotations
@@ -23,11 +24,11 @@ import sys
 from pathlib import Path
 
 from .chunking import DEFAULT_CHUNK_SIZE, INTEGER_FIELDS
-from .costs import DEFAULT_PRICING, PricingConfig, format_cost_report, load_pricing
+from .costs import DEFAULT_PRICING, PricingConfig, cost_per_call, format_cost_report, load_pricing
 from .embedding import HashingEmbedder
 from .errors import DocragError
 from .evaluation import DEFAULT_EVAL_WORKERS, load_dataset, run_eval, write_report
-from .generation import answer_question
+from .generation import answer_question, check_question
 from .index import DEFAULT_K, RetrievalConfig, VectorIndex
 from .layout import parse_layout_payload
 from .preprocess import TABLE_FORMATS, preprocess_document
@@ -41,7 +42,9 @@ from .providers import (
 from .tokens import DEFAULT_TOKENIZER
 
 
-_PROVIDERS = ("lookup", "mock", "http")
+# Each LLM by its tag, which names it on the command line and prices its calls.
+_LLMS = {llm.tag: llm for llm in (ContextLookupLLM, MockLLM, HttpLLM)}
+_PROVIDERS = tuple(_LLMS)
 
 # Each setting's type and default: a config key must hold its type, and a
 # setting that neither a flag nor the config gives takes its default.
@@ -114,31 +117,19 @@ def _embedder_for_index(index: VectorIndex) -> HashingEmbedder:
 
 def _llm_for(name: str, answers_path: str | None):
     """The LLM named ``name``; an answers file is refused unless it is ``mock``,
-    the one provider that reads it."""
-    if answers_path is not None and name != "mock":
-        raise ValueError(f"--answers is read only by provider 'mock', not {name!r}")
-    if name == "lookup":
-        return ContextLookupLLM()
-    if name == "mock":
-        answers = {}
-        if answers_path:
-            with open(answers_path, encoding="utf-8") as handle:
-                answers = json.load(handle)
-            if not isinstance(answers, dict):
-                raise ValueError(
-                    f"answers file {answers_path} must hold a JSON object of question to "
-                    f"answer, got {type(answers).__name__}"
-                )
-            for question, answer in answers.items():
-                if not isinstance(answer, str):
-                    raise ValueError(
-                        f"answers file {answers_path}: answer to {question!r} must be a string, "
-                        f"got {answer!r}"
-                    )
+    the one provider that reads it, and ``MockLLM`` holds its rule."""
+    if name != "mock":
+        if answers_path is not None:
+            raise ValueError(f"--answers is read only by provider 'mock', not {name!r}")
+        return _LLMS[name]()
+    answers = {}
+    if answers_path:
+        with open(answers_path, encoding="utf-8") as handle:
+            answers = json.load(handle)
+    try:
         return MockLLM(answers)
-    if name == "http":
-        return HttpLLM()
-    raise ValueError(f"unknown provider {name!r}; expected one of {_PROVIDERS}")
+    except ValueError as exc:
+        raise ValueError(f"answers file {answers_path}: {exc}") from None
 
 
 def _reader(args):
@@ -197,6 +188,7 @@ def cmd_ingest(args) -> int:
 
 def cmd_query(args) -> int:
     retrieval = RetrievalConfig(k=args.k, filters=_parse_filters(args.filter))
+    check_question(args.question)
     index, embedder, llm = _reader(args)
     answer = answer_question(
         args.question, index, retrieval, llm, embedder, model_tag=args.model_tag
@@ -216,6 +208,8 @@ def cmd_eval(args) -> int:
     if not examples:  # run_eval would report accuracy 0.000 (0/0)
         raise ValueError(f"dataset {args.dataset} holds no examples")
     pricing = _pricing_from(args)
+    # a provider's name is its tag, so the priced tag is known before the index is read
+    cost_per_call(args.provider if args.model_tag is None else args.model_tag, 0, pricing)
     index, embedder, llm = _reader(args)
     report = run_eval(
         examples,

@@ -26,34 +26,26 @@ class CreditRate:
     usd_per_credit: float
 
 
-def _default_per_token() -> dict[str, float]:
-    return {
-        "gpt-3.5": 0.0003 / 600,  # $0.0003 per 600-token call
-        "gpt-4": 0.0360 / 600,  # $0.0360 per 600-token call
-        "gpt-4o": 0.0030 / 600,  # $0.0030 per 600-token call
-        "gpt-4o-azure": 2.5 / 1_000_000,  # Azure-hosted GPT-4o, $2.50 per 1M input tokens
-        "vertex": 0.0001935,
-        "anthropic": 15 / 1_000_000,  # $15 per 1M tokens
-        # offline providers used in tests cost nothing
-        "mock": 0.0,
-        "lookup": 0.0,
-    }
-
-
-def _default_per_call_flat() -> dict[str, float]:
-    # no published per-token image pricing; treated as a constant per call
-    return {"gpt-4o-image": 0.0765}
-
-
-def _default_per_page() -> dict[str, float]:
-    return {
-        "layout-analysis": 375 / 500_000,  # $375 per 500k pages
-        "chart-to-table": 0.00006,  # amortized self-hosted extraction
-    }
-
-
-def _default_credits() -> dict[str, CreditRate]:
-    return {"llamaparse": CreditRate(credits_per_page=1.0, usd_per_credit=30 / 1000)}
+# The default rates: each PricingConfig, and each pricing file merged by
+# load_pricing, starts from copies of these.
+_PER_TOKEN = {
+    "gpt-3.5": 0.0003 / 600,  # $0.0003 per 600-token call
+    "gpt-4": 0.0360 / 600,  # $0.0360 per 600-token call
+    "gpt-4o": 0.0030 / 600,  # $0.0030 per 600-token call
+    "gpt-4o-azure": 2.5 / 1_000_000,  # Azure-hosted GPT-4o, $2.50 per 1M input tokens
+    "vertex": 0.0001935,
+    "anthropic": 15 / 1_000_000,  # $15 per 1M tokens
+    # offline providers used in tests cost nothing
+    "mock": 0.0,
+    "lookup": 0.0,
+}
+# no published per-token image pricing; treated as a constant per call
+_PER_CALL_FLAT = {"gpt-4o-image": 0.0765}
+_PER_PAGE = {
+    "layout-analysis": 375 / 500_000,  # $375 per 500k pages
+    "chart-to-table": 0.00006,  # amortized self-hosted extraction
+}
+_CREDITS = {"llamaparse": CreditRate(credits_per_page=1.0, usd_per_credit=30 / 1000)}
 
 
 def _number(value, key: str) -> float:
@@ -77,10 +69,10 @@ class PricingConfig:
     ``ValueError`` naming the group and key."""
 
     tokens_per_page: int = 600
-    per_token: Mapping[str, float] = field(default_factory=_default_per_token)
-    per_call_flat: Mapping[str, float] = field(default_factory=_default_per_call_flat)
-    per_page: Mapping[str, float] = field(default_factory=_default_per_page)
-    credits: Mapping[str, CreditRate] = field(default_factory=_default_credits)
+    per_token: Mapping[str, float] = field(default_factory=_PER_TOKEN.copy)
+    per_call_flat: Mapping[str, float] = field(default_factory=_PER_CALL_FLAT.copy)
+    per_page: Mapping[str, float] = field(default_factory=_PER_PAGE.copy)
+    credits: Mapping[str, CreditRate] = field(default_factory=_CREDITS.copy)
 
     def __post_init__(self):
         tokens = self.tokens_per_page
@@ -190,14 +182,14 @@ def load_pricing(path: str | Path) -> PricingConfig:
     with open(path, encoding="utf-8") as handle:
         data = _known(_object(json.load(handle), "file"), PricingConfig, "")
     groups = {
-        "per_token": _default_per_token(),
-        "per_call_flat": _default_per_call_flat(),
-        "per_page": _default_per_page(),
+        "per_token": _PER_TOKEN.copy(),
+        "per_call_flat": _PER_CALL_FLAT.copy(),
+        "per_page": _PER_PAGE.copy(),
     }
     for group, rates in groups.items():
         for name, rate in _object(data.get(group, {}), group).items():
             rates[str(name)] = rate
-    credits = _default_credits()
+    credits = _CREDITS.copy()
     for name, spec in _object(data.get("credits", {}), "credits").items():
         where = f"credits.{name}"
         spec = _known(_object(spec, where), CreditRate, f"{where} ")

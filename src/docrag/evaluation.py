@@ -45,6 +45,12 @@ class Target(str, Enum):
 
 @dataclass(frozen=True)
 class QAExample:
+    """One dataset question. ``question`` (not blank), ``gold_answer`` and
+    ``document_id`` are exact strings and ``reference_count`` an exact int
+    >= 1; ``difficulty`` and ``target`` take a member or its value (``"low"``,
+    ``"table"``) and hold the member; ``filters`` must pass
+    ``checked_filters``. Anything else raises ``ValueError``."""
+
     question: str
     gold_answer: str
     difficulty: Difficulty
@@ -54,9 +60,17 @@ class QAExample:
     filters: tuple[tuple[str, object], ...] = field(default_factory=tuple)
 
     def __post_init__(self):
+        for name in ("question", "gold_answer", "document_id"):
+            value = getattr(self, name)
+            if type(value) is not str:
+                raise ValueError(f"{name}: expected a string, got {value!r}")
         check_question(self.question)  # build_prompt's rule, before any call
+        if type(self.reference_count) is not int:
+            raise ValueError(f"reference_count: expected an integer, got {self.reference_count!r}")
         if self.reference_count < 1:
             raise ValueError("reference_count must be >= 1")
+        object.__setattr__(self, "difficulty", Difficulty(self.difficulty))
+        object.__setattr__(self, "target", Target(self.target))
         object.__setattr__(self, "filters", checked_filters(self.filters))
 
 
@@ -79,7 +93,8 @@ _RECORD_KEYS = tuple(f.name for f in dataclasses.fields(QAExample))
 
 def load_dataset(path: str | Path) -> list[QAExample]:
     """Read a JSON-lines dataset of QAExample records; a line with a key
-    that is no QAExample field is refused."""
+    that is no QAExample field, or a value QAExample refuses, raises a
+    ``SchemaError`` naming the line."""
     examples = []
     with open(path, encoding="utf-8") as handle:
         for line_number, line in enumerate(handle, start=1):
@@ -98,21 +113,15 @@ def load_dataset(path: str | Path) -> list[QAExample]:
             filters = {} if record.get("filters") is None else record["filters"]
             if not isinstance(filters, dict):
                 raise SchemaError(where, f"filters: expected an object, got {filters!r}")
-            for key in ("question", "gold_answer", "document_id"):
-                if key in record and not isinstance(record[key], str):
-                    raise SchemaError(where, f"{key}: expected a string, got {record[key]!r}")
-            count = record.get("reference_count", 1)
-            if type(count) is not int:
-                raise SchemaError(where, f"reference_count: expected an integer, got {count!r}")
             try:
                 examples.append(
                     QAExample(
                         question=record["question"],
                         gold_answer=record["gold_answer"],
-                        difficulty=Difficulty(record["difficulty"]),
-                        target=Target(record["target"]),
+                        difficulty=record["difficulty"],
+                        target=record["target"],
                         document_id=record["document_id"],
-                        reference_count=count,
+                        reference_count=record.get("reference_count", 1),
                         filters=tuple((str(name), value) for name, value in filters.items()),
                     )
                 )

@@ -408,25 +408,23 @@ class VectorIndex:
         vectors, row-major); for a repeated chunk_id the last row wins. An
         append (see the module docstring) sorts, norms and encodes only the
         new chunks; a rebuild appends every live row to empty columns."""
-        new_ids = [chunk.chunk_id for chunk in chunks]
-        last = {chunk_id: position for position, chunk_id in enumerate(new_ids)}
-        block = sorted(last)
-        if not block:
+        if not chunks:
             return
-        if block != new_ids:  # keep each id's last row, in id order
-            order = [last[chunk_id] for chunk_id in block]
-            chunks, rows = [chunks[p] for p in order], rows[order]
+        ids = [chunk.chunk_id for chunk in chunks]
         with self._write_lock:
             old = self._snapshot
-            if old.count and old.chunks[old.count - 1].chunk_id >= block[0]:
+            if old.count and old.chunks[old.count - 1].chunk_id >= min(ids):
                 # A replacement, or an id that sorts inside the index.
-                every = old.chunks[: old.count] + list(chunks)
-                last = {chunk.chunk_id: position for position, chunk in enumerate(every)}
-                order = [last[chunk_id] for chunk_id in sorted(last)]
-                chunks = [every[p] for p in order]
-                # take returns a C-ordered copy: the rows stay row-major.
-                rows = np.concatenate([old.buckets.T, rows]).take(order, axis=0)
+                chunks = old.chunks[: old.count] + list(chunks)
+                ids = [chunk.chunk_id for chunk in chunks]
+                rows = np.concatenate([old.buckets.T, rows])
                 old = _empty(self.dimension)
+            last = {chunk_id: position for position, chunk_id in enumerate(ids)}
+            ordered = sorted(last)
+            if ordered != ids:  # keep each id's last row, in id order
+                order = [last[chunk_id] for chunk_id in ordered]
+                # take returns a C-ordered copy: the rows stay row-major.
+                chunks, rows = [chunks[p] for p in order], rows.take(order, axis=0)
             self._snapshot = _appended(old, chunks, rows)
 
     def search(self, query_vector: np.ndarray | Sequence[float], config: RetrievalConfig) -> list[RetrievalResult]:

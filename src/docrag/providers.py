@@ -17,7 +17,7 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol, Sequence
+from typing import Mapping, Protocol, Sequence
 
 import numpy as np
 
@@ -120,7 +120,8 @@ class LLMProvider(Protocol):
 
 class MockLLM:
     """Answers from a fixture mapping of question text to answer text; an
-    unknown question answers "".
+    unknown question answers "". Anything but a mapping whose answers are
+    all strings (a list of pairs included) raises ``ValueError``.
 
     The question is read from the prompt with ``generation.read_prompt``,
     so the mapping stays independent of retrieval contents.
@@ -128,7 +129,13 @@ class MockLLM:
 
     tag = "mock"
 
-    def __init__(self, answers: dict[str, str]):
+    def __init__(self, answers: Mapping[str, str]):
+        if not isinstance(answers, Mapping):
+            kind = type(answers).__name__
+            raise ValueError(f"answers must hold a JSON object of question to answer, got {kind}")
+        for question, answer in answers.items():
+            if not isinstance(answer, str):
+                raise ValueError(f"answer to {question!r} must be a string, got {answer!r}")
         self.answers = dict(answers)
         from .generation import read_prompt  # once per reader: generation imports this module
         self._read_prompt = read_prompt

@@ -876,13 +876,17 @@ def _refused_before_load(tmp_path, case):
         "dataset": (evaluate + [str(tmp_path / "unknown-key.jsonl")], "SchemaError", "'filtres'"),
         "pricing": (evaluate + [str(tmp_path / "qa.jsonl"), "--pricing", str(tmp_path / "pricing.json")],
                     "ValueError", "per_token.gpt-4o"),
+        "model-tag": (evaluate + [str(tmp_path / "qa.jsonl"), "--model-tag", "gpt-5"],
+                      "ValueError", "unknown model 'gpt-5'"),
+        "blank-question": (["query", "--index", absent, "--question", "   "],
+                           "ValueError", "question must be non-empty"),
     }[case]
 
 
 @pytest.mark.parametrize(
     "case",
     ["answers-list", "answers-lookup", "config-provider", "filter", "query-k", "eval-k",
-     "dataset", "pricing"],
+     "dataset", "pricing", "model-tag", "blank-question"],
 )
 def test_cheap_inputs_are_refused_before_the_index_is_read(tmp_path, capsys, case):
     # Each reported FileNotFoundError for the index, which was loaded first.

@@ -172,6 +172,31 @@ def test_load_pricing_merges_onto_defaults(tmp_path):
     assert close(cost_per_page("anthropic", pricing).cost_per_page_usd, 2 * 0.009)
 
 
+
+def test_load_pricing_leaves_the_default_rates_unchanged(tmp_path):
+    # Every PricingConfig and every merged file starts from the same default dicts.
+    before = PricingConfig()
+    path = tmp_path / "pricing.json"
+    path.write_text(
+        json.dumps(
+            {
+                "per_token": {"gpt-4o": 1.0, "new-model": 2.0},
+                "per_call_flat": {"gpt-4o-image": 1.0},
+                "per_page": {"chart-to-table": 1.0},
+                "credits": {"llamaparse": {"credits_per_page": 9.0, "usd_per_credit": 1.0}},
+            }
+        ),
+        encoding="utf-8",
+    )
+    pricing = load_pricing(path)
+    pricing.per_token["gpt-3.5"] = 3.0  # the groups are plain dicts, each its own
+    assert pricing.per_token["gpt-4o"] == 1.0
+    assert PricingConfig() == before == DEFAULT_PRICING
+    assert DEFAULT_PRICING.per_token["gpt-4o"] == 0.0030 / 600
+    assert "new-model" not in PricingConfig().per_token
+    assert load_pricing(path).per_token["gpt-3.5"] == 0.0003 / 600
+
+
 def test_load_pricing_empty_file_is_defaults(tmp_path):
     path = tmp_path / "pricing.json"
     path.write_text("{}", encoding="utf-8")

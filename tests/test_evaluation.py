@@ -259,6 +259,23 @@ def test_qa_example_validation():
         )
 
 
+
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("question", 5, "question: expected a string, got 5"),
+        ("reference_count", True, "reference_count: expected an integer, got True"),
+        ("difficulty", "hard", "'hard' is not a valid Difficulty"),
+    ],
+    ids=["number-question", "bool-reference-count", "unknown-difficulty"],
+)
+def test_qa_example_refuses_what_a_dataset_line_may_not_hold(field, value, message):
+    # A question of 5 crashed run_eval after every provider call; the others were accepted.
+    fields = dict(question="q", gold_answer="a", difficulty="low", target="text", document_id="d")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        QAExample(**{**fields, field: value})
+
+
 # --- the eval harness -----------------------------------------------------------------
 
 def build_index(corpus):
@@ -308,6 +325,22 @@ def test_run_eval_full_marks_on_corpus(corpus):
     assert report.correct == report.total
     assert report.accuracy == 1.0
     assert report.total_cost_usd == 0.0  # the lookup provider is free
+
+
+
+def test_run_eval_takes_plain_strings_for_difficulty_and_target(corpus, tmp_path):
+    # run_eval called the provider for every question, then failed on ``.value``.
+    index, embedder = build_index(corpus)
+    examples = load_dataset(corpus["dataset"])
+    plain = [
+        dataclasses.replace(e, difficulty=e.difficulty.value, target=e.target.value)
+        for e in examples
+    ]
+    assert all(e.difficulty in Difficulty and e.target in Target for e in plain)
+    for name, dataset in (("enum", examples), ("plain", plain)):
+        report = run_eval(dataset, index, ContextLookupLLM(), embedder, model_tag="gpt-4o")
+        write_report(report, tmp_path / f"{name}.json")
+    assert (tmp_path / "enum.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
 
 
 def test_run_eval_breakdowns_sum_to_total(corpus):

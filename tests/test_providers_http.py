@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -282,6 +283,21 @@ def test_mock_llm_counts_tokens():
     llm = MockLLM({"Q?": "two words"})
     response = llm.complete(request(prompt=build_prompt(["ctx"], "Q?")))
     assert response.completion_tokens == 2
+
+
+
+@pytest.mark.parametrize(
+    "answers,message",
+    [
+        ({"q": 5}, "answer to 'q' must be a string, got 5"),
+        ([("q", "a")], "answers must hold a JSON object of question to answer, got list"),
+    ],
+    ids=["number-answer", "list-of-pairs"],
+)
+def test_mock_llm_refuses_answers_that_are_no_mapping_of_strings(answers, message):
+    # A number failed only at complete, with a bare TypeError; a list of pairs was accepted.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        MockLLM(answers)
 
 
 def test_lookup_llm_reads_json_records():
