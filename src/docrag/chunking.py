@@ -17,28 +17,40 @@ the segment that grows until it reaches the word, so placing every cut
 reads the segment about once; a cut inside a word of several tokens
 tokenizes that word alone. Each cut falls at the start of a token, so
 joining a page's chunks reproduces the page string byte for byte. A
-whitespace-only page is one zero-token chunk; an empty page yields none.
+whitespace-only page is one zero-token chunk (which ``VectorIndex.add_pages``
+does not store); an empty page yields none.
 Chunk records are typed: a field of the wrong kind, such as a ``year`` of
 ``"2013"``, raises TypeError, and a string field holding a lone surrogate
-raises ValueError.
+raises ValueError. The quarter rule (``check_quarter``) and the UTF-8 rule
+(``_lone_surrogate``) live here, as do the table formats and the default
+eval thread count, because every command loads this module; ``layout``,
+``preprocess`` and ``evaluation`` re-export them.
 """
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_right
 from dataclasses import dataclass, fields
 from itertools import accumulate
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from .embedding import Memo
-from .layout import DocumentAttributes, _lone_surrogate, check_quarter
-from .preprocess import PageContent
 from .tokens import DEFAULT_TOKENIZER, count_tokens
+
+if TYPE_CHECKING:
+    from .layout import DocumentAttributes
+    from .preprocess import PageContent
 
 DEFAULT_CHUNK_SIZE = 600
 
 # The metadata fields that hold integers; every other one holds a string.
 INTEGER_FIELDS = ("page_number", "year")
+
+# The table serializations (``preprocess``) and the default number of eval
+# threads (``evaluation``), which ``cli``'s settings read too.
+TABLE_FORMATS = ("json", "dataframe")
+DEFAULT_EVAL_WORKERS = 4
 
 _SEPARATOR = "\n\n"
 
@@ -50,6 +62,24 @@ _WORD_MEMO_LIMIT = 2**16
 # their words. Cleared whole, never in part, once it holds more than
 # ``_WORD_MEMO_LIMIT`` words; a count already read stays valid.
 _word_tokens = Memo(count_tokens)
+
+_QUARTER_RE = re.compile(r"Q[1-4]")
+
+
+def check_quarter(quarter: str | None) -> None:
+    """Refuse a quarter that is neither None nor one of Q1..Q4."""
+    if quarter is not None and not _QUARTER_RE.fullmatch(quarter):
+        raise ValueError(f"quarter must match Q1..Q4, got {quarter!r}")
+
+
+def _lone_surrogate(text: str) -> str | None:
+    """What keeps UTF-8 from encoding ``text``: its first lone surrogate
+    (which a JSON ``"\\ud800"`` escape decodes to), or None if there is none."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        return f"lone surrogate U+{ord(text[exc.start]):04X} at character {exc.start}"
+    return None
 
 
 def _check_types(record, types: Iterable[tuple[str, tuple]]) -> None:

@@ -12,26 +12,28 @@ only after every cheaper input (answers file, filters, question, dataset,
 pricing, priced model tag) has been checked. A provider's name is its
 LLM's tag. Queries embed with the one embedder an index header can name,
 and refuse any other header.
+
+The module loads only what every command shares (chunk rules, the
+embedder, the index and the providers). Each ``cmd_*`` imports its own
+layer when it runs: ``cmd_ingest`` the layout parser and pre-processing
+(with tables and charts), ``cmd_query`` generation, ``cmd_eval`` the eval
+harness and pricing, ``cmd_cost`` pricing; ``build_parser`` imports
+argparse.
 """
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import json
 import logging
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .chunking import DEFAULT_CHUNK_SIZE, INTEGER_FIELDS
-from .costs import DEFAULT_PRICING, PricingConfig, cost_per_call, format_cost_report, load_pricing
+from .chunking import DEFAULT_CHUNK_SIZE, DEFAULT_EVAL_WORKERS, INTEGER_FIELDS, TABLE_FORMATS
 from .embedding import HashingEmbedder
 from .errors import DocragError
-from .evaluation import DEFAULT_EVAL_WORKERS, load_dataset, run_eval, write_report
-from .generation import answer_question, check_question
 from .index import DEFAULT_K, RetrievalConfig, VectorIndex
-from .layout import parse_layout_payload
-from .preprocess import TABLE_FORMATS, preprocess_document
 from .providers import (
     ContextLookupLLM,
     DirectoryChartProvider,
@@ -40,6 +42,11 @@ from .providers import (
     NullChartProvider,
 )
 from .tokens import DEFAULT_TOKENIZER
+
+if TYPE_CHECKING:
+    import argparse
+
+    from .costs import PricingConfig
 
 
 # Each LLM by its tag, which names it on the command line and prices its calls.
@@ -142,6 +149,8 @@ def _reader(args):
 
 
 def _pricing_from(args) -> PricingConfig:
+    from .costs import DEFAULT_PRICING, load_pricing
+
     pricing = load_pricing(args.pricing) if args.pricing else DEFAULT_PRICING
     tokens = getattr(args, "tokens_per_page", None)
     if tokens is not None:
@@ -150,6 +159,9 @@ def _pricing_from(args) -> PricingConfig:
 
 
 def cmd_ingest(args) -> int:
+    from .layout import parse_layout_payload
+    from .preprocess import preprocess_document
+
     layout_dir = Path(args.layout)
     payload_paths = sorted(layout_dir.glob("*.json"))
     if not payload_paths:
@@ -187,6 +199,8 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_query(args) -> int:
+    from .generation import answer_question, check_question
+
     retrieval = RetrievalConfig(k=args.k, filters=_parse_filters(args.filter))
     check_question(args.question)
     index, embedder, llm = _reader(args)
@@ -201,6 +215,9 @@ def cmd_query(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from .costs import cost_per_call
+    from .evaluation import load_dataset, run_eval, write_report
+
     if args.eval_workers < 1:
         raise ValueError(f"eval_workers must be >= 1, got {args.eval_workers}")
     RetrievalConfig(k=args.k)  # refuses a bad k before the index is read
@@ -230,11 +247,15 @@ def cmd_eval(args) -> int:
 
 
 def cmd_cost(args) -> int:
+    from .costs import format_cost_report
+
     print(format_cost_report(_pricing_from(args)))
     return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="docrag",
         description="Document pre-processing and retrieval-augmented QA toolkit.",

@@ -20,15 +20,13 @@ from enum import Enum
 from functools import partial
 from pathlib import Path
 
-from .chunking import checked_filters
+from .chunking import DEFAULT_EVAL_WORKERS, checked_filters  # re-exported: the default thread count
 from .costs import DEFAULT_PRICING, PricingConfig, cost_per_call
 from .errors import MissingDocumentsError, SchemaError
 from .generation import Answer, answer_question, check_question
 from .index import DEFAULT_K, RetrievalConfig, VectorIndex
 from .providers import EmbeddingProvider, LLMProvider
 from .tokens import DEFAULT_TOKENIZER
-
-DEFAULT_EVAL_WORKERS = 4
 
 
 class Difficulty(str, Enum):

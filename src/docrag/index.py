@@ -81,7 +81,9 @@ is, and any other sequence only if each component is a real number. An
 ``IndexEntry`` holds its vector as a tuple of ``dimension`` floats, so
 ``upsert_many`` converts a batch's rows in one ``np.fromiter`` pass. The
 write paths ``upsert_many``, ``load`` and ``add_pages`` end in one merge;
-``add_pages`` first refuses an embedder whose dimension is not the index's.
+``add_pages`` first refuses an embedder whose dimension is not the index's,
+and stores no chunk of 0 tokens (a whitespace-only page), which would
+only add an all-zero row.
 """
 
 from __future__ import annotations
@@ -96,17 +98,26 @@ from bisect import bisect_left
 from dataclasses import dataclass, field, fields
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .chunking import DEFAULT_CHUNK_SIZE, ChunkMetadata, DocumentChunk, checked_filters, split_pages
+from .chunking import (
+    DEFAULT_CHUNK_SIZE,
+    ChunkMetadata,
+    DocumentChunk,
+    _lone_surrogate,
+    checked_filters,
+    split_pages,
+)
 from .embedding import Memo
 from .errors import IndexLoadError, ProviderError
-from .layout import DocumentAttributes, _lone_surrogate
-from .preprocess import PageContent
 from .providers import EmbeddingProvider
 from .tokens import DEFAULT_TOKENIZER
+
+if TYPE_CHECKING:
+    from .layout import DocumentAttributes
+    from .preprocess import PageContent
 
 logger = logging.getLogger(__name__)
 
@@ -393,10 +404,14 @@ class VectorIndex:
         chunk_size: int = DEFAULT_CHUNK_SIZE, attributes: DocumentAttributes | None = None,
     ) -> list[DocumentChunk]:
         """Split one document's pages (``split_pages``), embed each chunk (``embed``)
-        into one array and store them as ``upsert_many`` would; return the chunks."""
+        into one array and store them as ``upsert_many`` would; return the
+        stored chunks. A chunk of 0 tokens (a whitespace-only page) is not
+        stored: it would embed to an all-zero vector, which every search
+        scores 0 and warns about."""
         if embedder.dimension != self.dimension:
             raise ValueError(f"dimension mismatch: index is {self.dimension}, embedder is {embedder.dimension}")
-        chunks = split_pages(pages, chunk_size=chunk_size, attributes=attributes)
+        chunks = [chunk for chunk in split_pages(pages, chunk_size=chunk_size, attributes=attributes)
+                  if chunk.token_count]
         rows = np.empty((len(chunks), self.dimension))
         for row, chunk in zip(rows, chunks):
             row[:] = embed(chunk.text, embedder)  # checked finite and of the embedder's dimension

@@ -22,12 +22,12 @@ at its own path.
 
 from __future__ import annotations
 
-import re
 import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any
 
+from .chunking import _lone_surrogate, check_quarter  # re-exported: the quarter and UTF-8 rules
 from .errors import SchemaError
 from .tables import BoundingRegion, CellKind, TableCell, TableGrid
 
@@ -38,15 +38,6 @@ class BlockRole(str, Enum):
     IMAGE_CAPTION = "image_caption"
     PAGE_FOOTER = "page_footer"
     PAGE_HEADER = "page_header"
-
-
-_QUARTER_RE = re.compile(r"Q[1-4]")
-
-
-def check_quarter(quarter: str | None) -> None:
-    """Refuse a quarter that is neither None nor one of Q1..Q4."""
-    if quarter is not None and not _QUARTER_RE.fullmatch(quarter):
-        raise ValueError(f"quarter must match Q1..Q4, got {quarter!r}")
 
 
 @dataclass(frozen=True)
@@ -89,16 +80,6 @@ class LayoutPayload:
             if page.page_number <= previous:
                 raise ValueError("page numbers must be strictly increasing")
             previous = page.page_number
-
-
-def _lone_surrogate(text: str) -> str | None:
-    """What keeps UTF-8 from encoding ``text``: its first lone surrogate
-    (which a JSON ``"\\ud800"`` escape decodes to), or None if there is none."""
-    try:
-        text.encode("utf-8")
-    except UnicodeEncodeError as exc:
-        return f"lone surrogate U+{ord(text[exc.start]):04X} at character {exc.start}"
-    return None
 
 
 def _expect(data: Any, key: str, types, path: str, *, optional: bool = False):

@@ -13,14 +13,13 @@ import logging
 from dataclasses import dataclass
 
 from .charts import ChartExtraction, chart_csv_to_records
+from .chunking import TABLE_FORMATS  # re-exported: the table serializations
 from .errors import ChartExtractionError, ProviderError
 from .layout import BlockRole, LayoutPayload
 from .providers import ChartToTableProvider
 from .tables import BoundingRegion, flatten_table, serialize_dataframe, serialize_json
 
 logger = logging.getLogger(__name__)
-
-TABLE_FORMATS = ("json", "dataframe")
 
 _NARRATIVE_ROLES = frozenset({BlockRole.PARAGRAPH, BlockRole.SECTION_TITLE})
 

@@ -17,14 +17,16 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Protocol, Sequence
+from typing import TYPE_CHECKING, Mapping, Protocol, Sequence
 
 import numpy as np
 
 from .embedding import Memo
 from .errors import ProviderError
-from .tables import BoundingRegion
 from .tokens import count_tokens
+
+if TYPE_CHECKING:
+    from .tables import BoundingRegion
 
 ENV_LLM_ENDPOINT = "DOCRAG_LLM_ENDPOINT"
 ENV_LLM_KEY = "DOCRAG_LLM_KEY"

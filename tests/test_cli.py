@@ -115,6 +115,24 @@ def test_ingest_rejects_invalid_payload(revenue_payload, tmp_path, capsys):
     assert not (tmp_path / "i").exists()
 
 
+def test_ingest_stores_no_chunk_of_a_whitespace_only_page(revenue_payload, tmp_path, capsys, caplog):
+    # The page splits into one 0-token chunk, whose all-zero vector every
+    # search that keeps it would score 0 and warn about.
+    blank = {"role": "paragraph", "content": "   ", "region": {"page_number": 2, "polygon": [[0, 0], [9, 0], [9, 9]]}}
+    revenue_payload["pages"].append({"page_number": 2, "text_blocks": [blank], "tables": [], "figures": []})
+    layout = tmp_path / "layout"
+    layout.mkdir()
+    (layout / "doc.json").write_text(json.dumps(revenue_payload), encoding="utf-8")
+    index_path = tmp_path / "doc.index"
+    code, out, err = run(capsys, "ingest", "--layout", str(layout), "--index", str(index_path))
+    assert code == 0, err
+    assert [chunk.metadata.page_number for chunk in VectorIndex.load(index_path).chunks()] == [1]
+    with caplog.at_level("WARNING"):
+        code, out, err = run(capsys, "query", "--index", str(index_path), "--question", "Revenue by region")
+    assert (code, err) == (0, "")
+    assert caplog.records == []
+
+
 def test_ingest_refuses_lone_surrogate_at_its_field(revenue_payload, tmp_path, capsys):
     # The file holds the six-character escape \ud800, valid JSON that
     # decodes to a character no UTF-8 index file can hold.
@@ -1124,6 +1142,39 @@ def test_cli_import_loads_no_http_client():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
     )
     assert done.stdout.strip() == "[]"
+
+
+def _modules_loaded(*steps: str) -> list[list[str]]:
+    """The modules each statement of ``steps`` loads, run in turn in a fresh interpreter."""
+    script = "import sys\n" + "".join(
+        f"before = set(sys.modules)\n{step}\nprint(' '.join(sorted(set(sys.modules) - before)))\n"
+        for step in steps
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(docrag.__file__).resolve().parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60, check=True
+    )
+    return [line.split() for line in done.stdout.splitlines()]
+
+
+def test_cli_import_loads_only_what_every_command_shares():
+    # No layout, tables, charts, preprocess, evaluation, costs or generation.
+    [loaded] = _modules_loaded("import docrag.cli")
+    assert [name for name in loaded if name.startswith("docrag")] == [
+        "docrag", "docrag.chunking", "docrag.cli", "docrag.embedding", "docrag.errors",
+        "docrag.index", "docrag.providers", "docrag.tokens",
+    ]
+    assert "concurrent.futures" not in loaded  # the eval harness's thread pool
+
+
+def test_query_setup_adds_only_generation(corpus, tmp_path, capsys):
+    # What a query process does past the import: load the index, build the reader.
+    index_path, _ = ingest(corpus, tmp_path, capsys)
+    _, loaded = _modules_loaded(
+        "import docrag.cli",
+        f"docrag.cli.VectorIndex.load({str(index_path)!r}); docrag.cli.ContextLookupLLM()",
+    )
+    assert [name for name in loaded if name.startswith("docrag")] == ["docrag.generation"]
 
 
 def test_error_output_is_single_json_line(tmp_path, capsys):

@@ -268,9 +268,10 @@ def page(document_id, page_number, text, tables=()):
 
 
 def add_entry_by_entry(index, pages, embedder, chunk_size, attributes):
-    """The write sequence ``add_pages`` replaces: split, one ``IndexEntry``
-    of a tuple of floats per chunk, then ``upsert_many``."""
-    chunks = split_pages(pages, chunk_size=chunk_size, attributes=attributes)
+    """The write sequence ``add_pages`` replaces: split, keep each chunk of
+    at least 1 token, one ``IndexEntry`` of a tuple of floats per chunk,
+    then ``upsert_many``."""
+    chunks = [c for c in split_pages(pages, chunk_size=chunk_size, attributes=attributes) if c.token_count]
     index.upsert_many([IndexEntry(chunk=c, vector=tuple(embed(c.text, embedder))) for c in chunks])
     return chunks
 
