@@ -49,9 +49,10 @@ reads only the first ``count`` entries of each, so a snapshot held by a
 search stays valid while later writes append. Writes are serialized by a
 lock and take one path: write the new rows past the current count, then
 publish a snapshot with the larger count. A column too small for them is
-first copied into one a quarter larger (exact size when it is empty, so
-the one merge of ``load`` leaves no spare entry), so n rows appended in
-batches are copied O(log n) times. A merge whose chunk_ids all sort after
+first copied into one a quarter larger (exact size when it is empty), so
+n rows appended in batches are copied O(log n) times; ``load`` sizes its
+columns once from the header's ``count``, so its merges of a file
+``persist`` wrote leave no spare entry. A merge whose chunk_ids all sort after
 the index's last one (documents ingested in order) appends as it comes;
 any other (a replacement, or an id that sorts inside the index) gathers
 every live row in chunk_id order and appends it to fresh, empty columns.
@@ -70,9 +71,13 @@ block of ``_TEXT_BLOCK`` rows at a time, with one ``repr`` per distinct
 value in the block (hashed vectors share most of their values). ``load``
 reads it back at the same cost: one decoder for the file, whose float
 hook is a ``Memo`` from a literal's text to its float, converts each
-distinct literal once (the text keeps every bit, ``-0.0`` too), and the
-rows' components go into one list that becomes the matrix in one
-conversion.
+distinct literal once (the text keeps every bit, ``-0.0`` too). It sizes
+the columns once, from the header's ``count`` but for no more rows than
+the file's bytes can hold (an entry line holds at least two bytes a
+component), and merges each block of ``_LOAD_BLOCK`` entry lines as it is
+read: the block's components go into one list and then one row-major
+matrix, which ``_merge`` copies into the columns. So a loaded row is
+held once, and besides the store only one block's components are.
 
 A vector is a float64 array, from the embedder to the search. ``_vector``
 is the one rule for every vector that enters, through ``embed``,
@@ -80,7 +85,8 @@ is the one rule for every vector that enters, through ``embed``,
 is, and any other sequence only if each component is a real number. An
 ``IndexEntry`` holds its vector as a tuple of ``dimension`` floats, so
 ``upsert_many`` converts a batch's rows in one ``np.fromiter`` pass. The
-write paths ``upsert_many``, ``load`` and ``add_pages`` end in one merge;
+write paths ``upsert_many`` and ``add_pages`` end in one merge, and
+``load`` in one per block of entry lines;
 ``add_pages`` first refuses an embedder whose dimension is not the index's,
 and stores no chunk of 0 tokens (a whitespace-only page), which would
 only add an all-zero row.
@@ -206,6 +212,12 @@ _TEXT_BLOCK = 32
 # below it one sort of every score is cheaper.
 _SORT_ALL_BELOW = 256
 
+# Entry lines ``load`` reads into one row-major block before ``_merge``
+# copies it into the store: a block's list and matrix are all the
+# components it holds besides the store. At the 20k-row size of seed 101,
+# 256 loads as fast as 32 or 2,048 and peaks 9 MB below 2,048.
+_LOAD_BLOCK = 256
+
 # Most distinct float literals ``load`` keeps converted, besides one entry
 # line's own. Seed 101 (2.5k rows) holds 35k; its 20k-row size, 80k.
 _LITERALS_LIMIT = 2**16
@@ -273,16 +285,17 @@ class _Snapshot:
         return self.store[:, : self.count]
 
 
-def _empty(dimension: int) -> _Snapshot:
+def _empty(dimension: int, capacity: int = 0) -> _Snapshot:
+    """A snapshot of no rows whose columns have room for ``capacity``."""
     return _Snapshot(
         count=0,
         chunks=[],
-        store=np.empty((dimension, 0), dtype=np.float64),
-        norms=np.empty((0,), dtype=np.float64),
+        store=np.empty((dimension, capacity), dtype=np.float64),
+        norms=np.empty((capacity,), dtype=np.float64),
         zero_rows=0,
         unscorable_rows=0,
         books={name: {} for name in _FIELDS},
-        columns={name: np.empty((0,), dtype=np.int32) for name in _FIELDS},
+        columns={name: np.empty((capacity,), dtype=np.int32) for name in _FIELDS},
     )
 
 
@@ -588,12 +601,17 @@ class VectorIndex:
         disagree in number with the header's ``count`` (such as one cut at
         a line boundary) at its end offset.
 
-        Each distinct float literal is converted once (a ``Memo`` dropped
-        whole past ``_LITERALS_LIMIT`` entries), and a line whose vector is
-        ``dimension`` floats with a finite sum adds them to one list that
-        becomes the matrix in one conversion. Any other vector goes through
-        ``_vector``, so its refusal keeps its message and its place among
-        the line's checks.
+        The columns are sized once from ``count``, but for no more rows than
+        the file's bytes can hold, so a corrupt ``count`` or ``dimension``
+        allocates nothing large before its refusal. Each distinct float literal is converted
+        once (a ``Memo`` dropped whole past ``_LITERALS_LIMIT`` entries),
+        and a line whose vector is ``dimension`` floats with a finite sum
+        adds them as they are to its block's list. Any other vector goes
+        through ``_vector``, so its refusal keeps its message and its place
+        among the line's checks. Each block of ``_LOAD_BLOCK`` entry lines
+        becomes one row-major matrix that ``_merge`` copies into the
+        columns as soon as it is read, so besides the columns ``load``
+        holds one block's components at a time.
         """
         with open(path, "rb") as handle:
             raw_header = handle.readline()
@@ -609,6 +627,13 @@ class VectorIndex:
             if type(count) is not int or count < 0:
                 raise IndexLoadError(0, f"header count must be an integer >= 0, got {count!r}")
             offset = len(raw_header)
+            # An entry line holds more than two bytes a component, so a count
+            # or dimension past what the file can hold sizes the columns only
+            # as the file does; the count is refused at the end offset below,
+            # the dimension at the first entry line. A pipe's size reads 0:
+            # its columns start empty and grow.
+            room = max(os.fstat(handle.fileno()).st_size - offset, 0) // (2 * dimension)
+            index._snapshot = _empty(dimension, min(count, room))
             literals = Memo(float)  # literal text -> float
             decode = json.JSONDecoder(parse_float=literals.__getitem__).decode
             chunks, flat, seen = [], [], set()
@@ -643,14 +668,15 @@ class VectorIndex:
                         )
                     seen.add(chunk.chunk_id)
                     chunks.append(chunk)
+                    if len(chunks) == _LOAD_BLOCK:
+                        index._merge(chunks, np.array(flat, dtype=np.float64).reshape(len(chunks), dimension))
+                        chunks, flat = [], []
                     if len(literals) > _LITERALS_LIMIT:
                         literals.clear()
                 offset += len(raw)
-        if len(chunks) != count:
+        index._merge(chunks, np.array(flat, dtype=np.float64).reshape(len(chunks), dimension))
+        if len(index) != count:
             raise IndexLoadError(
-                offset, f"header count {count} but the file holds {len(chunks)} entry lines"
+                offset, f"header count {count} but the file holds {len(index)} entry lines"
             )
-        matrix = np.array(flat, dtype=np.float64).reshape(len(chunks), dimension)
-        del flat  # the components, before _merge copies the matrix bucket-major
-        index._merge(chunks, matrix)
         return index

@@ -8,6 +8,7 @@ import re
 import stat
 import sys
 import threading
+import tracemalloc
 import weakref
 from decimal import Decimal
 from fractions import Fraction
@@ -1744,6 +1745,111 @@ def test_load_holds_at_most_its_bound_of_literals_plus_one_lines(tmp_path, monke
     outcome = load_outcome(VectorIndex.load, path)
     assert outcome == ("loaded", index.chunks(), path.read_bytes())
     assert drops and max(sizes) <= limit + dimension
+
+
+def _lines(*numbers, vector="[{n}.5, -0.0, 0.25]"):
+    return [_entry_line(f"d:1:{number}", vector.format(n=number)) for number in numbers]
+
+
+# Files of several two-line blocks: each kind of line a block boundary can
+# split from the lines it depends on.
+_BLOCK_CASES = {
+    "in-order": ("loaded", _index_text(5, *_lines(0, 1, 2), "\n", *_lines(3, 4))),
+    "out-of-order-across-blocks": ("loaded", _index_text(5, *_lines(2, 3, 0, 4, 1))),
+    "repeat-in-later-block": ("refused", _index_text(5, *_lines(0, 1, 2, 3, 1))),
+    "bad-line-in-second-block": ("refused", _index_text(5, *_lines(0, 1, 2), "{garbage\n", *_lines(4))),
+    "bad-vector-in-second-block": (
+        "refused", _index_text(4, *_lines(0, 1), *_lines(2, vector="[true, 0.0, 0.0]"), *_lines(3))),
+    "count-one-above": ("refused", _index_text(6, *_lines(0, 1, 2, 3, 4))),
+    "count-one-below": ("refused", _index_text(4, *_lines(0, 1, 2, 3, 4))),
+}
+
+
+@pytest.mark.parametrize(("how", "text"), _BLOCK_CASES.values(), ids=_BLOCK_CASES)
+def test_load_in_several_blocks_matches_the_line_by_line_oracle(tmp_path, monkeypatch, how, text):
+    monkeypatch.setattr(index_module, "_LOAD_BLOCK", 2)
+    path = tmp_path / "index.jsonl"
+    path.write_bytes(text.encode("utf-8"))
+    outcome = load_outcome(VectorIndex.load, path)
+    assert outcome == load_outcome(load_line_by_line, path)
+    assert outcome[0] == how
+
+
+def _hashed_index(rows):
+    """An index of ``rows`` chunks of page-length random text, embedded by
+    ``HashingEmbedder``: its vectors repeat literals as an ingested file's do."""
+    rng = random.Random(11)
+    words = [f"w{number}" for number in range(3000)]
+    texts = [" ".join(rng.choices(words, k=rng.randint(150, 450))) for _ in range(rows)]
+    embedder = HashingEmbedder()
+    index = VectorIndex(dimension=embedder.dimension, provider_tag=embedder.tag)
+    index.upsert_many([IndexEntry(chunk(f"d:{i:05d}:0", text), embedder.embed(text)) for i, text in enumerate(texts)])
+    return index
+
+
+def test_load_in_several_blocks_leaves_no_spare_entry_and_the_same_norms(tmp_path, monkeypatch):
+    # Grown a quarter at a time, blocks of 16 rows would leave 60 columns for 50.
+    index = _hashed_index(50)
+    path = tmp_path / "index.jsonl"
+    index.persist(path)
+    monkeypatch.setattr(index_module, "_LOAD_BLOCK", 16)
+    loaded = VectorIndex.load(path)
+    assert loaded._snapshot.store.shape[1] == len(loaded) == 50
+    assert loaded._snapshot.norms.tobytes() == index._snapshot.norms[:50].tobytes()
+
+
+def test_load_holds_each_row_once(tmp_path):
+    # Load's peak above what the loaded index holds is its literal memo and
+    # one block: 0.7 of the store's bytes here. Holding every component in
+    # a list and then a matrix before the store adds about two stores (2.2).
+    index = _hashed_index(1200)
+    path = tmp_path / "index.jsonl"
+    index.persist(path)
+    del index
+    tracemalloc.start()  # numpy reports its buffers to tracemalloc
+    try:
+        loaded = VectorIndex.load(path)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - current < 1.5 * loaded._snapshot.store.nbytes
+
+
+def test_load_refuses_a_count_past_what_the_file_can_hold_at_its_end(tmp_path):
+    # The columns are sized for the rows the file's bytes can hold, not for
+    # the header's count: no allocation of 10**12 rows precedes the refusal.
+    path = tmp_path / "index.jsonl"
+    path.write_bytes(_index_text(10**12, *_lines(0, 1, 2)).encode("utf-8"))
+    with pytest.raises(IndexLoadError, match="header count 1000000000000 but the file holds 3") as info:
+        VectorIndex.load(path)
+    assert info.value.byte_offset == path.stat().st_size
+
+
+def test_load_refuses_a_dimension_past_what_the_file_can_hold_at_its_first_entry(tmp_path):
+    # Nor for a row of the header's dimension that no line of the file can hold.
+    path = tmp_path / "index.jsonl"
+    text = _index_text(3, *_lines(0, 1, 2)).replace('"dimension": 3', f'"dimension": {10**12}')
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(IndexLoadError, match=f"header says {10**12}") as info:
+        VectorIndex.load(path)
+    assert info.value.byte_offset == len(path.read_bytes().splitlines(keepends=True)[0])
+
+
+def test_load_reads_an_index_through_a_pipe(tmp_path):
+    # A pipe's size reads 0, less than its header: the columns start empty
+    # and grow as the rows come.
+    index = VectorIndex(dimension=1)
+    index.upsert_many([entry(f"d:1:{number}", [number + 0.5]) for number in range(3)])
+    path = tmp_path / "index.jsonl"
+    index.persist(path)
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    writer = threading.Thread(target=pipe.write_bytes, args=(path.read_bytes(),), daemon=True)
+    writer.start()
+    outcome = load_outcome(lambda _: VectorIndex.load(pipe), path)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert outcome == ("loaded", index.chunks(), path.read_bytes())
 
 
 # --- merges: appends into spare capacity, rebuilds otherwise ------------------
