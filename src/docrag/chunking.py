@@ -6,19 +6,20 @@ charts; blank lines join them into one page string. The packer fills each
 chunk greedily: a table or chart of at most ``chunk_size`` tokens that does
 not fit in the current chunk moves to the next one whole, and every other
 token (narrative, or an oversized table or chart) packs one at a time.
-Cuts cost a segment's words, not its tokens. No token holds whitespace,
-and ``str.split`` and the tokenizer's ``\\s`` split on the same
-characters, so a segment's token count is the sum of its words' counts,
-each read from one memo of word -> token count (``_word_tokens``, a
-``Memo`` cleared whole once it holds more than ``_WORD_MEMO_LIMIT``
-words). A cut's word is a bisection of the running counts; its offset
-comes from splitting the words since the previous cut off a window of
-the segment that grows until it reaches the word, so placing every cut
-reads the segment about once; a cut inside a word of several tokens
-tokenizes that word alone. Each cut falls at the start of a token, so
-joining a page's chunks reproduces the page string byte for byte. A
-whitespace-only page is one zero-token chunk (which ``VectorIndex.add_pages``
-does not store); an empty page yields none.
+One ``split_pages`` call joins every segment of its pages with blank
+lines into one string and finds that string's token starts in one
+vectorized pass. Each code point has one of three classes, taken from the
+tokenizer's own pattern: whitespace (the pattern matches nothing at it), a
+word character (it and a digit make one token) or other. A token starts
+where the class is not whitespace and differs from the one before. The
+ASCII classes are a table built at import, read by one ``bytes.translate``
+over the string; each distinct code point past ASCII is classified once
+in the call that meets it, and nothing is kept between calls. A
+segment's token count is the difference of two ``searchsorted`` positions,
+and a cut at token ``t`` falls at the start of token ``t``, so joining a
+page's chunks reproduces the page string byte for byte. A
+whitespace-only page is one zero-token chunk (which
+``VectorIndex.add_pages`` does not store); an empty page yields none.
 Chunk records are typed: a field of the wrong kind, such as a ``year`` of
 ``"2013"``, raises TypeError, and a string field holding a lone surrogate
 raises ValueError. The quarter rule (``check_quarter``) and the UTF-8 rule
@@ -30,13 +31,13 @@ eval thread count, because every command loads this module; ``layout``,
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 from dataclasses import dataclass, fields
 from itertools import accumulate
 from typing import TYPE_CHECKING, Iterable
 
-from .embedding import Memo
-from .tokens import DEFAULT_TOKENIZER, count_tokens
+import numpy as np
+
+from .tokens import _TOKEN_RE
 
 if TYPE_CHECKING:
     from .layout import DocumentAttributes
@@ -54,14 +55,23 @@ DEFAULT_EVAL_WORKERS = 4
 
 _SEPARATOR = "\n\n"
 
-# Most words the token-count memo holds between pages.
-_WORD_MEMO_LIMIT = 2**16
+# A code point's class; a token is a maximal run of one class other than
+# whitespace.
+_WHITESPACE, _WORD, _OTHER = 0, 1, 2
 
-# word -> its token count, shared by every caller: a count is a function of
-# the word alone, so sharing changes no result, and documents share most of
-# their words. Cleared whole, never in part, once it holds more than
-# ``_WORD_MEMO_LIMIT`` words; a count already read stays valid.
-_word_tokens = Memo(count_tokens)
+
+def _char_class(char: str) -> int:
+    """``char``'s class under the tokenizer's pattern: whitespace if the
+    pattern matches nothing at it, a word character if it and a digit make
+    one token, other if not."""
+    if not _TOKEN_RE.match(char):
+        return _WHITESPACE
+    return _WORD if _TOKEN_RE.fullmatch(char + "0") else _OTHER
+
+
+# A ``bytes.translate`` table: each ASCII byte -> its class (no other byte
+# occurs in ASCII text).
+_ASCII_CLASSES = bytes(map(_char_class, map(chr, range(128)))).ljust(256, b"\0")
 
 _QUARTER_RE = re.compile(r"Q[1-4]")
 
@@ -210,90 +220,21 @@ def combine_page_text(page: PageContent) -> str:
     return _SEPARATOR.join(text for text, _ in _segments(page))
 
 
-def _token_starts(segment: str, words: list[str], sizes: list[int], indices: range) -> list[int]:
-    """The offset in ``segment`` of the start of each token at ``indices``
-    (ascending), given ``words = segment.split()`` and their token counts."""
-    ends = list(accumulate(sizes))  # ends[j]: the tokens of words[: j + 1]
-    width = len(segment) / len(words)  # characters a word spans, with its whitespace
-    starts = []
-    word = position = 0  # word ``word`` starts at or after ``position``
-    spanned, inside = -1, []  # a word and its tokens' offsets in it
-    for index in indices:
-        target = bisect_right(ends, index)  # the word holding token ``index``
-        skip = target - word
-        # Skip ``skip`` whole words: the window must also reach the target's
-        # first character, and grows until it does.
-        span = int((skip + 1) * width) + 8
-        while True:
-            window = segment[position : position + span]
-            parts = window.split(None, skip)
-            if len(parts) > skip:
-                break
-            span *= 2
-        position += len(window) - len(parts[-1])
-        word = target
-        inner = index - ends[target] + sizes[target]  # the token's place in its word
-        if inner and spanned != target:
-            spanned, inside = target, [start for start, _ in DEFAULT_TOKENIZER.spans(words[target])]
-        starts.append(position + inside[inner] if inner else position)
-    return starts
-
-
-def _split_page(
-    page: PageContent,
-    chunk_size: int,
-    attributes: DocumentAttributes | None,
-) -> list[DocumentChunk]:
-    text = combine_page_text(page)
-    if not text:
-        return []
-
-    # Each cut is (token index, character offset) of the token opening a chunk.
-    cuts = [(0, 0)]
-    count = tokens = offset = 0  # tokens in the open chunk, in the page, chars before the segment
-    for segment, protected in _segments(page):
-        words = segment.split()
-        sizes = list(map(_word_tokens.__getitem__, words))
-        size = sum(sizes)
-        if protected and size <= chunk_size:
-            # A table or chart that fits in one chunk moves to a chunk whole.
-            if count + size > chunk_size:
-                cuts.append((tokens, offset + len(segment) - len(segment.lstrip())))
-                count = 0
-            count += size
-        else:
-            # Every other token packs one at a time: a cut falls each time
-            # the open chunk is full.
-            indices = range(chunk_size - count, size, chunk_size)
-            if indices:
-                starts = _token_starts(segment, words, sizes, indices)
-                cuts += [(tokens + index, offset + start) for index, start in zip(indices, starts)]
-            count += size - len(indices) * chunk_size
-        tokens += size
-        offset += len(segment) + len(_SEPARATOR)
-    if len(_word_tokens) > _WORD_MEMO_LIMIT:
-        _word_tokens.clear()
-
-    # The first chunk opens at the page start and the last closes at its
-    # end, so a whitespace-only page is one zero-token chunk.
-    cuts.append((tokens, len(text)))
-    metadata = ChunkMetadata(
-        document_id=page.document_id,
-        page_number=page.page_number,
-        company=attributes.company if attributes else None,
-        year=attributes.year if attributes else None,
-        quarter=attributes.quarter if attributes else None,
-        section_title=page.section_title,
-    )
-    return [
-        DocumentChunk(
-            chunk_id=f"{page.document_id}:{page.page_number}:{ordinal}",
-            text=text[start:end],
-            token_count=last - first,
-            metadata=metadata,
-        )
-        for ordinal, ((first, start), (last, end)) in enumerate(zip(cuts, cuts[1:]))
-    ]
+def _token_starts(text: str) -> np.ndarray:
+    """The offset in ``text`` of each of its tokens' first character, in order."""
+    # One byte a code point: the ASCII ones' classes, and "?" stands in for
+    # any other code point (a lone surrogate too) until its class is set.
+    kinds = bytearray(text.encode("ascii", "replace").translate(_ASCII_CLASSES))
+    classes = np.frombuffer(kinds, np.uint8)
+    if not text.isascii():
+        points = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), np.uint32)
+        high = (points > 127).nonzero()[0]
+        points = points[high]
+        distinct = sorted(set(points.tolist()))
+        table = np.array([_char_class(chr(point)) for point in distinct], np.uint8)
+        classes[high] = table[np.searchsorted(distinct, points)]
+    previous = np.frombuffer((bytes([_WHITESPACE]) + kinds)[:-1], np.uint8)  # before the text: whitespace
+    return ((classes != previous) & (classes != _WHITESPACE)).nonzero()[0]
 
 
 def split_pages(
@@ -310,8 +251,61 @@ def split_pages(
         raise ValueError(f"chunk_size must be an integer, got {chunk_size!r}")
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
-    chunks: list[DocumentChunk] = []
-    for page in pages:
-        chunks.extend(_split_page(page, chunk_size, attributes))
-    return chunks
+    laid = [(page, _segments(page)) for page in pages]
+    segments = [segment for _, page_segments in laid for segment in page_segments]
+    # Every page's segments in one string; a blank line parts any two, so no
+    # token spans two segments, and a page's text is a slice of it.
+    text = _SEPARATOR.join(segment for segment, _ in segments)
+    starts = _token_starts(text)
+    # Segment i opens at character begins[i] and token firsts[i]; the last
+    # entries are one separator past the text's end and its token count.
+    begins = list(accumulate((len(segment) + len(_SEPARATOR) for segment, _ in segments), initial=0))
+    firsts = starts.searchsorted(begins).tolist()
 
+    chunks: list[DocumentChunk] = []
+    i = 0  # the page's first segment
+    for page, page_segments in laid:
+        j = i + len(page_segments)
+        begin, end = begins[i], begins[j] - len(_SEPARATOR)
+        edges = firsts[i : j + 1]  # each segment's first token, then the page's token count
+        i = j
+        if end <= begin:  # an empty page, or no segment at all
+            continue
+        cuts = [edges[0]]  # the token that opens each chunk
+        count = 0  # tokens in the open chunk
+        for (_, protected), first, last in zip(page_segments, edges, edges[1:]):
+            size = last - first
+            if protected and size <= chunk_size:
+                # A table or chart that fits in one chunk moves to a chunk whole.
+                if count + size > chunk_size:
+                    cuts.append(first)
+                    count = 0
+                count += size
+            else:
+                # Every other token packs one at a time: a cut falls each
+                # time the open chunk is full.
+                opened = range(first + chunk_size - count, last, chunk_size)
+                cuts += opened
+                count += size - len(opened) * chunk_size
+        # The first chunk opens at the page start and the last closes at its
+        # end, so a whitespace-only page is one zero-token chunk.
+        cuts.append(edges[-1])
+        bounds = [begin, *starts[cuts[1:-1]].tolist(), end]
+        metadata = ChunkMetadata(
+            document_id=page.document_id,
+            page_number=page.page_number,
+            company=attributes.company if attributes else None,
+            year=attributes.year if attributes else None,
+            quarter=attributes.quarter if attributes else None,
+            section_title=page.section_title,
+        )
+        chunks += [
+            DocumentChunk(
+                chunk_id=f"{page.document_id}:{page.page_number}:{ordinal}",
+                text=text[bounds[ordinal] : bounds[ordinal + 1]],
+                token_count=cuts[ordinal + 1] - cuts[ordinal],
+                metadata=metadata,
+            )
+            for ordinal in range(len(cuts) - 1)
+        ]
+    return chunks

@@ -13,8 +13,12 @@ No token contains whitespace, so the count of texts joined by whitespace
 is the sum of their counts. Prompt pricing relies on this: a prompt is
 counted as its template plus the retrieved chunks' stored counts. The
 pattern's ``\\s`` is ``str.isspace``, so a text's tokens are also its
-``str.split`` words' tokens in order: the chunker counts a text's tokens
-once per distinct word, and the embedder hashes them so.
+``str.split`` words' tokens in order, and the embedder hashes them so.
+A token is a maximal run of word characters or of other non-whitespace
+characters, so the chunker finds a text's token starts from each code
+point's class under the pattern, without running it over the text. No
+command calls ``spans``; it stays for library callers and the tests'
+reference chunkers.
 """
 
 from __future__ import annotations

@@ -464,7 +464,7 @@ def test_property_cuts_equal_the_per_token_packer(p, chunk_size):
     )
 
 
-# --- the word-count cuts equal the piece-sum chunker ------------------------------
+# --- the cuts equal the piece-sum chunker ----------------------------------------
 
 # One token with the whitespace before it: the chunker summed these pieces'
 # lengths to place its cuts before it counted tokens per distinct word.
@@ -597,23 +597,64 @@ def test_property_chunks_equal_the_piece_sum_chunker(case):
     assert split_pages(pages, chunk_size, attributes) == split_pages_by_pieces(pages, chunk_size, attributes)
 
 
-def test_many_token_word_is_tokenized_once(monkeypatch):
-    # Cuts inside one word of many tokens read that word's offsets once,
-    # so a long word costs linear work, not quadratic.
-    calls = []
-    spans = DEFAULT_TOKENIZER.spans
-    monkeypatch.setattr(DEFAULT_TOKENIZER, "spans", lambda text: calls.append(text) or spans(text))
+def test_cuts_inside_a_many_token_word_match_the_oracle():
+    # A cut after every token of one word of 1,000 tokens.
     p = page(narrative="lead " + "a." * 500 + "  tail")
     assert split_pages([p], chunk_size=1) == split_pages_by_pieces([p], 1)
-    assert calls == ["a." * 500]
 
 
-def test_word_memo_stays_bounded_and_chunks_unchanged():
-    # More distinct words than the memo holds, on one page.
-    narrative = " ".join(f"w{i}" if i % 3 else f"w{i}.x" for i in range(chunking._WORD_MEMO_LIMIT + 5000))
+def test_many_distinct_words_match_the_oracle():
+    # 70,536 distinct words on one page, a third of them of three tokens.
+    narrative = " ".join(f"w{i}" if i % 3 else f"w{i}.x" for i in range(2**16 + 5000))
     p = page(narrative=narrative, tables=["q1 2013"])
     assert split_pages([p]) == split_pages_by_pieces([p], DEFAULT_CHUNK_SIZE)
-    assert len(chunking._word_tokens) <= chunking._WORD_MEMO_LIMIT
+
+
+# --- token starts from code point classes -----------------------------------------
+
+def _starts_both_ways(text):
+    """``_token_starts(text)`` by the path ``text`` takes and by the path for
+    text that is not ASCII: an appended U+3000 (whitespace, so it adds no
+    token) sends ASCII text there."""
+    return [chunking._token_starts(text).tolist(), chunking._token_starts(text + "\u3000").tolist()]
+
+
+def _spans_starts(text):
+    return [start for start, _ in DEFAULT_TOKENIZER.spans(text)]
+
+
+def test_token_starts_match_the_tokenizer_for_every_ascii_code_point():
+    for code in range(128):
+        char = chr(code)
+        # alone, repeated, and beside a word character, punctuation and a space
+        for text in (char, char * 2, f"a{char}a", f".{char}.", f" {char} ", f"a{char}.", f".{char}a"):
+            assert _starts_both_ways(text) == [_spans_starts(text)] * 2, repr(text)
+
+
+_ANY_CHARACTER = st.one_of(
+    st.characters(),
+    st.characters(categories=["Cs"]),  # lone surrogates, which st.characters() leaves out
+    st.sampled_from(["_", "\x1c", "\x1f", "\x85", "\xa0", "\u3000", "\u0301", "\u0130", ".", " "]),
+)
+
+
+@settings(max_examples=500)
+@given(st.text(alphabet=_ANY_CHARACTER, max_size=60))
+@example("_")
+@example("\x1c\x1d\x1e\x1f")
+@example("a\x1fb_c")
+@example("a\x85b")
+@example("a\xa0b")
+@example("a\u3000b")
+@example("e\u0301")
+@example("\u0130stanbul")
+@example("\u55b6\u696d")
+@example("rev\u2014Q4")
+@example("up \U0001F600!")
+@example("\ud800")
+@example("a\ud800b")
+def test_token_starts_match_the_tokenizer(text):
+    assert _starts_both_ways(text) == [_spans_starts(text)] * 2
 
 
 # --- golden digest over seeded random pages -----------------------------------------
@@ -658,12 +699,9 @@ def test_chunk_boundaries_match_golden_digest():
     assert hasher.hexdigest() == "38497012685c90d84a7a74b8473ec87e1344913b99336df48f68380fc37cdff7"
 
 
-def test_threads_sharing_the_word_memo_match_the_oracle(monkeypatch):
-    # A small bound makes the threads clear the shared memo under each other.
-    monkeypatch.setattr(chunking, "_WORD_MEMO_LIMIT", 16)
+def test_threads_splitting_at_once_match_the_oracle():
     rng = random.Random(20140101)
     pages = [_golden_page(rng, number) for number in range(1, 201)]
-    assert len({word for p in pages for word in combine_page_text(p).split()}) > 4 * 16
     expected = split_pages_by_pieces(pages, 5)
     start = threading.Barrier(4)
     results = [None] * 4
@@ -684,4 +722,3 @@ def test_threads_sharing_the_word_memo_match_the_oracle(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert all(result == [expected] * 3 for result in results)
-    assert len(chunking._word_tokens) <= 16
