@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING
 
 from .chunking import DEFAULT_CHUNK_SIZE, DEFAULT_EVAL_WORKERS, INTEGER_FIELDS, TABLE_FORMATS
 from .embedding import HashingEmbedder
-from .errors import DocragError
+from .errors import DocragError, read_json
 from .index import DEFAULT_K, RetrievalConfig, VectorIndex
 from .providers import (
     ContextLookupLLM,
@@ -73,8 +73,7 @@ _CHOICES = {"table_format": TABLE_FORMATS, "provider": _PROVIDERS}
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
-    with open(path, encoding="utf-8") as handle:
-        config = json.load(handle)
+    config = read_json(path)
     if not isinstance(config, dict):
         raise ValueError("config file must hold a JSON object")
     for key, value in config.items():
@@ -129,10 +128,7 @@ def _llm_for(name: str, answers_path: str | None):
         if answers_path is not None:
             raise ValueError(f"--answers is read only by provider 'mock', not {name!r}")
         return _LLMS[name]()
-    answers = {}
-    if answers_path:
-        with open(answers_path, encoding="utf-8") as handle:
-            answers = json.load(handle)
+    answers = read_json(answers_path) if answers_path else {}
     try:
         return MockLLM(answers)
     except ValueError as exc:
@@ -181,8 +177,7 @@ def cmd_ingest(args) -> int:
     sources: dict[str, Path] = {}  # document_id -> the payload file that holds it
     for path in payload_paths:
         try:
-            with open(path, encoding="utf-8") as handle:
-                payload = parse_layout_payload(json.load(handle))
+            payload = parse_layout_payload(read_json(path))
             pages = preprocess_document(payload, chart_provider, args.table_format)
         except (DocragError, ValueError, OSError) as exc:
             return _fail(exc, f"{path}: ")

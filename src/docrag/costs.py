@@ -9,11 +9,12 @@ published.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Mapping
+
+from .errors import read_json
 
 SOLUTIONS = ("ours", "anthropic", "llamaparse", "vertex")
 
@@ -179,8 +180,7 @@ def load_pricing(path: str | Path) -> PricingConfig:
 
     A malformed value or an unknown key raises ``ValueError`` naming the key:
     the file's shape here, each value in ``PricingConfig``."""
-    with open(path, encoding="utf-8") as handle:
-        data = _known(_object(json.load(handle), "file"), PricingConfig, "")
+    data = _known(_object(read_json(path), "file"), PricingConfig, "")
     groups = {
         "per_token": _PER_TOKEN.copy(),
         "per_call_flat": _PER_CALL_FLAT.copy(),

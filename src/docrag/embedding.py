@@ -88,8 +88,9 @@ class Memo(dict):
 
     - a memo whose values stand alone (the lookup reader's blocks,
       ``load``'s float literals: each value a pure function of its key)
-      is cleared in place once it holds more than its bound; a value a
-      call has read stays valid, and a later lookup fills its key again;
+      is cleared in place once it holds more than its bound, or, for
+      ``load``'s, after each entry line; a value a call has read stays
+      valid, and a later lookup fills its key again;
     - the embedder's three maps share token serials, so they are dropped
       together: the embedder swaps in a fresh ``_Generation``, and a call
       keeps the generation it started with;

@@ -1,6 +1,8 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the one rule that decodes JSON."""
 
 from __future__ import annotations
+
+import json
 
 
 class DocragError(Exception):
@@ -57,3 +59,22 @@ class MissingDocumentsError(DocragError):
     def __init__(self, document_ids: list[str]):
         self.document_ids = list(document_ids)
         super().__init__("documents not indexed: " + ", ".join(self.document_ids))
+
+
+def decode_json(text, decode=json.loads):
+    """``decode(text)``, failing on bad JSON only with a ``ValueError``: a
+    ``str`` that starts with U+FEFF gets ``json.loads``'s own BOM error
+    whatever ``decode`` is, and a document nested too deeply to decode a
+    ``json.JSONDecodeError`` in place of ``RecursionError``."""
+    if isinstance(text, str) and text.startswith("\ufeff"):
+        decode = json.loads  # refuses it with the error that names the BOM
+    try:
+        return decode(text)
+    except RecursionError as exc:  # raised with no position, so the start is named
+        raise json.JSONDecodeError("document nested too deeply to decode", "", 0) from exc
+
+
+def read_json(path):
+    """The JSON document in the UTF-8 file at ``path``, through ``decode_json``."""
+    with open(path, encoding="utf-8") as handle:
+        return decode_json(handle.read())

@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .chunking import DEFAULT_EVAL_WORKERS, checked_filters  # re-exported: the default thread count
 from .costs import DEFAULT_PRICING, PricingConfig, cost_per_call
-from .errors import MissingDocumentsError, SchemaError
+from .errors import MissingDocumentsError, SchemaError, decode_json
 from .generation import Answer, answer_question, check_question
 from .index import DEFAULT_K, RetrievalConfig, VectorIndex
 from .providers import EmbeddingProvider, LLMProvider
@@ -100,7 +100,7 @@ def load_dataset(path: str | Path) -> list[QAExample]:
                 continue
             where = f"line {line_number}"
             try:
-                record = json.loads(line)
+                record = decode_json(line)
             except ValueError as exc:
                 raise SchemaError(where, f"invalid JSON: {exc}") from exc
             if not isinstance(record, dict):

@@ -70,14 +70,15 @@ encoded once with ``ensure_ascii=False``. A vector's text is written a
 block of ``_TEXT_BLOCK`` rows at a time, with one ``repr`` per distinct
 value in the block (hashed vectors share most of their values). ``load``
 reads it back at the same cost: one decoder for the file, whose float
-hook is a ``Memo`` from a literal's text to its float, converts each
-distinct literal once (the text keeps every bit, ``-0.0`` too). It sizes
-the columns once, from the header's ``count`` but for no more rows than
-the file's bytes can hold (an entry line holds at least two bytes a
-component), and merges each block of ``_LOAD_BLOCK`` entry lines as it is
-read: the block's components go into one list and then one row-major
-matrix, which ``_merge`` copies into the columns. So a loaded row is
-held once, and besides the store only one block's components are.
+hook is a ``Memo`` from a literal's text to its float, cleared after each
+entry line, converts each distinct literal of a line once (the text keeps
+every bit, ``-0.0`` too). It sizes the columns once, from the header's
+``count`` but for no more rows than the file's bytes can hold (an entry
+line holds at least two bytes a component), and merges each block of
+``_LOAD_BLOCK`` entry lines as it is read: the block's components go into
+one list and then one row-major matrix, which ``_merge`` copies into the
+columns. So a loaded row is held once, and besides the store only one
+block's components are.
 
 A vector is a float64 array, from the embedder to the search. ``_vector``
 is the one rule for every vector that enters, through ``embed``,
@@ -117,7 +118,7 @@ from .chunking import (
     split_pages,
 )
 from .embedding import Memo
-from .errors import IndexLoadError, ProviderError
+from .errors import IndexLoadError, ProviderError, decode_json
 from .providers import EmbeddingProvider
 from .tokens import DEFAULT_TOKENIZER
 
@@ -217,10 +218,6 @@ _SORT_ALL_BELOW = 256
 # components it holds besides the store. At the 20k-row size of seed 101,
 # 256 loads as fast as 32 or 2,048 and peaks 9 MB below 2,048.
 _LOAD_BLOCK = 256
-
-# Most distinct float literals ``load`` keeps converted, besides one entry
-# line's own. Seed 101 (2.5k rows) holds 35k; its 20k-row size, 80k.
-_LITERALS_LIMIT = 2**16
 
 
 def _grown(column: np.ndarray, count: int, total: int) -> np.ndarray:
@@ -603,12 +600,13 @@ class VectorIndex:
 
         The columns are sized once from ``count``, but for no more rows than
         the file's bytes can hold, so a corrupt ``count`` or ``dimension``
-        allocates nothing large before its refusal. Each distinct float literal is converted
-        once (a ``Memo`` dropped whole past ``_LITERALS_LIMIT`` entries),
-        and a line whose vector is ``dimension`` floats with a finite sum
-        adds them as they are to its block's list. Any other vector goes
-        through ``_vector``, so its refusal keeps its message and its place
-        among the line's checks. Each block of ``_LOAD_BLOCK`` entry lines
+        allocates nothing large before its refusal. Each line is decoded once,
+        by ``decode_json``, with each distinct float literal in it converted
+        once (a ``Memo`` cleared after the line: a row repeats its own
+        literals, not other rows'). A line whose vector is ``dimension``
+        floats with a finite sum adds them as they are to its block's list.
+        Any other vector goes through ``_vector``, so its refusal keeps its
+        message and its place among the line's checks. Each block of ``_LOAD_BLOCK`` entry lines
         becomes one row-major matrix that ``_merge`` copies into the
         columns as soon as it is read, so besides the columns ``load``
         holds one block's components at a time.
@@ -616,7 +614,7 @@ class VectorIndex:
         with open(path, "rb") as handle:
             raw_header = handle.readline()
             try:
-                header = json.loads(raw_header.decode("utf-8"))
+                header = decode_json(raw_header.decode("utf-8"))
                 dimension, count = header["dimension"], header["count"]
             except (ValueError, KeyError, TypeError) as exc:
                 raise IndexLoadError(0, f"bad header line: {exc}") from exc
@@ -640,12 +638,8 @@ class VectorIndex:
             for raw in handle:
                 if not raw.isspace():
                     try:
-                        text = raw.decode("utf-8")
-                        try:
-                            record = decode(text)
-                        except ValueError:
-                            json.loads(text)  # raises json.loads's own error, which names a BOM
-                            raise
+                        record = decode_json(raw.decode("utf-8"), decode)
+                        literals.clear()  # kept for one line: rows seldom share a literal
                         chunk = DocumentChunk.from_dict(record)
                         vector = record["vector"]
                         if type(vector) is not list:
@@ -671,8 +665,6 @@ class VectorIndex:
                     if len(chunks) == _LOAD_BLOCK:
                         index._merge(chunks, np.array(flat, dtype=np.float64).reshape(len(chunks), dimension))
                         chunks, flat = [], []
-                    if len(literals) > _LITERALS_LIMIT:
-                        literals.clear()
                 offset += len(raw)
         index._merge(chunks, np.array(flat, dtype=np.float64).reshape(len(chunks), dimension))
         if len(index) != count:

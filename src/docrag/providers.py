@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Mapping, Protocol, Sequence
 import numpy as np
 
 from .embedding import Memo
-from .errors import ProviderError
+from .errors import ProviderError, decode_json
 from .tokens import count_tokens
 
 if TYPE_CHECKING:
@@ -202,7 +202,7 @@ class ContextLookupLLM:
             stripped = line.strip()
             if stripped.startswith(("[", "{")):
                 try:
-                    decoded = json.loads(stripped)
+                    decoded = decode_json(stripped)
                 except ValueError:
                     continue
                 records = decoded if isinstance(decoded, list) else [decoded]
@@ -302,7 +302,7 @@ class HttpLLM:
             detail = raw.decode("utf-8", "replace")[:200]
             raise ProviderError(f"{url} returned {status}: {detail}", prompt=prompt)
         try:
-            payload = json.loads(raw)
+            payload = decode_json(raw)
             text = payload["choices"][0]["message"]["content"]
         except ValueError as exc:
             raise ProviderError(f"{url} returned non-JSON body", prompt=prompt) from exc

@@ -1,11 +1,17 @@
 import hashlib
+import io
 import json
 import os
+import shutil
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from conftest import build_corpus
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import docrag
 from docrag import cli
@@ -1184,3 +1190,194 @@ def test_error_output_is_single_json_line(tmp_path, capsys):
     assert code == 1
     assert err.count("\n") == 1
     json.loads(err)  # parses cleanly
+
+
+# --- JSON nested too deeply to decode ----------------------------------------
+
+# Nested far past the interpreter's recursion limit, which the JSON scanner
+# meets as a RecursionError.
+_DEEP = "[" * 100_000 + "]" * 100_000
+_TOO_DEEP = "document nested too deeply to decode"
+
+
+def _deep_input(tmp_path, case):
+    """(argv that feeds ``_DEEP`` to ``case``'s decode site, error, start of
+    its message)."""
+    path = tmp_path / "deep.json"
+    path.write_text(_DEEP, encoding="utf-8")
+    absent = str(tmp_path / "absent.index")
+    query = ["query", "--index", absent, "--question", "q"]
+    if case == "payload":
+        layout = tmp_path / "layout"
+        layout.mkdir()
+        path = path.replace(layout / "doc.json")
+        return (["ingest", "--layout", str(layout), "--index", str(tmp_path / "i")],
+                "JSONDecodeError", f"{path}: {_TOO_DEEP}")
+    if case == "config":
+        return ["--config", str(path), "cost"], "JSONDecodeError", _TOO_DEEP
+    if case == "pricing":
+        return ["cost", "--pricing", str(path)], "JSONDecodeError", _TOO_DEEP
+    if case == "answers":
+        return query + ["--provider", "mock", "--answers", str(path)], "JSONDecodeError", _TOO_DEEP
+    if case == "dataset":
+        path.write_text(_qa_line() + _DEEP + "\n", encoding="utf-8")
+        return (["eval", "--index", absent, "--report", str(tmp_path / "r.json"), "--dataset", str(path)],
+                "SchemaError", f"line 2: invalid JSON: {_TOO_DEEP}")
+    index_path = tmp_path / "deep.index"
+    if case == "index-header":
+        index_path.write_text(_DEEP + "\n", encoding="utf-8")
+        where = "byte 0: bad header line"
+    else:  # an entry line
+        _empty_index(index_path)
+        header = index_path.read_text(encoding="utf-8").replace('"count": 0', '"count": 1')
+        index_path.write_text(header + _DEEP + "\n", encoding="utf-8")
+        where = f"byte {len(header)}: bad entry line"
+    return (["query", "--index", str(index_path), "--question", "q"],
+            "IndexLoadError", f"{where}: {_TOO_DEEP}")
+
+
+@pytest.mark.parametrize(
+    "case", ["payload", "config", "pricing", "answers", "dataset", "index-header", "index-entry"]
+)
+def test_input_nested_too_deeply_fails_with_one_json_error_at_its_place(tmp_path, capsys, case):
+    # Each raised RecursionError out of main, which printed a traceback.
+    argv, error, start = _deep_input(tmp_path, case)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err.count("\n")) == (1, "", 1)
+    assert "Traceback" not in err
+    message = json.loads(err)
+    assert message["error"] == error
+    assert message["message"].startswith(start)
+    assert not (tmp_path / "i").exists()
+
+
+def test_query_reads_past_a_retrieved_line_nested_too_deeply(corpus, tmp_path, capsys):
+    # The lookup reader raised RecursionError on the bracket run; it now
+    # skips the line, as any line it cannot decode, and answers from the rest.
+    path = corpus["layout_dir"] / "beta-10k.json"
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    run_of_brackets = "[" * 5000 + "]" * 5000
+    blocks = payload["pages"][0]["text_blocks"]
+    blocks.insert(1, {**blocks[1], "content": run_of_brackets})  # a paragraph before the fact
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    index_path, _ = ingest(corpus, tmp_path, capsys)
+    assert any(run_of_brackets in chunk.text for chunk in VectorIndex.load(index_path).chunks())
+    code, out, err = run(
+        capsys, "query", "--index", str(index_path),
+        "--question", "What was the fleet size reported by BETA?", "--filter", "company=BETA",
+    )
+    assert code == 0, err
+    assert out.splitlines()[0] == "answer: 77 vessels."
+
+
+# --- any input mutated: a clean run or one JSON error line -------------------
+
+# What a swap puts in a node's place: a value of any other JSON type.
+_SWAPS = (None, True, 0, -1, 2.5, "", "x", [], ["x"], {}, {"x": 1})
+# A string json.dumps writes as one literal, which is then replaced by _DEEP.
+_DEEP_MARK = "\x00deep\x00"
+_FLEET = "What was the fleet size reported by BETA?"
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(tmp_path_factory):
+    """A corpus, its index, and a config, pricing and answers file that all run."""
+    root = tmp_path_factory.mktemp("valid")
+    corpus = build_corpus(root)
+    index = root / "corpus.index"
+    with redirect_stdout(io.StringIO()):
+        assert main(["ingest", "--layout", str(corpus["layout_dir"]), "--index", str(index)]) == 0
+    files = {
+        "config": {"chunk_size": 64, "k": 3, "eval_workers": 1, "table_format": "json",
+                   "charts": "layout/charts", "provider": "lookup", "model_tag": "gpt-4o"},
+        "pricing": {"tokens_per_page": 500, "per_token": {"gpt-4o": 5e-06},
+                    "per_call_flat": {"gpt-4o-image": 0.07}, "per_page": {"chart-to-table": 1e-04},
+                    "credits": {"llamaparse": {"credits_per_page": 1.0, "usd_per_credit": 0.03}}},
+        "answers": {_FLEET: "77 vessels"},
+    }
+    for name, value in files.items():
+        (root / name).write_text(json.dumps(value), encoding="utf-8")
+    shutil.copy(corpus["dataset"], root / "dataset")
+    shutil.copy(index, root / "index")
+    return root
+
+
+def _mutated_node(data, text, how):
+    """``text``'s JSON with one node deleted (or, at the root, swapped),
+    swapped for a value of another type, or nested too deeply."""
+    value = node = json.loads(text)
+    parent = key = None
+    while isinstance(node, (dict, list)) and node and data.draw(st.booleans()):
+        parent = node
+        key = data.draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+        node = node[key]
+    if how == "delete" and parent is not None:
+        del parent[key]
+    else:
+        swaps = [swap for swap in _SWAPS if type(swap) is not type(node)]
+        new = _DEEP_MARK if how == "deep" else data.draw(st.sampled_from(swaps))
+        if parent is None:
+            value = new
+        else:
+            parent[key] = new
+    return json.dumps(value).replace(json.dumps(_DEEP_MARK), _DEEP)
+
+
+def _mutate(data, path, lines):
+    """Rewrite ``path`` cut short, or with one node of its JSON (of one of its
+    lines, when ``lines``) mutated."""
+    text = path.read_text(encoding="utf-8")
+    how = data.draw(st.sampled_from(["cut", "delete", "swap", "deep"]))
+    if how == "cut":
+        text = text[: data.draw(st.integers(0, len(text) - 1))]
+    elif lines:
+        rows = text.splitlines(keepends=True)
+        at = data.draw(st.integers(0, len(rows) - 1))
+        rows[at] = _mutated_node(data, rows[at], how) + "\n"
+        text = "".join(rows)
+    else:
+        text = _mutated_node(data, text, how)
+    path.write_text(text, encoding="utf-8")
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), target=st.sampled_from(["payload", "config", "pricing", "answers", "dataset", "index"]))
+def test_property_any_mutated_input_runs_or_fails_with_one_json_error(
+    valid_inputs, tmp_path_factory, data, target
+):
+    root = tmp_path_factory.mktemp("mutated")
+    for name in ("config", "pricing", "answers", "dataset", "index"):
+        shutil.copy(valid_inputs / name, root / name)
+    shutil.copytree(valid_inputs / "layout", root / "layout")
+    if target == "payload":
+        payloads = sorted((root / "layout").glob("*.json"))
+        _mutate(data, data.draw(st.sampled_from(payloads)), lines=False)
+    else:
+        _mutate(data, root / target, lines=target in ("dataset", "index"))
+    out = root / "out.index"
+    ingesting = ["ingest", "--layout", "layout", "--index", str(out)]
+    asking = ["query", "--index", "index", "--question", _FLEET]
+    argv = {
+        "payload": ingesting,
+        "config": ["--config", "config", *ingesting],
+        "pricing": ["cost", "--pricing", "pricing"],
+        "answers": [*asking, "--provider", "mock", "--answers", "answers"],
+        "dataset": ["eval", "--index", "index", "--dataset", "dataset", "--report", "report"],
+        "index": asking,
+    }[target]
+    stdout, stderr, cwd = io.StringIO(), io.StringIO(), os.getcwd()
+    os.chdir(root)
+    try:
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    if code != 0:
+        err = stderr.getvalue()
+        assert (code, err.count("\n")) == (1, 1), err
+        assert set(json.loads(err)) == {"error", "message"}
+    assert not [path.name for path in root.rglob("*.tmp")]
+    if target in ("payload", "config"):
+        assert out.exists() == (code == 0)
+        if code == 0:
+            VectorIndex.load(out)  # whole: persist wrote it in one piece

@@ -1715,14 +1715,12 @@ def test_property_load_matches_the_line_by_line_oracle(tmp_path_factory, text):
     assert load_outcome(VectorIndex.load, path) == load_outcome(load_line_by_line, path)
 
 
-def test_load_holds_at_most_its_bound_of_literals_plus_one_lines(tmp_path, monkeypatch):
-    # More distinct literals than the bound: the memo is dropped whole at
-    # least once, never holds more than the bound plus one line's own, and
-    # the file still loads to its own bytes.
-    limit = index_module._LITERALS_LIMIT
+def test_load_holds_at_most_one_lines_literals(tmp_path, monkeypatch):
+    # Every component a distinct literal: the memo never holds more than one
+    # line's own (at most dimension), and the file still loads to its own bytes.
     dimension = 64
     rng = np.random.default_rng(7)
-    rows = rng.uniform(-1, 1, size=(limit // dimension + 8, dimension))
+    rows = rng.uniform(-1, 1, size=(40, dimension))
     index = VectorIndex(dimension=dimension)
     index.upsert_many([IndexEntry(chunk(f"d:{i:05d}:0"), row) for i, row in enumerate(rows)])
     path = tmp_path / "index.jsonl"
@@ -1744,7 +1742,7 @@ def test_load_holds_at_most_its_bound_of_literals_plus_one_lines(tmp_path, monke
     monkeypatch.setattr(index_module, "Memo", Recording)
     outcome = load_outcome(VectorIndex.load, path)
     assert outcome == ("loaded", index.chunks(), path.read_bytes())
-    assert drops and max(sizes) <= limit + dimension
+    assert len(drops) == len(rows) and max(sizes) <= dimension
 
 
 def _lines(*numbers, vector="[{n}.5, -0.0, 0.25]"):

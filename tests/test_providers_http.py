@@ -86,6 +86,8 @@ class StubHandler(BaseHTTPRequestHandler):
             self._send(400, {"error": "bad request"})
         elif self.path == "/notjson":
             self._send(200, raw=b"<html>nope</html>")
+        elif self.path == "/deepjson":  # nested past the interpreter's recursion limit
+            self._send(200, raw=b"[" * 100_000 + b"]" * 100_000)
         elif self.path.startswith("/redirect"):
             # /redirect<status>?<target>: a target without a scheme is a route here
             status, _, target = self.path.removeprefix("/redirect").partition("?")
@@ -184,6 +186,13 @@ def test_http_llm_4xx_is_permanent(server):
 def test_http_llm_non_json_body(server):
     with pytest.raises(ProviderError, match="non-JSON"):
         HttpLLM(endpoint=f"{server}/notjson").complete(request())
+
+
+def test_http_llm_body_nested_too_deeply_is_non_json_and_keeps_prompt(server):
+    # It raised RecursionError, which no caller of an LLM handles.
+    with pytest.raises(ProviderError, match="non-JSON") as info:
+        HttpLLM(endpoint=f"{server}/deepjson").complete(request(prompt="keep"))
+    assert info.value.prompt == "keep"
 
 
 def test_http_llm_malformed_payload_keeps_prompt(server):
