@@ -7,11 +7,13 @@ environment variables only (DOCRAG_LLM_ENDPOINT, DOCRAG_LLM_KEY); flags
 never carry secrets. Setting precedence: CLI flag, then --config file,
 then the built-in default in ``_SETTINGS``; ``main`` resolves each
 setting once into ``args``. The config's types and choices are checked
-before any other file is read, and the question commands read the index
-only after every cheaper input (answers file, filters, question, dataset,
-pricing, priced model tag) has been checked. A provider's name is its
-LLM's tag. Queries embed with the one embedder an index header can name,
-and refuse any other header.
+before any other file is read, and the output path (``ingest --index``,
+``eval --report``) against ``check_destination`` next, so a bad one fails
+before any work. The question commands read the index only after every
+cheaper input (answers file, filters, question, dataset, pricing, priced
+model tag) has been checked. A provider's name is its LLM's tag. Queries
+embed with the one embedder an index header can name, and refuse any
+other header.
 
 The module loads only what every command shares (chunk rules, the
 embedder, the index and the providers). Each ``cmd_*`` imports its own
@@ -32,7 +34,7 @@ from typing import TYPE_CHECKING
 
 from .chunking import DEFAULT_CHUNK_SIZE, DEFAULT_EVAL_WORKERS, INTEGER_FIELDS, TABLE_FORMATS
 from .embedding import HashingEmbedder
-from .errors import DocragError, read_json
+from .errors import DocragError, check_destination, read_json
 from .index import DEFAULT_K, RetrievalConfig, VectorIndex
 from .providers import (
     ContextLookupLLM,
@@ -160,6 +162,7 @@ def cmd_ingest(args) -> int:
 
     layout_dir = Path(args.layout)
     payload_paths = sorted(layout_dir.glob("*.json"))
+    check_destination(args.index, *payload_paths)
     if not payload_paths:
         raise ValueError(f"no layout payloads (*.json) found in {layout_dir}")
 
@@ -213,6 +216,7 @@ def cmd_eval(args) -> int:
     from .costs import cost_per_call
     from .evaluation import load_dataset, run_eval, write_report
 
+    check_destination(args.report, args.index, args.dataset, args.answers, args.pricing, args.config)
     if args.eval_workers < 1:
         raise ValueError(f"eval_workers must be >= 1, got {args.eval_workers}")
     RetrievalConfig(k=args.k)  # refuses a bad k before the index is read

@@ -1,8 +1,19 @@
-"""Exception types shared across the toolkit, and the one rule that decodes JSON."""
+"""Exception types shared across the toolkit, the one rule that decodes
+JSON, and the one rule that writes an output file.
+
+``replacing`` writes both outputs, the index and the eval report: a fresh
+temp file beside the destination, synced to disk, renamed over it, and the
+directory synced after (Pillai et al., OSDI 2014), so a reader sees the old
+file or the new one, never a part. ``check_destination`` states what a
+destination must be; the CLI runs it before any other work.
+"""
 
 from __future__ import annotations
 
 import json
+import os
+from contextlib import contextmanager
+from pathlib import Path
 
 
 class DocragError(Exception):
@@ -78,3 +89,42 @@ def read_json(path):
     """The JSON document in the UTF-8 file at ``path``, through ``decode_json``."""
     with open(path, encoding="utf-8") as handle:
         return decode_json(handle.read())
+
+
+def check_destination(path, *sources) -> Path:
+    """``path`` as a ``Path`` if it can be an output: its directory exists,
+    and it is no directory and none of the ``sources`` the same command
+    reads (a falsy one is skipped). Each refusal names ``path`` as given."""
+    target = Path(path)
+    if target.is_dir():
+        raise IsADirectoryError(f"output path {path} is a directory")
+    if not target.absolute().parent.is_dir():
+        raise FileNotFoundError(f"output path {path}: its directory does not exist")
+    for source in sources:
+        if source and target.exists() and os.path.exists(source) and target.samefile(source):
+            raise ValueError(f"output path {path} is the input {source}")
+    return target
+
+
+@contextmanager
+def replacing(path):
+    """A UTF-8 text handle on a fresh temp file beside ``path``, which must
+    pass ``check_destination``. On a clean exit the file is flushed and
+    synced, renamed over ``path``, and the directory synced; on any error it
+    is removed and ``path`` is left as it was. The file is created as
+    ``open()`` creates one (``O_EXCL``, and the umask sets its mode), and a
+    symlink at ``path`` is replaced, not followed."""
+    path = check_destination(path)
+    # 64 random bits: no other file has the name, so removing it is safe.
+    temp_name = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    directory = os.open(path.parent, os.O_RDONLY)
+    try:
+        with open(temp_name, "x", encoding="utf-8") as handle:
+            yield handle
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(temp_name, path)
+        os.fsync(directory)
+    finally:
+        os.close(directory)
+        temp_name.unlink(missing_ok=True)  # gone already after the rename

@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .chunking import DEFAULT_EVAL_WORKERS, checked_filters  # re-exported: the default thread count
 from .costs import DEFAULT_PRICING, PricingConfig, cost_per_call
-from .errors import MissingDocumentsError, SchemaError, decode_json
+from .errors import MissingDocumentsError, SchemaError, decode_json, replacing
 from .generation import Answer, answer_question, check_question
 from .index import DEFAULT_K, RetrievalConfig, VectorIndex
 from .providers import EmbeddingProvider, LLMProvider
@@ -248,6 +248,6 @@ def run_eval(
 
 
 def write_report(report: EvalReport, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report.as_dict(), handle, ensure_ascii=False, indent=2)
-        handle.write("\n")
+    """Write ``report`` as indented JSON through ``errors.replacing``."""
+    with replacing(path) as handle:
+        handle.write(json.dumps(report.as_dict(), ensure_ascii=False, indent=2) + "\n")

@@ -56,8 +56,9 @@ columns once from the header's ``count``, so its merges of a file
 the index's last one (documents ingested in order) appends as it comes;
 any other (a replacement, or an id that sorts inside the index) gathers
 every live row in chunk_id order and appends it to fresh, empty columns.
-Persistence is JSON-lines with a header line, written atomically and
-synced to disk before it replaces the old file. The header's dimension
+Persistence is JSON-lines with a header line, written through
+``errors.replacing``, the one write rule: atomically, and synced to disk
+before it replaces the old file. The header's dimension
 and tags are the constructor's arguments, and their rules are the
 constructor's alone: a dimension that is an integer >= 1, and tags that
 are strings UTF-8 can encode. So an index that builds also persists,
@@ -118,7 +119,7 @@ from .chunking import (
     split_pages,
 )
 from .embedding import Memo
-from .errors import IndexLoadError, ProviderError, decode_json
+from .errors import IndexLoadError, ProviderError, decode_json, replacing
 from .providers import EmbeddingProvider
 from .tokens import DEFAULT_TOKENIZER
 
@@ -541,15 +542,15 @@ class VectorIndex:
         ]
 
     def persist(self, path: str | Path) -> None:
-        """Write the index as JSON-lines, atomically and durably: the temp
-        file is synced before it is renamed over ``path``, and the
-        directory after. The file's mode is what ``open()`` would give.
+        """Write the index as JSON-lines through ``errors.replacing``, the
+        one write rule: atomically and durably, the temp file synced before
+        it is renamed over ``path`` and the directory after, with the mode
+        ``open()`` would give.
 
         Each entry line is what ``json.dumps({**record, "vector": [...]},
         ensure_ascii=False)`` gives. A record whose strings are ASCII
         without U+007F is encoded ASCII-first (``ensure_ascii=True``, the
         faster escaper), which writes the same bytes."""
-        path = Path(path)
         snapshot = self._snapshot
         header = {
             "dimension": self.dimension,
@@ -557,31 +558,15 @@ class VectorIndex:
             "tokenizer": self.tokenizer_tag,
             "provider": self.provider_tag,
         }
-        temp_name = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
-        # Created as open() creates a file, so the umask sets its mode.
-        descriptor = os.open(temp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-        try:
-            with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-                handle.write(json.dumps(header, ensure_ascii=False) + "\n")
-                vectors = _vector_texts(snapshot.buckets.T)
-                for chunk, vector in zip(snapshot.chunks[: snapshot.count], vectors):
-                    # The record with "vector" as its last key, as json.dumps
-                    # would write {**chunk.as_dict(), "vector": row.tolist()}.
-                    record = chunk.as_dict()
-                    text = json.dumps(record, ensure_ascii=_plain(record))[:-1]
-                    handle.write(f'{text}, "vector": [{vector}]}}\n')
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(temp_name, path)
-            directory = os.open(path.parent, os.O_RDONLY)
-            try:
-                os.fsync(directory)
-            finally:
-                os.close(directory)
-        except BaseException:
-            if os.path.exists(temp_name):
-                os.unlink(temp_name)
-            raise
+        with replacing(path) as handle:
+            handle.write(json.dumps(header, ensure_ascii=False) + "\n")
+            vectors = _vector_texts(snapshot.buckets.T)
+            for chunk, vector in zip(snapshot.chunks[: snapshot.count], vectors):
+                # The record with "vector" as its last key, as json.dumps
+                # would write {**chunk.as_dict(), "vector": row.tolist()}.
+                record = chunk.as_dict()
+                text = json.dumps(record, ensure_ascii=_plain(record))[:-1]
+                handle.write(f'{text}, "vector": [{vector}]}}\n')
 
     @classmethod
     def load(cls, path: str | Path) -> "VectorIndex":

@@ -310,8 +310,11 @@ class HttpLLM:
             raise ProviderError(f"malformed completion response: {exc}", prompt=prompt) from exc
         if type(text) is not str:  # a null or non-text content is no answer to score
             raise ProviderError(f"malformed completion response: content {text!r}", prompt=prompt)
-        usage = payload.get("usage") or {}  # none reported: count the completion locally
-        count = usage.get("completion_tokens", count_tokens(text)) if type(usage) is dict else None
+        usage = payload.get("usage") or {}
+        # count_tokens stands in for a count the usage does not report, and
+        # runs only then: the completion is counted locally.
+        count = usage.get("completion_tokens", count_tokens) if type(usage) is dict else None
+        count = count_tokens(text) if count is count_tokens else count
         if type(count) is not int or count < 0:
             raise ProviderError(f"malformed usage in completion response: {usage!r}", prompt=prompt)
         return LLMResponse(text=text, completion_tokens=count)

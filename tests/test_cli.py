@@ -121,6 +121,34 @@ def test_ingest_rejects_invalid_payload(revenue_payload, tmp_path, capsys):
     assert not (tmp_path / "i").exists()
 
 
+@pytest.mark.parametrize(
+    "where, error",
+    [
+        ("missing/x.index", "FileNotFoundError"),
+        ("layout", "IsADirectoryError"),
+        ("layout/doc.json", "ValueError"),  # a payload the command reads
+    ],
+)
+def test_ingest_refuses_a_bad_index_path_before_any_payload(
+    revenue_payload, tmp_path, capsys, where, error
+):
+    # Read first, the payload would fail with its SchemaError.
+    del revenue_payload["document_id"]
+    layout = tmp_path / "layout"
+    layout.mkdir()
+    payload = layout / "doc.json"
+    payload.write_text(json.dumps(revenue_payload), encoding="utf-8")
+    before = payload.read_bytes()
+    index = str(tmp_path / where)
+    code, out, err = run(capsys, "ingest", "--layout", str(layout), "--index", index)
+    assert (code, out, err.count("\n")) == (1, "", 1)
+    message = json.loads(err)
+    assert message["error"] == error
+    assert f"output path {index}" in message["message"]
+    assert payload.read_bytes() == before
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
 def test_ingest_stores_no_chunk_of_a_whitespace_only_page(revenue_payload, tmp_path, capsys, caplog):
     # The page splits into one 0-token chunk, whose all-zero vector every
     # search that keeps it would score 0 and warn about.
@@ -665,6 +693,23 @@ def test_eval_is_deterministic(corpus, tmp_path, capsys):
     assert reports[0] == reports[1]
 
 
+@pytest.mark.parametrize("source", ["index", "dataset"])
+def test_eval_refuses_a_report_that_names_a_file_it_reads(corpus, tmp_path, capsys, source):
+    index_path, _ = ingest(corpus, tmp_path, capsys)
+    paths = {"index": index_path, "dataset": corpus["dataset"]}
+    before = paths[source].read_bytes()
+    code, out, err = run(
+        capsys, "eval", "--index", str(index_path), "--dataset", str(corpus["dataset"]),
+        "--report", str(paths[source]),
+    )
+    assert (code, out, err.count("\n")) == (1, "", 1)
+    assert json.loads(err) == {
+        "error": "ValueError",
+        "message": f"output path {paths[source]} is the input {paths[source]}",
+    }
+    assert paths[source].read_bytes() == before
+
+
 def test_eval_model_tag_prices_calls(corpus, tmp_path, capsys):
     index_path, _ = ingest(corpus, tmp_path, capsys)
     report_path = tmp_path / "report.json"
@@ -904,13 +949,20 @@ def _refused_before_load(tmp_path, case):
                       "ValueError", "unknown model 'gpt-5'"),
         "blank-question": (["query", "--index", absent, "--question", "   "],
                            "ValueError", "question must be non-empty"),
+        "report-missing-directory": (["eval", "--index", absent, "--report", str(tmp_path / "no" / "r.json"),
+                                      "--dataset", str(tmp_path / "unknown-key.jsonl")],
+                                     "FileNotFoundError", str(tmp_path / "no" / "r.json")),
+        "report-is-a-directory": (["eval", "--index", absent, "--report", str(tmp_path),
+                                   "--dataset", str(tmp_path / "unknown-key.jsonl")],
+                                  "IsADirectoryError", f"output path {tmp_path} is a directory"),
     }[case]
 
 
 @pytest.mark.parametrize(
     "case",
     ["answers-list", "answers-lookup", "config-provider", "filter", "query-k", "eval-k",
-     "dataset", "pricing", "model-tag", "blank-question"],
+     "dataset", "pricing", "model-tag", "blank-question", "report-missing-directory",
+     "report-is-a-directory"],
 )
 def test_cheap_inputs_are_refused_before_the_index_is_read(tmp_path, capsys, case):
     # Each reported FileNotFoundError for the index, which was loaded first.

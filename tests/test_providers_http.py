@@ -142,6 +142,14 @@ def test_http_llm_sends_chat_body(server):
     assert body["max_tokens"] == 9
 
 
+def test_http_llm_counts_no_tokens_when_usage_reports_them(server, monkeypatch):
+    def count_tokens(text):
+        raise AssertionError("a reported completion count was counted again")
+
+    monkeypatch.setattr(providers, "count_tokens", count_tokens)
+    assert HttpLLM(endpoint=f"{server}/chat").complete(request()).completion_tokens == 2
+
+
 def test_http_llm_counts_tokens_without_usage(server):
     response = HttpLLM(endpoint=f"{server}/chat-nousage").complete(request())
     assert response.text == "three plain words"
