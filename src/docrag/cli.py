@@ -162,13 +162,13 @@ def cmd_ingest(args) -> int:
 
     layout_dir = Path(args.layout)
     payload_paths = sorted(layout_dir.glob("*.json"))
-    check_destination(args.index, *payload_paths)
-    if not payload_paths:
-        raise ValueError(f"no layout payloads (*.json) found in {layout_dir}")
-
     charts_dir = args.charts
     if charts_dir is None and (layout_dir / "charts").is_dir():
         charts_dir = layout_dir / "charts"
+    chart_paths = Path(charts_dir).glob("*.csv") if charts_dir else ()
+    check_destination(args.index, *payload_paths, *chart_paths, args.config)
+    if not payload_paths:
+        raise ValueError(f"no layout payloads (*.json) found in {layout_dir}")
     chart_provider = NullChartProvider() if charts_dir is None else DirectoryChartProvider(charts_dir)
 
     embedder = HashingEmbedder()

@@ -76,22 +76,21 @@ entry line, converts each distinct literal of a line once (the text keeps
 every bit, ``-0.0`` too). It sizes the columns once, from the header's
 ``count`` but for no more rows than the file's bytes can hold (an entry
 line holds at least two bytes a component), and merges each block of
-``_LOAD_BLOCK`` entry lines as it is read: the block's components go into
-one list and then one row-major matrix, which ``_merge`` copies into the
-columns. So a loaded row is held once, and besides the store only one
-block's components are.
+``_LOAD_BLOCK`` entry lines as it is read: each line's vector goes through
+``_vector``, and the block's arrays become one row-major ``np.array``,
+which ``_merge`` copies into the columns. So a loaded row is held once,
+and besides the store only one block's components are.
 
 A vector is a float64 array, from the embedder to the search. ``_vector``
 is the one rule for every vector that enters, through ``embed``,
 ``IndexEntry``, ``search`` or ``load``: an embedder's array passes as it
 is, and any other sequence only if each component is a real number. An
-``IndexEntry`` holds its vector as a tuple of ``dimension`` floats, so
-``upsert_many`` converts a batch's rows in one ``np.fromiter`` pass. The
-write paths ``upsert_many`` and ``add_pages`` end in one merge, and
-``load`` in one per block of entry lines;
-``add_pages`` first refuses an embedder whose dimension is not the index's,
-and stores no chunk of 0 tokens (a whitespace-only page), which would
-only add an all-zero row.
+``IndexEntry`` holds its vector as a tuple of ``dimension`` floats. The
+write paths hand ``_merge`` their rows alike, as one ``np.array`` of the
+checked vectors: ``upsert_many`` and ``add_pages`` once, ``load`` once per
+block of entry lines. ``add_pages`` first refuses an embedder whose
+dimension is not the index's, and stores no chunk of 0 tokens (a
+whitespace-only page), which would only add an all-zero row.
 """
 
 from __future__ import annotations
@@ -104,7 +103,6 @@ import os
 import threading
 from bisect import bisect_left
 from dataclasses import dataclass, field, fields
-from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
@@ -405,10 +403,8 @@ class VectorIndex:
                     f"dimension mismatch: index is {self.dimension}, "
                     f"vector is {len(entry.vector)}"
                 )
-        # Every vector is ``dimension`` floats (``IndexEntry``), so one pass fills the rows.
-        count = len(entries) * self.dimension
-        rows = np.fromiter(chain.from_iterable(entry.vector for entry in entries), np.float64, count)
-        self._merge([entry.chunk for entry in entries], rows.reshape(len(entries), self.dimension))
+        rows = np.array([entry.vector for entry in entries], dtype=np.float64)
+        self._merge([entry.chunk for entry in entries], rows)
 
     def add_pages(
         self, pages: Iterable[PageContent], embedder: EmbeddingProvider,
@@ -423,10 +419,8 @@ class VectorIndex:
             raise ValueError(f"dimension mismatch: index is {self.dimension}, embedder is {embedder.dimension}")
         chunks = [chunk for chunk in split_pages(pages, chunk_size=chunk_size, attributes=attributes)
                   if chunk.token_count]
-        rows = np.empty((len(chunks), self.dimension))
-        for row, chunk in zip(rows, chunks):
-            row[:] = embed(chunk.text, embedder)  # checked finite and of the embedder's dimension
-        self._merge(chunks, rows)
+        # embed checks each vector finite and of the embedder's dimension
+        self._merge(chunks, np.array([embed(chunk.text, embedder) for chunk in chunks], dtype=np.float64))
         return chunks
 
     def _merge(self, chunks: Sequence[DocumentChunk], rows: np.ndarray) -> None:
@@ -588,13 +582,12 @@ class VectorIndex:
         allocates nothing large before its refusal. Each line is decoded once,
         by ``decode_json``, with each distinct float literal in it converted
         once (a ``Memo`` cleared after the line: a row repeats its own
-        literals, not other rows'). A line whose vector is ``dimension``
-        floats with a finite sum adds them as they are to its block's list.
-        Any other vector goes through ``_vector``, so its refusal keeps its
-        message and its place among the line's checks. Each block of ``_LOAD_BLOCK`` entry lines
-        becomes one row-major matrix that ``_merge`` copies into the
-        columns as soon as it is read, so besides the columns ``load``
-        holds one block's components at a time.
+        literals, not other rows'). Each line's vector goes through
+        ``_vector``, the rule every write path shares, and then the shape
+        check. Each block of ``_LOAD_BLOCK`` entry lines becomes one
+        ``np.array`` that ``_merge`` copies into the columns as soon as it
+        is read, so besides the columns ``load`` holds one block's
+        components at a time.
         """
         with open(path, "rb") as handle:
             raw_header = handle.readline()
@@ -619,7 +612,7 @@ class VectorIndex:
             index._snapshot = _empty(dimension, min(count, room))
             literals = Memo(float)  # literal text -> float
             decode = json.JSONDecoder(parse_float=literals.__getitem__).decode
-            chunks, flat, seen = [], [], set()
+            chunks, rows, seen = [], [], set()
             for raw in handle:
                 if not raw.isspace():
                     try:
@@ -629,16 +622,9 @@ class VectorIndex:
                         vector = record["vector"]
                         if type(vector) is not list:
                             raise TypeError(f"vector must be an array, got {vector!r:.80}")
-                        if (len(vector) == dimension and {*map(type, vector)} == {float}
-                                and math.isfinite(sum(vector))):
-                            flat += vector  # floats _vector would pass as they are
-                        else:
-                            vector = _vector(vector)
-                            if vector.shape != (dimension,):
-                                raise ValueError(
-                                    f"vector has shape {vector.shape}, header says {dimension}"
-                                )
-                            flat += vector.tolist()
+                        vector = _vector(vector)
+                        if vector.shape != (dimension,):
+                            raise ValueError(f"vector has shape {vector.shape}, header says {dimension}")
                     except (ValueError, KeyError, TypeError) as exc:
                         raise IndexLoadError(offset, f"bad entry line: {exc}") from exc
                     if chunk.chunk_id in seen:
@@ -647,11 +633,12 @@ class VectorIndex:
                         )
                     seen.add(chunk.chunk_id)
                     chunks.append(chunk)
+                    rows.append(vector)
                     if len(chunks) == _LOAD_BLOCK:
-                        index._merge(chunks, np.array(flat, dtype=np.float64).reshape(len(chunks), dimension))
-                        chunks, flat = [], []
+                        index._merge(chunks, np.array(rows, dtype=np.float64))
+                        chunks, rows = [], []
                 offset += len(raw)
-        index._merge(chunks, np.array(flat, dtype=np.float64).reshape(len(chunks), dimension))
+        index._merge(chunks, np.array(rows, dtype=np.float64))
         if len(index) != count:
             raise IndexLoadError(
                 offset, f"header count {count} but the file holds {len(index)} entry lines"

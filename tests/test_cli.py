@@ -149,6 +149,38 @@ def test_ingest_refuses_a_bad_index_path_before_any_payload(
     assert not list(tmp_path.rglob("*.tmp"))
 
 
+def test_ingest_refuses_an_index_path_that_is_its_config(corpus, tmp_path, capsys):
+    # The ingest read the config, then replaced it with the index, with exit 0.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"chunk_size": 64}), encoding="utf-8")
+    before = config.read_bytes()
+    code, out, err = run(
+        capsys, "--config", str(config), "ingest", "--layout", str(corpus["layout_dir"]), "--index", str(config)
+    )
+    assert (code, out, err.count("\n")) == (1, "", 1)
+    assert json.loads(err) == {"error": "ValueError", "message": f"output path {config} is the input {config}"}
+    assert config.read_bytes() == before
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+@pytest.mark.parametrize("charts", ["default", "flag"])
+def test_ingest_refuses_an_index_path_that_is_a_chart_csv(corpus, tmp_path, capsys, charts):
+    # The ingest replaced a chart CSV it had read with the index, with exit 0;
+    # the next ingest rejected that chart and indexed its page without it.
+    charts_dir = corpus["charts_dir"]
+    argv = ["ingest", "--layout", str(corpus["layout_dir"])]
+    if charts == "flag":
+        charts_dir = Path(shutil.copytree(charts_dir, tmp_path / "fixtures"))
+        argv += ["--charts", str(charts_dir)]
+    chart = charts_dir / "alpha-10k__p2__f0.csv"
+    before = chart.read_bytes()
+    code, out, err = run(capsys, *argv, "--index", str(chart))
+    assert (code, out, err.count("\n")) == (1, "", 1)
+    assert json.loads(err) == {"error": "ValueError", "message": f"output path {chart} is the input {chart}"}
+    assert chart.read_bytes() == before
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
 def test_ingest_stores_no_chunk_of_a_whitespace_only_page(revenue_payload, tmp_path, capsys, caplog):
     # The page splits into one 0-token chunk, whose all-zero vector every
     # search that keeps it would score 0 and warn about.

@@ -204,12 +204,12 @@ def test_upsert_rejects_wrong_dimension():
 def test_upsert_many_refuses_a_wrong_dimension_before_converting_any_row(monkeypatch):
     index = VectorIndex(dimension=3)
     index.upsert(entry("a:1:0", [1.0, 2.0, 3.0]))
-    converted = []
-    monkeypatch.setattr(index_module, "chain", lambda *args: converted.append(args))
+    merged = []
+    monkeypatch.setattr(VectorIndex, "_merge", lambda self, chunks, rows: merged.append(rows))
     batch = [entry("b:1:0", [1.0, 0.0, 0.0]), entry("b:2:0", [1.0, 2.0]), entry("b:3:0", [0.0, 1.0, 0.0])]
     with pytest.raises(ValueError, match="^dimension mismatch: index is 3, vector is 2$"):
         index.upsert_many(batch)
-    assert converted == []
+    assert merged == []
     assert index.chunk_ids() == ("a:1:0",)
 
 
