@@ -47,7 +47,9 @@ class QAExample:
     ``document_id`` are exact strings and ``reference_count`` an exact int
     >= 1; ``difficulty`` and ``target`` take a member or its value (``"low"``,
     ``"table"``) and hold the member; ``filters`` must pass
-    ``checked_filters``. Anything else raises ``ValueError``."""
+    ``checked_filters``. Anything else raises ``ValueError``.
+    ``reference_count`` is accepted and ignored: no score, report or check
+    reads it. Dataset files carry it, so it is validated, not refused."""
 
     question: str
     gold_answer: str
@@ -207,14 +209,25 @@ def run_eval(
     follows the examples' order whatever the count. All referenced
     documents must already be indexed, and the priced tag (``model_tag``,
     else the provider's) must have a rate; either failure is reported up
-    front, before any provider call.
+    front, before any provider call. So is every example whose filters
+    keep no chunk of its own document, a certain miss that would read as
+    a retrieval failure: one ``ValueError`` lists each such example's
+    question, filters and document. Each distinct filter set is resolved
+    once, through the filter memo its searches then reuse.
     """
-    indexed_documents = {chunk.metadata.document_id for chunk in index.chunks()}
-    missing = sorted(
-        {e.document_id for e in examples} - indexed_documents
-    )
+    missing = sorted({e.document_id for e in examples} - index.document_ids())
     if missing:
         raise MissingDocumentsError(missing)
+    kept: dict[tuple, set[str]] = {}  # filters -> the documents they keep
+    excluded = []
+    for e in examples:
+        if e.filters:
+            if e.filters not in kept:
+                kept[e.filters] = index.document_ids(e.filters)
+            if e.document_id not in kept[e.filters]:
+                excluded.append(f"question {e.question!r}, filters {dict(e.filters)}, document {e.document_id!r}")
+    if excluded:
+        raise ValueError("examples whose filters keep no chunk of their document: " + "; ".join(excluded))
     cost_per_call(model_tag if model_tag is not None else llm.tag, 0, pricing)
 
     one = partial(evaluate_example, index=index, llm=llm, embedder=embedder, k=k, model_tag=model_tag, pricing=pricing)

@@ -384,6 +384,19 @@ class VectorIndex:
         snapshot = self._snapshot
         return tuple(snapshot.chunks[: snapshot.count])
 
+    def document_ids(self, filters: tuple[tuple[str, object], ...] = ()) -> set[str]:
+        """The ``document_id`` of every chunk that passes every filter (of
+        every chunk when there is none). A filter set's rows come from the
+        snapshot's memo, as a search's do (``checked_filters`` applies)."""
+        snapshot = self._snapshot
+        if not filters:
+            return {chunk.metadata.document_id for chunk in snapshot.chunks[: snapshot.count]}
+        filters = checked_filters(filters)
+        kept = snapshot.kept.get(filters)
+        if kept is None:
+            kept = _kept_rows(snapshot, filters)
+        return {snapshot.chunks[p].metadata.document_id for p in kept.tolist()}
+
     def get(self, chunk_id: str) -> IndexEntry | None:
         snapshot = self._snapshot
         position = bisect_left(snapshot.chunks, chunk_id, 0, snapshot.count, key=lambda chunk: chunk.chunk_id)

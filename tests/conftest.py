@@ -217,7 +217,7 @@ def _corpus_dataset(specs: list[dict]) -> list[dict]:
                 },
             ]
         )
-    # one multi-reference question to exercise reference_count > 1
+    # a repeated question that carries reference_count 2, which is accepted and ignored
     examples.append(
         {
             "question": "What was the widget output reported by ALPHA?",

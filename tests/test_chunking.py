@@ -21,6 +21,7 @@ from docrag.chunking import (
 from docrag.layout import DocumentAttributes
 from docrag.preprocess import PageContent
 from docrag.tokens import DEFAULT_TOKENIZER, count_tokens
+from reference import _PIECE_RE, split_pages_by_pieces
 
 
 def page(
@@ -465,58 +466,6 @@ def test_property_cuts_equal_the_per_token_packer(p, chunk_size):
 
 
 # --- the cuts equal the piece-sum chunker ----------------------------------------
-
-# One token with the whitespace before it: the chunker summed these pieces'
-# lengths to place its cuts before it counted tokens per distinct word.
-_PIECE_RE = re.compile(r"\s*(?:\w+|[^\w\s]+)")
-
-
-def split_pages_by_pieces(pages, chunk_size, attributes=None):
-    """The chunker as it was when it tokenized each segment into pieces."""
-    chunks = []
-    for p in pages:
-        text = combine_page_text(p)
-        if not text:
-            continue
-        segments = [(p.narrative_text, False)] if p.narrative_text else []
-        segments += [(t, True) for t in (*p.table_texts, *p.chart_texts)]
-        cuts = [(0, 0)]
-        count = tokens = offset = 0
-        for segment, protected in segments:
-            pieces = _PIECE_RE.findall(segment)
-            size = len(pieces)
-            if protected and size <= chunk_size:
-                if count + size > chunk_size:
-                    head = pieces[0]
-                    cuts.append((tokens, offset + len(head) - len(head.lstrip())))
-                    count = 0
-                count += size
-            else:
-                done, position = 0, offset
-                for token in range(chunk_size - count, size, chunk_size):
-                    position += sum(map(len, pieces[done:token]))
-                    piece = pieces[token]
-                    cuts.append((tokens + token, position + len(piece) - len(piece.lstrip())))
-                    done = token
-                    count -= chunk_size
-                count += size
-            tokens += size
-            offset += len(segment) + len("\n\n")
-        cuts.append((tokens, len(text)))
-        metadata = ChunkMetadata(
-            document_id=p.document_id,
-            page_number=p.page_number,
-            company=attributes.company if attributes else None,
-            year=attributes.year if attributes else None,
-            quarter=attributes.quarter if attributes else None,
-            section_title=p.section_title,
-        )
-        chunks += [
-            DocumentChunk(f"{p.document_id}:{p.page_number}:{ordinal}", text[start:end], last - first, metadata)
-            for ordinal, ((first, start), (last, end)) in enumerate(zip(cuts, cuts[1:]))
-        ]
-    return chunks
-
 
 # Unicode whitespace beyond ASCII (NEL, NBSP, ogham space mark, line
 # separator, ideographic space, the information separators) and

@@ -787,6 +787,29 @@ def test_eval_workers_must_be_positive(corpus, tmp_path, capsys):
     assert not report_path.exists()
 
 
+def test_eval_refuses_examples_whose_filters_keep_none_of_their_document(corpus, tmp_path, capsys):
+    # One conftest example with its company filter swapped to another
+    # company, and one with a year no chunk holds: each would be a certain
+    # miss, so the eval exits 1 naming both and writes no report.
+    index_path, _ = ingest(corpus, tmp_path, capsys)
+    examples = corpus["examples"]
+    swapped = {**examples[0], "filters": {"company": "GAMMA"}}
+    vintage = {**examples[1], "filters": {"year": 1999}}
+    dataset = tmp_path / "excluded.jsonl"
+    dataset.write_text("".join(json.dumps(e) + "\n" for e in (examples[2], swapped, vintage)), encoding="utf-8")
+    report = tmp_path / "r.json"
+    code, _, err = run(capsys, "eval", "--index", str(index_path), "--dataset", str(dataset), "--report", str(report))
+    assert code == 1
+    error = json.loads(err)
+    assert error["error"] == "ValueError"
+    assert error["message"] == (
+        "examples whose filters keep no chunk of their document: "
+        f"question {swapped['question']!r}, filters {{'company': 'GAMMA'}}, document 'alpha-10k'; "
+        f"question {vintage['question']!r}, filters {{'year': 1999}}, document 'alpha-10k'"
+    )
+    assert not report.exists()
+
+
 def test_eval_missing_documents(corpus, tmp_path, capsys):
     index_path, _ = ingest(corpus, tmp_path, capsys)
     dataset = tmp_path / "ghost.jsonl"

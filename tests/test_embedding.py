@@ -18,6 +18,7 @@ from docrag.layout import parse_layout_payload
 from docrag.preprocess import preprocess_document
 from docrag.providers import DirectoryChartProvider
 from docrag.tokens import DEFAULT_TOKENIZER
+from reference import reference_embed
 
 
 def test_default_dimension_and_tag():
@@ -133,22 +134,6 @@ def test_vectors_match_golden_digest(corpus, dimension, digest):
     for text in texts:
         hasher.update(np.asarray(embedder.embed(text), dtype=np.float64).tobytes())
     assert hasher.hexdigest() == digest
-
-
-def reference_embed(text: str, dimension: int) -> list[float]:
-    """Feature hashing written out: one keyed blake2b per feature occurrence,
-    summed one term at a time into Python floats."""
-    tokens = [text[s:e].lower() for s, e in DEFAULT_TOKENIZER.spans(text)]
-    features = tokens + [f"{a}\x1f{b}" for a, b in zip(tokens, tokens[1:])]
-    values = [0.0] * dimension
-    for feature in features:
-        digest = hashlib.blake2b(
-            feature.encode("utf-8", "surrogatepass"), key=b"docrag-hash-v1", digest_size=8
-        ).digest()
-        bucket = int.from_bytes(digest, "big")
-        values[(bucket >> 1) % dimension] += 1.0 if bucket & 1 else -1.0
-    norm = math.sqrt(sum(v * v for v in values))
-    return values if norm == 0.0 else [v / norm for v in values]
 
 
 # Case-folding traps (dotted capital I, sharp s, final sigma), combining

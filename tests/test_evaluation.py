@@ -406,6 +406,37 @@ def test_run_eval_missing_documents_reported_before_any_call(corpus):
     assert info.value.document_ids == ["ghost-10k"]
 
 
+def test_run_eval_refuses_examples_whose_filters_keep_none_of_their_document(corpus):
+    # A question whose filters exclude its own document is a certain miss
+    # that would read as a retrieval failure: every such example is named,
+    # before any provider call, and each filter set is resolved once.
+    index, embedder = build_index(corpus)
+
+    class Untouchable:
+        tag = "untouchable"
+
+        def complete(self, request):
+            raise AssertionError("provider must not be called")
+
+    examples = load_dataset(corpus["dataset"])
+    swapped = dataclasses.replace(examples[0], filters=(("company", "BETA"),))
+    vintage = dataclasses.replace(examples[1], filters=(("year", 1999),))
+    again = dataclasses.replace(examples[0], filters=(("company", "BETA"),))
+    resolved = []
+    with pytest.MonkeyPatch.context() as patch:
+        document_ids = index.document_ids
+        patch.setattr(index, "document_ids", lambda *filters: resolved.append(filters) or document_ids(*filters))
+        with pytest.raises(ValueError) as info:
+            run_eval(examples + [swapped, vintage, again], index, Untouchable(), embedder)
+    message = str(info.value)
+    assert message.startswith("examples whose filters keep no chunk of their document: ")
+    assert message.count("question ") == 3
+    assert f"question {swapped.question!r}, filters {{'company': 'BETA'}}, document 'alpha-10k'" in message
+    assert f"question {vintage.question!r}, filters {{'year': 1999}}, document 'alpha-10k'" in message
+    filter_sets = [filters[0] for filters in resolved if filters]
+    assert len(filter_sets) == len(set(filter_sets)) == len({e.filters for e in examples} | {swapped.filters, vintage.filters})
+
+
 @pytest.mark.parametrize(
     "tag,model_tag", [("lookup", "gpt-5"), ("http", None)], ids=["model-tag", "provider-tag"]
 )

@@ -31,6 +31,7 @@ from docrag.index import (
 )
 from docrag.layout import DocumentAttributes
 from docrag.preprocess import PageContent
+from reference import brute_force, cosine, load_line_by_line
 
 
 def chunk(chunk_id, text="text", **meta):
@@ -49,18 +50,6 @@ def entry(chunk_id, vector, **meta):
 
 
 # --- cosine: the pure-Python oracle the search tests compare against ------
-
-def cosine(u, v):
-    """Cosine similarity; an all-zero vector scores 0."""
-    if len(u) != len(v):
-        raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    dot = sum(a * b for a, b in zip(u, v))
-    norm_u = math.sqrt(sum(a * a for a in u))
-    norm_v = math.sqrt(sum(b * b for b in v))
-    if norm_u == 0.0 or norm_v == 0.0:
-        return 0.0
-    return dot / (norm_u * norm_v)
-
 
 def test_cosine_identical_vectors():
     assert math.isclose(cosine([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]), 1.0, rel_tol=1e-12)
@@ -745,17 +734,6 @@ def test_underflowed_rows_persist_and_load(tmp_path):
 
 # --- numpy path vs pure-python oracle -----------------------------------------
 
-def brute_force(entries, query, k, filters=()):
-    kept = []
-    for e in entries:
-        metadata = e.chunk.metadata.as_dict()
-        if all(metadata.get(name) == value for name, value in filters):
-            kept.append(e)
-    scored = [(cosine(e.vector, query), e.chunk.chunk_id) for e in kept]
-    scored.sort(key=lambda pair: (-pair[0], pair[1]))
-    return [cid for _, cid in scored[:k]]
-
-
 def test_search_matches_bruteforce_on_random_vectors():
     rng = random.Random(271828)
     dimension = 16
@@ -883,6 +861,22 @@ def test_filter_on_a_value_no_chunk_holds_is_empty_cold_and_warm():
         assert index.search([1.0, 0.0], config) == []
         assert index.search([1.0, 0.0], config) == []
         assert len(index._snapshot.kept[filters]) == 0
+
+
+def test_document_ids_of_the_kept_chunks_share_the_search_memo():
+    index = VectorIndex(dimension=2)
+    index.upsert_many([entry("a:1:0", [1.0, 0.0], company="ACME", year=2020),
+                       entry("a:2:0", [0.0, 1.0], company="ACME", year=2021),
+                       entry("b:1:0", [1.0, 1.0], company="BETA", year=2020)])
+    assert index.document_ids() == {"a", "b"}
+    assert index.document_ids((("year", 2020),)) == {"a", "b"}
+    assert index.document_ids((("company", "ACME"), ("year", 2021))) == {"a"}
+    assert index.document_ids((("company", "NOPE"),)) == set()
+    kept = index._snapshot.kept[(("year", 2020),)]
+    index.search([1.0, 0.0], RetrievalConfig(k=1, filters=(("year", 2020),)))
+    assert index._snapshot.kept[(("year", 2020),)] is kept  # the search reuses it
+    with pytest.raises(ValueError, match="compnay"):
+        index.document_ids((("compnay", "ACME"),))
 
 
 def test_filter_memo_stays_within_its_bound(monkeypatch):
@@ -1573,46 +1567,7 @@ def test_property_persisted_lines_equal_json_dumps(tmp_path_factory, rows):
     assert lines == expected
 
 
-# --- load: the per-line loop it replaced, kept as an oracle -----------------
-
-
-def load_line_by_line(path):
-    """What ``VectorIndex.load`` gave when it read each entry line with
-    ``json.loads`` into an array of its own and stacked the arrays: its
-    entry loop as it was. The header is taken as valid."""
-    with open(path, "rb") as handle:
-        raw_header = handle.readline()
-        header = json.loads(raw_header)
-        dimension, count = header["dimension"], header["count"]
-        index = VectorIndex(dimension=dimension, tokenizer_tag=header["tokenizer"], provider_tag=header["provider"])
-        offset = len(raw_header)
-        chunks, rows, seen = [], [], set()
-        while True:
-            raw = handle.readline()
-            if not raw:
-                break
-            if raw.strip():
-                try:
-                    record = json.loads(raw.decode("utf-8"))
-                    chunk = DocumentChunk.from_dict(record)
-                    vector = record["vector"]
-                    if type(vector) is not list:
-                        raise TypeError(f"vector must be an array, got {vector!r:.80}")
-                    vector = index_module._vector(vector)
-                    if vector.shape != (dimension,):
-                        raise ValueError(f"vector has shape {vector.shape}, header says {dimension}")
-                except (ValueError, KeyError, TypeError) as exc:
-                    raise IndexLoadError(offset, f"bad entry line: {exc}") from exc
-                if chunk.chunk_id in seen:
-                    raise IndexLoadError(offset, f"chunk_id {chunk.chunk_id!r} repeats an earlier entry line")
-                seen.add(chunk.chunk_id)
-                chunks.append(chunk)
-                rows.append(vector)
-            offset += len(raw)
-    if len(chunks) != count:
-        raise IndexLoadError(offset, f"header count {count} but the file holds {len(chunks)} entry lines")
-    index._merge(chunks, np.array(rows, dtype=np.float64).reshape(len(rows), dimension))
-    return index
+# --- load: against the per-line loop it replaced (load_line_by_line) ---------
 
 
 def load_outcome(load, path):

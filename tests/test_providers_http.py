@@ -24,6 +24,7 @@ from docrag.providers import (
     MockLLM,
 )
 from docrag.tables import BoundingRegion
+from reference import reference_answer, reference_question_in
 
 REGION = BoundingRegion(page_number=1, polygon=((0.0, 0.0), (10.0, 0.0), (10.0, 10.0)))
 
@@ -394,15 +395,6 @@ def test_question_in_a_prompt_without_a_question_block_is_the_prompt():
     assert read_prompt(build_prompt(["c"], "Two\n\nQuestion: lines")) == ("c", "Two\n\nQuestion: lines")
 
 
-# How MockLLM found the question before generation.read_prompt, kept as the
-# reference it must match.
-def reference_question_in(prompt):
-    _, head, block = prompt.rpartition(POSTAMBLE + "\n\nQuestion: ")
-    if not head or not block.endswith("\nAnswer:"):
-        return prompt
-    return block[: -len("\nAnswer:")]
-
-
 _PROMPT_PIECES = st.sampled_from(
     ["\n\n", "Question: ", "\nAnswer:", POSTAMBLE, "Revenue: 10", "\n", " ", "?", "x"]
 )
@@ -414,46 +406,6 @@ def test_mock_llm_question_matches_the_reference(text):
     question = reference_question_in(text)
     assert read_prompt(text)[1] == question
     assert MockLLM({question: "hit"}).complete(request(prompt=text)).text == "hit"
-
-
-# The lookup reader before its block memo, kept as the reference it must
-# match: it harvests every pair of the retrieved context, whatever its key.
-def reference_harvest(context):
-    pairs = []
-    for line in context.splitlines():
-        stripped = line.strip()
-        if stripped.startswith("[") or stripped.startswith("{"):
-            try:
-                decoded = json.loads(stripped)
-            except ValueError:
-                continue
-            records = decoded if isinstance(decoded, list) else [decoded]
-            for record in records:
-                if isinstance(record, dict):
-                    for key, value in record.items():
-                        pairs.append((str(key), str(value)))
-            continue
-        if ": " in stripped:
-            key, _, value = stripped.partition(": ")
-            if value:
-                pairs.append((key, value))
-    return pairs
-
-
-def reference_lookup(pairs, question):
-    question_lower = question.lower()
-    best = None
-    for key, value in pairs:
-        key_lower = key.lower().strip()
-        for candidate in {key_lower, key_lower.rstrip(";").strip()}:
-            if candidate and candidate in question_lower:
-                if best is None or len(candidate) > best[0]:
-                    best = (len(candidate), value)
-    return best[1] if best else ""
-
-
-def reference_answer(context, question):
-    return reference_lookup(reference_harvest(context), question)
 
 
 LINE_BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029",

@@ -17,6 +17,7 @@ from docrag.tables import (
     serialize_dataframe,
     serialize_json,
 )
+from reference import oracle_merge
 
 HEADER = CellKind.COLUMN_HEADER
 ROW_HEADER = CellKind.ROW_HEADER
@@ -280,37 +281,6 @@ def grids(draw):
             taken.update((rr, c) for rr in range(r, r + row_span))
 
     return TableGrid(row_count=row_count, column_count=column_count, cells=tuple(cells))
-
-
-def oracle_merge(table: TableGrid) -> list[str]:
-    """Brute-force re-derivation of merged keys straight from the cell list."""
-    header_depth = 0
-    for cell in table.cells:
-        if cell.kind is HEADER:
-            header_depth = max(header_depth, cell.row_index + cell.row_span)
-    if header_depth == 0:
-        return [f"col_{c}" for c in range(table.column_count)]
-    keys = []
-    for c in range(table.column_count):
-        key = ""
-        for r in range(header_depth):
-            segment = ""
-            for cell in table.cells:
-                if (
-                    cell.kind is HEADER
-                    and cell.row_index <= r < cell.row_index + cell.row_span
-                    and cell.column_index <= c < cell.column_index + cell.column_span
-                ):
-                    segment = cell.content
-            key += segment + ";"
-        keys.append(key)
-    seen: dict[str, int] = {}
-    out = []
-    for key in keys:
-        n = seen.get(key, 0) + 1
-        seen[key] = n
-        out.append(key if n == 1 else f"{key}#{n}")
-    return out
 
 
 @settings(max_examples=200)
