@@ -32,7 +32,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .chunking import DEFAULT_CHUNK_SIZE, DEFAULT_EVAL_WORKERS, INTEGER_FIELDS, TABLE_FORMATS
+from .chunking import DEFAULT_CHUNK_SIZE, DEFAULT_EVAL_WORKERS, INTEGER_FIELDS, TABLE_FORMATS, split_pages
 from .embedding import HashingEmbedder
 from .errors import DocragError, check_destination, read_json
 from .index import DEFAULT_K, RetrievalConfig, VectorIndex
@@ -167,6 +167,7 @@ def cmd_ingest(args) -> int:
         charts_dir = layout_dir / "charts"
     chart_paths = Path(charts_dir).glob("*.csv") if charts_dir else ()
     check_destination(args.index, *payload_paths, *chart_paths, args.config)
+    split_pages([], chunk_size=args.chunk_size)  # refuses a bad chunk size before any payload is read
     if not payload_paths:
         raise ValueError(f"no layout payloads (*.json) found in {layout_dir}")
     chart_provider = NullChartProvider() if charts_dir is None else DirectoryChartProvider(charts_dir)

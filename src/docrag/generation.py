@@ -137,6 +137,6 @@ def answer_question(
         prompt_token_count=_TEMPLATE_TOKENS
         + count_tokens(question)
         + sum(r.chunk.token_count for r in results),
-        completion_token_count=max(0, response.completion_tokens),
+        completion_token_count=response.completion_tokens,
         retrieved=tuple(results),
     )

@@ -5,8 +5,10 @@ least one deterministic offline implementation. Only the LLM has an HTTP
 implementation. Layout payloads are no provider: ``docrag ingest`` reads
 them from files. Chart CSVs come from a fixture directory or from
 nowhere. A query must be embedded exactly as its index was, and the
-index header names ``embedding.HashingEmbedder``. The LLM endpoint and
-API key come from environment variables only:
+index header names ``embedding.HashingEmbedder``. An LLM's reply is its
+text alone: ``HttpLLM`` reads ``choices[0].message.content``, which must
+be a string, and ignores every other key. The LLM endpoint and API key
+come from environment variables only:
 
     DOCRAG_LLM_ENDPOINT / DOCRAG_LLM_KEY
 """
@@ -105,14 +107,18 @@ class LLMRequest:
 @dataclass(frozen=True)
 class LLMResponse:
     text: str
-    completion_tokens: int
+
+    @property
+    def completion_tokens(self) -> int:
+        """The one rule for every reply: the text's count under the one tokenizer."""
+        return count_tokens(self.text)
 
 
 class LLMProvider(Protocol):
     """Completes one prompt.
 
-    The pipeline counts prompt tokens itself, so a provider reports only
-    its text and completion count.
+    The pipeline counts prompt and completion tokens itself, so a provider
+    reports only its text.
     """
 
     tag: str
@@ -143,8 +149,7 @@ class MockLLM:
         self._read_prompt = read_prompt
 
     def complete(self, request: LLMRequest) -> LLMResponse:
-        text = self.answers.get(self._read_prompt(request.prompt)[1], "")
-        return LLMResponse(text=text, completion_tokens=count_tokens(text))
+        return LLMResponse(text=self.answers.get(self._read_prompt(request.prompt)[1], ""))
 
 
 # Most blocks one lookup reader's memo holds between calls.
@@ -187,8 +192,7 @@ class ContextLookupLLM:
         entries = list(map(self._blocks.__getitem__, context.split("\n\n")))
         if len(self._blocks) > _BLOCK_MEMO_LIMIT:
             self._blocks.clear()
-        text = self._lookup(entries, question)
-        return LLMResponse(text=text, completion_tokens=count_tokens(text))
+        return LLMResponse(text=self._lookup(entries, question))
 
     @staticmethod
     def _harvest(block: str) -> tuple[tuple[str, str], ...]:
@@ -310,11 +314,4 @@ class HttpLLM:
             raise ProviderError(f"malformed completion response: {exc}", prompt=prompt) from exc
         if type(text) is not str:  # a null or non-text content is no answer to score
             raise ProviderError(f"malformed completion response: content {text!r}", prompt=prompt)
-        usage = payload.get("usage") or {}
-        # count_tokens stands in for a count the usage does not report, and
-        # runs only then: the completion is counted locally.
-        count = usage.get("completion_tokens", count_tokens) if type(usage) is dict else None
-        count = count_tokens(text) if count is count_tokens else count
-        if type(count) is not int or count < 0:
-            raise ProviderError(f"malformed usage in completion response: {usage!r}", prompt=prompt)
-        return LLMResponse(text=text, completion_tokens=count)
+        return LLMResponse(text=text)

@@ -356,6 +356,21 @@ def test_ingest_chunk_size_flag(corpus, tmp_path, capsys):
         assert index.get(chunk_id).chunk.token_count <= 5
 
 
+@pytest.mark.parametrize("size", ["0", "-3"])
+def test_ingest_refuses_a_bad_chunk_size_before_reading_any_payload(tmp_path, capsys, size):
+    # The payload's SchemaError was reported instead, and a good payload
+    # was read and pre-processed before the refusal.
+    layout = tmp_path / "layout"
+    layout.mkdir()
+    (layout / "doc.json").write_text('{"bad": 1}', encoding="utf-8")
+    code, out, err = run(
+        capsys, "ingest", "--layout", str(layout), "--index", str(tmp_path / "i"), "--chunk-size", size
+    )
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "ValueError", "message": "chunk_size must be >= 1"}
+    assert not (tmp_path / "i").exists()
+
+
 # --- query ------------------------------------------------------------------
 
 def test_query_answers_from_index(corpus, tmp_path, capsys):

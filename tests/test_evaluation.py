@@ -474,7 +474,7 @@ def test_run_eval_scores_wrong_answers(corpus):
         tag = "mock"  # priced (free) so cost accounting still works
 
         def complete(self, request):
-            return LLMResponse(text="deliberately wrong", completion_tokens=2)
+            return LLMResponse(text="deliberately wrong")
 
     report = run_eval(examples, index, Stubborn(), embedder, max_workers=1)
     assert report.correct == 0

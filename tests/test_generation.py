@@ -182,7 +182,7 @@ class PromptRecorder:
 
     def complete(self, request):
         self.prompt = request.prompt
-        return LLMResponse(text="", completion_tokens=0)
+        return LLMResponse(text="")
 
 
 # Questions with a "Question:" block, separators and punctuation at their edges.
@@ -261,7 +261,7 @@ def test_prompt_token_count_is_count_tokens_of_prompt(tiny_rig):
 
         def complete(self, request):
             self.prompt = request.prompt
-            return LLMResponse(text="ok", completion_tokens=1)
+            return LLMResponse(text="ok")
 
     recorder = Recorder()
     answer = answer_question("Fleet size?", index, RetrievalConfig(k=2), recorder, embedder)
@@ -306,7 +306,7 @@ def test_context_chunks_appear_verbatim_in_prompt(tiny_rig):
 
         def complete(self, request):
             Recorder.prompt = request.prompt
-            return LLMResponse(text="", completion_tokens=0)
+            return LLMResponse(text="")
 
     results = retrieve("Fleet size?", index, RetrievalConfig(k=3), embedder)
     answer_question("Fleet size?", index, RetrievalConfig(k=3), Recorder(), embedder)
@@ -331,7 +331,7 @@ def test_empty_retrieval_warns_and_still_calls(tiny_rig, caplog):
 
         def complete(self, request):
             calls.append(request.prompt)
-            return LLMResponse(text="", completion_tokens=0)
+            return LLMResponse(text="")
 
     with caplog.at_level(logging.WARNING, logger="docrag.generation"):
         answer_question(
@@ -370,20 +370,7 @@ def test_max_output_tokens_forwarded(tiny_rig):
 
         def complete(self, request: LLMRequest):
             seen.append(request.max_output_tokens)
-            return LLMResponse(text="", completion_tokens=0)
+            return LLMResponse(text="")
 
     answer_question("Fleet size?", index, RetrievalConfig(k=1), Probe(), embedder)
     assert seen == [DEFAULT_MAX_OUTPUT_TOKENS]
-
-
-def test_negative_completion_count_clamped(tiny_rig):
-    index, embedder = tiny_rig
-
-    class Liar:
-        tag = "liar"
-
-        def complete(self, request):
-            return LLMResponse(text="x", completion_tokens=-5)
-
-    answer = answer_question("Fleet size?", index, RetrievalConfig(k=1), Liar(), embedder)
-    assert answer.completion_token_count == 0

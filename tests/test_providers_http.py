@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import docrag
 from docrag import providers
+from docrag.cli import main
 from docrag.errors import ProviderError
 from docrag.generation import CONTEXT_SEPARATOR, POSTAMBLE, build_prompt, read_prompt
 from docrag.providers import (
@@ -21,9 +22,11 @@ from docrag.providers import (
     DirectoryChartProvider,
     HttpLLM,
     LLMRequest,
+    LLMResponse,
     MockLLM,
 )
 from docrag.tables import BoundingRegion
+from docrag.tokens import count_tokens
 from reference import reference_answer, reference_question_in
 
 REGION = BoundingRegion(page_number=1, polygon=((0.0, 0.0), (10.0, 0.0), (10.0, 10.0)))
@@ -68,12 +71,9 @@ class StubHandler(BaseHTTPRequestHandler):
             self._send(
                 200, {"choices": [{"message": {"content": "three plain words"}}], "usage": None}
             )
-        elif self.path.startswith("/chat-badusage?"):
-            # the query string is the JSON completion_tokens value to report
-            count = json.loads(unquote(self.path.partition("?")[2]))
+        elif self.path == "/chat-badusage":
             self._send(
-                200,
-                {"choices": [{"message": {"content": "x"}}], "usage": {"completion_tokens": count}},
+                200, {"choices": [{"message": {"content": "x"}}], "usage": {"completion_tokens": "2"}}
             )
         elif self.path == "/chat-bad":
             self._send(200, {"unexpected": True})
@@ -130,7 +130,7 @@ def request(prompt="What is it?\nAnswer:", model="gpt-4o"):
 def test_http_llm_round_trip(server):
     response = HttpLLM(endpoint=f"{server}/chat").complete(request())
     assert response.text == "from-http"
-    assert response.completion_tokens == 2
+    assert response.completion_tokens == 3  # counted locally; the usage's 2 is not read
 
 
 def test_http_llm_sends_chat_body(server):
@@ -141,14 +141,6 @@ def test_http_llm_sends_chat_body(server):
     assert body["model"] == "gpt-4o"
     assert body["messages"] == [{"role": "user", "content": "hello"}]
     assert body["max_tokens"] == 9
-
-
-def test_http_llm_counts_no_tokens_when_usage_reports_them(server, monkeypatch):
-    def count_tokens(text):
-        raise AssertionError("a reported completion count was counted again")
-
-    monkeypatch.setattr(providers, "count_tokens", count_tokens)
-    assert HttpLLM(endpoint=f"{server}/chat").complete(request()).completion_tokens == 2
 
 
 def test_http_llm_counts_tokens_without_usage(server):
@@ -163,12 +155,19 @@ def test_http_llm_null_usage_counts_tokens_locally(server):
     assert response.completion_tokens == 3
 
 
-@pytest.mark.parametrize("count", ["null", '"2"', "2.5", "-1", "true"])
-def test_http_llm_non_integer_usage_keeps_prompt(server, count):
-    llm = HttpLLM(endpoint=f"{server}/chat-badusage?{quote(count)}")
-    with pytest.raises(ProviderError, match="malformed usage") as info:
-        llm.complete(request(prompt="keep"))
-    assert info.value.prompt == "keep"
+@pytest.mark.parametrize("route", ["/chat-badusage", "/chat-nullusage", "/chat-nousage"])
+def test_http_eval_reads_no_usage(server, corpus, tmp_path, monkeypatch, capsys, route):
+    # A usage of {"completion_tokens": "2"} made the whole eval exit 1 with
+    # "malformed usage in completion response", and no report was written.
+    monkeypatch.setenv(ENV_LLM_ENDPOINT, f"{server}{route}")
+    index, report = tmp_path / "corpus.index", tmp_path / "report.json"
+    assert main(["ingest", "--layout", str(corpus["layout_dir"]), "--index", str(index)]) == 0
+    before = StubHandler.calls.get(route, 0)
+    argv = ["eval", "--index", str(index), "--dataset", str(corpus["dataset"]), "--report", str(report),
+            "--provider", "http", "--model-tag", "gpt-4o"]
+    assert main(argv) == 0, capsys.readouterr().err
+    assert json.loads(report.read_text(encoding="utf-8"))["total"] == 10
+    assert StubHandler.calls[route] - before == 10  # one call per question
 
 
 def test_http_llm_bearer_auth(server):
@@ -281,6 +280,28 @@ def test_directory_chart_provider_names_a_csv_it_cannot_decode(tmp_path):
     path.write_bytes(b"Period,Sales\n1Q21,\xff\n")
     with pytest.raises(ProviderError, match=f"cannot read chart CSV {path}: .*0xff"):
         DirectoryChartProvider(tmp_path).csv_for("d", 1, 0, REGION)
+
+
+# --- every reader ------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "make_llm",
+    [
+        lambda server: MockLLM({"Q?": "two words"}),
+        lambda server: ContextLookupLLM(),
+        lambda server: HttpLLM(endpoint=f"{server}/chat"),  # its usage reports 2
+    ],
+    ids=["mock", "lookup", "http"],
+)
+def test_completion_tokens_are_the_count_of_the_text(server, make_llm):
+    response = make_llm(server).complete(request(prompt=build_prompt(["Q: 77 vessels."], "Q?")))
+    assert response.text
+    assert response.completion_tokens == count_tokens(response.text)
+
+
+def test_llm_response_is_its_text():
+    with pytest.raises(TypeError):
+        LLMResponse(text="x", completion_tokens=1)
 
 
 # --- offline LLMs -----------------------------------------------------------------------
