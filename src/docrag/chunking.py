@@ -37,6 +37,7 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
+from .errors import check_count, check_record
 from .tokens import _TOKEN_RE
 
 if TYPE_CHECKING:
@@ -127,13 +128,10 @@ class ChunkMetadata:
         return {**{name: getattr(self, name) for name in _METADATA_TYPES}, "region": None}
 
     @classmethod
-    def from_dict(cls, data: dict) -> "ChunkMetadata":
-        """The metadata of a record ``as_dict`` wrote; any other key, such as
-        a misspelt ``compnay``, raises ValueError."""
-        if not data.keys() <= _RECORD_KEYS:
-            first = next(key for key in data if key not in _RECORD_KEYS)
-            names = ", ".join(_METADATA_TYPES)
-            raise ValueError(f"metadata key {first!r} is not a metadata field; the fields are {names}, region")
+    def from_dict(cls, data) -> "ChunkMetadata":
+        """The metadata of a record ``as_dict`` wrote; anything else, such as
+        a list or a misspelt ``compnay`` key, raises ValueError."""
+        check_record(data, "metadata", _RECORD_KEYS)
         if data.get("region") is not None:
             raise ValueError(f"region must be null, got {data['region']!r}")
         return cls(**{name: data.get(name) for name in _METADATA_TYPES})
@@ -146,8 +144,9 @@ _METADATA_TYPES = {
     for item in fields(ChunkMetadata)
     for kind in [int if item.name in INTEGER_FIELDS else str]
 }
-# The keys a metadata record may hold: the fields and "region".
-_RECORD_KEYS = frozenset([*_METADATA_TYPES, "region"])
+# The keys a metadata record may hold, in record order: the fields and
+# "region" (a dict, so each line's check looks a key up by its hash).
+_RECORD_KEYS = dict.fromkeys([*_METADATA_TYPES, "region"])
 
 
 def check_filter(name: str, value) -> None:
@@ -197,14 +196,11 @@ class DocumentChunk:
 
     @classmethod
     def from_dict(cls, data: dict) -> "DocumentChunk":
-        metadata = data["metadata"]
-        if not isinstance(metadata, dict):
-            raise TypeError(f"metadata must be an object, got {metadata!r}")
         return cls(
             chunk_id=data["chunk_id"],
             text=data["text"],
             token_count=data["token_count"],
-            metadata=ChunkMetadata.from_dict(metadata),
+            metadata=ChunkMetadata.from_dict(data["metadata"]),
         )
 
 
@@ -247,10 +243,7 @@ def split_pages(
     Joining one page's chunk texts in ordinal order reproduces that page's
     combined text exactly; an empty page yields no chunks.
     """
-    if type(chunk_size) is not int:  # RetrievalConfig.k's rule: True and 2.5 are refused
-        raise ValueError(f"chunk_size must be an integer, got {chunk_size!r}")
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
+    check_count("chunk_size", chunk_size)
     laid = [(page, _segments(page)) for page in pages]
     segments = [segment for _, page_segments in laid for segment in page_segments]
     # Every page's segments in one string; a blank line parts any two, so no

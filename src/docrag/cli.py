@@ -1,19 +1,21 @@
 """Command-line surface: ingest, query, eval, cost.
 
-Failures exit non-zero with a one-line JSON error object on stderr so
-calling scripts can parse them; an error in one layout payload names its
-file first. The HTTP LLM's endpoint and API key are read from
-environment variables only (DOCRAG_LLM_ENDPOINT, DOCRAG_LLM_KEY); flags
-never carry secrets. Setting precedence: CLI flag, then --config file,
-then the built-in default in ``_SETTINGS``; ``main`` resolves each
-setting once into ``args``. The config's types and choices are checked
-before any other file is read, and the output path (``ingest --index``,
-``eval --report``) against ``check_destination`` next, so a bad one fails
-before any work. The question commands read the index only after every
+Failures exit 1, and usage errors 2 as argparse's do, each with a
+one-line JSON error object on stderr so calling scripts can parse them;
+an error in one layout payload names its file first. The HTTP LLM's
+endpoint and API key are read from environment variables only
+(DOCRAG_LLM_ENDPOINT, DOCRAG_LLM_KEY); flags never carry secrets.
+Setting precedence: CLI flag, then --config file, then the built-in
+default in ``_SETTINGS``; ``main`` resolves each setting once into
+``args``. The config's types and choices are checked before any other
+file is read, and the output path (``ingest --index``,
+``eval --report``) against ``check_destination`` next, so a bad one
+fails before any work. The question commands read the index only after every
 cheaper input (answers file, filters, question, dataset, pricing, priced
-model tag) has been checked. A provider's name is its LLM's tag. Queries
-embed with the one embedder an index header can name, and refuse any
-other header.
+model tag) has been checked, and ``query`` refuses filters that keep no
+chunk of the index, or an index of none, before it embeds. A provider's
+name is its LLM's tag. Queries embed with the one embedder an index
+header can name, and refuse any other header.
 
 The module loads only what every command shares (chunk rules, the
 embedder, the index and the providers). Each ``cmd_*`` imports its own
@@ -34,7 +36,7 @@ from typing import TYPE_CHECKING
 
 from .chunking import DEFAULT_CHUNK_SIZE, DEFAULT_EVAL_WORKERS, INTEGER_FIELDS, TABLE_FORMATS, split_pages
 from .embedding import HashingEmbedder
-from .errors import DocragError, check_destination, read_json
+from .errors import DocragError, check_count, check_destination, check_record, read_json
 from .index import DEFAULT_K, RetrievalConfig, VectorIndex
 from .providers import (
     ContextLookupLLM,
@@ -75,12 +77,8 @@ _CHOICES = {"table_format": TABLE_FORMATS, "provider": _PROVIDERS}
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
-    config = read_json(path)
-    if not isinstance(config, dict):
-        raise ValueError("config file must hold a JSON object")
+    config = check_record(read_json(path), "config", _SETTINGS)
     for key, value in config.items():
-        if key not in _SETTINGS:
-            raise ValueError(f"config key {key!r} is not a setting; the settings are {', '.join(_SETTINGS)}")
         kind = _SETTINGS[key][0]
         if type(value) is not kind:
             expected = "an integer" if kind is int else "a string"
@@ -203,6 +201,8 @@ def cmd_query(args) -> int:
     retrieval = RetrievalConfig(k=args.k, filters=_parse_filters(args.filter))
     check_question(args.question)
     index, embedder, llm = _reader(args)
+    if not index.document_ids(retrieval.filters):  # an answer from no context
+        raise ValueError(f"filters {dict(retrieval.filters)} keep no chunk of index {args.index}")
     answer = answer_question(
         args.question, index, retrieval, llm, embedder, model_tag=args.model_tag
     )
@@ -218,8 +218,7 @@ def cmd_eval(args) -> int:
     from .evaluation import load_dataset, run_eval, write_report
 
     check_destination(args.report, args.index, args.dataset, args.answers, args.pricing, args.config)
-    if args.eval_workers < 1:
-        raise ValueError(f"eval_workers must be >= 1, got {args.eval_workers}")
+    check_count("eval_workers", args.eval_workers)
     RetrievalConfig(k=args.k)  # refuses a bad k before the index is read
     examples = load_dataset(args.dataset)
     if not examples:  # run_eval would report accuracy 0.000 (0/0)
@@ -256,7 +255,16 @@ def cmd_cost(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     import argparse
 
-    parser = argparse.ArgumentParser(
+    class Parser(argparse.ArgumentParser):
+        """Reports a usage error, as every failure, in the one-line JSON
+        error object, with argparse's exit status 2; subparsers are made
+        of the same class."""
+
+        def error(self, message):
+            _fail(argparse.ArgumentError(None, message))
+            self.exit(2)
+
+    parser = Parser(
         prog="docrag",
         description="Document pre-processing and retrieval-augmented QA toolkit.",
     )

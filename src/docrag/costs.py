@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Mapping
 
-from .errors import read_json
+from .errors import check_count, check_record, read_json
 
 SOLUTIONS = ("ours", "anthropic", "llamaparse", "vertex")
 
@@ -76,11 +76,7 @@ class PricingConfig:
     credits: Mapping[str, CreditRate] = field(default_factory=_CREDITS.copy)
 
     def __post_init__(self):
-        tokens = self.tokens_per_page
-        if type(tokens) is not int:
-            raise ValueError(f"pricing tokens_per_page must be an integer, got {tokens!r}")
-        if tokens < 1:
-            raise ValueError("tokens_per_page must be >= 1")
+        check_count("pricing tokens_per_page", self.tokens_per_page)
         for group in ("per_token", "per_call_flat", "per_page"):
             rates = {}
             for name, rate in getattr(self, group).items():
@@ -160,39 +156,23 @@ def savings_ratio(
     return baseline_cost / candidate_cost
 
 
-def _object(value, key: str) -> dict:
-    if not isinstance(value, dict):
-        raise ValueError(f"pricing {key} must be a JSON object, got {value!r}")
-    return value
-
-
-def _known(data: dict, kind: type, where: str) -> dict:
-    """``data``, each of whose keys names a field of the dataclass ``kind``."""
-    names = [f.name for f in fields(kind)]
-    for key in data:
-        if key not in names:
-            raise ValueError(f"pricing {where}key {key!r} is not one of {', '.join(names)}")
-    return data
-
-
 def load_pricing(path: str | Path) -> PricingConfig:
     """Read pricing overrides from a JSON file and merge onto the defaults.
 
     A malformed value or an unknown key raises ``ValueError`` naming the key:
     the file's shape here, each value in ``PricingConfig``."""
-    data = _known(_object(read_json(path), "file"), PricingConfig, "")
+    data = check_record(read_json(path), "pricing", [f.name for f in fields(PricingConfig)])
     groups = {
         "per_token": _PER_TOKEN.copy(),
         "per_call_flat": _PER_CALL_FLAT.copy(),
         "per_page": _PER_PAGE.copy(),
     }
     for group, rates in groups.items():
-        for name, rate in _object(data.get(group, {}), group).items():
+        for name, rate in check_record(data.get(group, {}), f"pricing {group}").items():
             rates[str(name)] = rate
     credits = _CREDITS.copy()
-    for name, spec in _object(data.get("credits", {}), "credits").items():
-        where = f"credits.{name}"
-        spec = _known(_object(spec, where), CreditRate, f"{where} ")
+    for name, spec in check_record(data.get("credits", {}), "pricing credits").items():
+        spec = check_record(spec, f"pricing credits.{name}", [f.name for f in fields(CreditRate)])
         credits[str(name)] = CreditRate(spec.get("credits_per_page"), spec.get("usd_per_credit"))
     tokens = data.get("tokens_per_page", PricingConfig.tokens_per_page)
     return PricingConfig(tokens_per_page=tokens, credits=credits, **groups)

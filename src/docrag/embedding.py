@@ -46,6 +46,7 @@ import weakref
 
 import numpy as np
 
+from .errors import check_count
 from .tokens import DEFAULT_TOKENIZER
 
 DEFAULT_DIMENSION = 256
@@ -161,8 +162,7 @@ class HashingEmbedder:
     """Keyed feature hashing over token n-grams, L2-normalized."""
 
     def __init__(self, dimension: int = DEFAULT_DIMENSION):
-        if type(dimension) is not int or dimension < 1:
-            raise ValueError(f"dimension must be an integer >= 1, got {dimension!r}")
+        check_count("dimension", dimension)
         self.dimension = dimension
         self.tag = f"feature-hash-v1-{dimension}"
         self._memo = _Generation(self)

@@ -1,5 +1,11 @@
 """Exception types shared across the toolkit, the one rule that decodes
-JSON, and the one rule that writes an output file.
+JSON, the two rules every input's values meet, and the one rule that
+writes an output file.
+
+``check_count`` states a whole number of at least some minimum (a bool is
+none), and ``check_record`` a JSON object whose keys come from a fixed set:
+every setting, dataset line, index line and pricing file is held to them,
+each refusal in one wording.
 
 ``replacing`` writes both outputs, the index and the eval report: a fresh
 temp file beside the destination, synced to disk, renamed over it, and the
@@ -89,6 +95,26 @@ def read_json(path):
     """The JSON document in the UTF-8 file at ``path``, through ``decode_json``."""
     with open(path, encoding="utf-8") as handle:
         return decode_json(handle.read())
+
+
+def check_count(name: str, value, minimum: int = 1) -> None:
+    """Refuse a ``value`` that is no ``int`` (``True`` and ``2.0`` are not)
+    or is below ``minimum``, with a ``ValueError`` naming ``name``."""
+    if type(value) is not int or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def check_record(data, what: str, keys=None) -> dict:
+    """``data`` if it is a JSON object (a ``dict``) whose every key is one
+    of ``keys`` (any key when ``keys`` is None); else a ``ValueError``
+    naming ``what`` and the first key, in ``data``'s order, that is not."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, got {data!r:.80}")
+    if keys is not None:
+        for key in data:
+            if key not in keys:
+                raise ValueError(f"{what} key {key!r} is not one of {', '.join(keys)}")
+    return data
 
 
 def check_destination(path, *sources) -> Path:

@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .chunking import DEFAULT_EVAL_WORKERS, checked_filters  # re-exported: the default thread count
 from .costs import DEFAULT_PRICING, PricingConfig, cost_per_call
-from .errors import MissingDocumentsError, SchemaError, decode_json, replacing
+from .errors import MissingDocumentsError, SchemaError, check_count, check_record, decode_json, replacing
 from .generation import Answer, answer_question, check_question
 from .index import DEFAULT_K, RetrievalConfig, VectorIndex
 from .providers import EmbeddingProvider, LLMProvider
@@ -65,10 +65,7 @@ class QAExample:
             if type(value) is not str:
                 raise ValueError(f"{name}: expected a string, got {value!r}")
         check_question(self.question)  # build_prompt's rule, before any call
-        if type(self.reference_count) is not int:
-            raise ValueError(f"reference_count: expected an integer, got {self.reference_count!r}")
-        if self.reference_count < 1:
-            raise ValueError("reference_count must be >= 1")
+        check_count("reference_count", self.reference_count)
         object.__setattr__(self, "difficulty", Difficulty(self.difficulty))
         object.__setattr__(self, "target", Target(self.target))
         object.__setattr__(self, "filters", checked_filters(self.filters))
@@ -105,15 +102,9 @@ def load_dataset(path: str | Path) -> list[QAExample]:
                 record = decode_json(line)
             except ValueError as exc:
                 raise SchemaError(where, f"invalid JSON: {exc}") from exc
-            if not isinstance(record, dict):
-                raise SchemaError(where, "expected an object")
-            for key in record:
-                if key not in _RECORD_KEYS:
-                    raise SchemaError(where, f"unknown key {key!r}; the keys are {', '.join(_RECORD_KEYS)}")
-            filters = {} if record.get("filters") is None else record["filters"]
-            if not isinstance(filters, dict):
-                raise SchemaError(where, f"filters: expected an object, got {filters!r}")
             try:
+                check_record(record, "example", _RECORD_KEYS)
+                filters = check_record({} if record.get("filters") is None else record["filters"], "filters")
                 examples.append(
                     QAExample(
                         question=record["question"],

@@ -117,7 +117,7 @@ from .chunking import (
     split_pages,
 )
 from .embedding import Memo
-from .errors import IndexLoadError, ProviderError, decode_json, replacing
+from .errors import IndexLoadError, ProviderError, check_count, decode_json, replacing
 from .providers import EmbeddingProvider
 from .tokens import DEFAULT_TOKENIZER
 
@@ -183,10 +183,7 @@ class RetrievalConfig:
     filters: tuple[tuple[str, object], ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        if type(self.k) is not int:  # the config key's rule: True and 2.5 are refused
-            raise ValueError(f"k must be an integer, got {self.k!r}")
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
+        check_count("k", self.k)
         object.__setattr__(self, "filters", checked_filters(self.filters))
 
 
@@ -359,8 +356,7 @@ class VectorIndex:
         tokenizer_tag: str = DEFAULT_TOKENIZER.tag,
         provider_tag: str = "",
     ):
-        if type(dimension) is not int or dimension < 1:
-            raise ValueError(f"dimension must be an integer >= 1, got {dimension!r}")
+        check_count("dimension", dimension)
         for name, tag in (("tokenizer", tokenizer_tag), ("provider", provider_tag)):
             if type(tag) is not str:
                 raise ValueError(f"{name} must be a string, got {tag!r:.80}")
@@ -611,10 +607,9 @@ class VectorIndex:
                 raise IndexLoadError(0, f"bad header line: {exc}") from exc
             try:
                 index = cls(dimension, header.get("tokenizer", ""), header.get("provider", ""))
+                check_count("count", count, 0)
             except ValueError as exc:
                 raise IndexLoadError(0, f"header {exc}") from exc
-            if type(count) is not int or count < 0:
-                raise IndexLoadError(0, f"header count must be an integer >= 0, got {count!r}")
             offset = len(raw_header)
             # An entry line holds more than two bytes a component, so a count
             # or dimension past what the file can hold sizes the columns only

@@ -120,7 +120,7 @@ def test_chunk_size_must_be_positive():
 @pytest.mark.parametrize("chunk_size", [True, 2.0, 2.5, "4", None])
 def test_chunk_size_must_be_an_integer(chunk_size):
     # True cut one token per chunk, and 2.0 raised a bare TypeError from range.
-    expected = f"chunk_size must be an integer, got {chunk_size!r}"
+    expected = f"chunk_size must be an integer >= 1, got {chunk_size!r}"
     with pytest.raises(ValueError, match=re.escape(expected)):
         split_pages([page(narrative="alpha beta gamma delta")], chunk_size=chunk_size)
 

@@ -24,7 +24,7 @@ from docrag.evaluation import load_dataset
 from docrag.index import IndexEntry, RetrievalConfig, VectorIndex, embed
 from docrag.layout import parse_layout_payload
 from docrag.preprocess import preprocess_document
-from docrag.providers import DirectoryChartProvider
+from docrag.providers import ContextLookupLLM, DirectoryChartProvider
 from docrag.tokens import DEFAULT_TOKENIZER
 
 
@@ -367,7 +367,7 @@ def test_ingest_refuses_a_bad_chunk_size_before_reading_any_payload(tmp_path, ca
         capsys, "ingest", "--layout", str(layout), "--index", str(tmp_path / "i"), "--chunk-size", size
     )
     assert (code, out) == (1, "")
-    assert json.loads(err) == {"error": "ValueError", "message": "chunk_size must be >= 1"}
+    assert json.loads(err) == {"error": "ValueError", "message": f"chunk_size must be an integer >= 1, got {size}"}
     assert not (tmp_path / "i").exists()
 
 
@@ -497,9 +497,40 @@ def test_query_refuses_filter_on_no_metadata_field(corpus, tmp_path, capsys):
     assert "'compnay'" in error["message"] and "company" in error["message"]
 
 
+@pytest.mark.parametrize(
+    "flags,shown",
+    [(["company=NOBODY"], "{'company': 'NOBODY'}"),
+     (["company=ALPHA", "year=1999"], "{'company': 'ALPHA', 'year': 1999}")],
+    ids=["no-such-company", "no-such-pair"],
+)
+def test_query_refuses_filters_that_keep_no_chunk(corpus, tmp_path, capsys, monkeypatch, flags, shown):
+    # The answer was empty, the retrieved list too, and the exit status 0.
+    index_path, _ = ingest(corpus, tmp_path, capsys)
+
+    def called(*_):
+        raise AssertionError("the reader was called")
+
+    monkeypatch.setattr(ContextLookupLLM, "complete", called)
+    argv = [arg for text in flags for arg in ("--filter", text)]
+    code, out, err = run(capsys, "query", "--index", str(index_path), "--question", "q", *argv)
+    assert (code, out, err.count("\n")) == (1, "", 1)
+    assert json.loads(err) == {
+        "error": "ValueError", "message": f"filters {shown} keep no chunk of index {index_path}"
+    }
+
+
 def _empty_index(path):
     """An index of no chunks that ``docrag query`` can embed for."""
     VectorIndex(dimension=8, provider_tag=HashingEmbedder(dimension=8).tag).persist(path)
+
+
+def test_query_refuses_an_index_of_no_chunks(tmp_path, capsys):
+    # The answer was empty, with only a warning, and the exit status 0.
+    index_path = tmp_path / "empty.index"
+    _empty_index(index_path)
+    code, out, err = run(capsys, "query", "--index", str(index_path), "--question", "q")
+    assert (code, out, err.count("\n")) == (1, "", 1)
+    assert json.loads(err) == {"error": "ValueError", "message": f"filters {{}} keep no chunk of index {index_path}"}
 
 
 # Filters the one rule (chunking.check_filter) refuses, each with the
@@ -567,7 +598,7 @@ def test_query_index_entry_with_null_metadata_fails_with_one_json_error(tmp_path
     assert err.count("\n") == 1
     error = json.loads(err)
     assert error["error"] == "IndexLoadError"
-    assert error["message"] == f"byte {len(header)}: bad entry line: metadata must be an object, got None"
+    assert error["message"] == f"byte {len(header)}: bad entry line: metadata must be a JSON object, got None"
 
 
 def test_query_unknown_embedding_provider_fails(corpus, tmp_path, capsys):
@@ -1010,8 +1041,8 @@ def _refused_before_load(tmp_path, case):
         "config-provider": (["--config", str(tmp_path / "config.json"), *query], "ValueError",
                             "config key 'provider' must be one of ('lookup', 'mock', 'http'), got 'gpt'"),
         "filter": (query + ["--filter", "year=x"], "ValueError", "filter year must be an integer"),
-        "query-k": (query + ["--k", "0"], "ValueError", "k must be >= 1"),
-        "eval-k": (evaluate + [str(tmp_path / "qa.jsonl"), "--k", "0"], "ValueError", "k must be >= 1"),
+        "query-k": (query + ["--k", "0"], "ValueError", "k must be an integer >= 1, got 0"),
+        "eval-k": (evaluate + [str(tmp_path / "qa.jsonl"), "--k", "0"], "ValueError", "k must be an integer >= 1, got 0"),
         "dataset": (evaluate + [str(tmp_path / "unknown-key.jsonl")], "SchemaError", "'filtres'"),
         "pricing": (evaluate + [str(tmp_path / "qa.jsonl"), "--pricing", str(tmp_path / "pricing.json")],
                     "ValueError", "per_token.gpt-4o"),
@@ -1050,6 +1081,29 @@ def test_every_command_prints_its_help(capsys, command):
         main([command, "--help"])
     assert done.value.code == 0
     assert f"usage: docrag {command}" in capsys.readouterr().out
+
+
+# (flags after "query --index i", text the message must hold)
+USAGE_ERRORS = {
+    "k-no-int": (["--question", "q", "--k", "abc"], "argument --k: invalid int value: 'abc'"),
+    "unknown-flag": (["--question", "q", "--colour", "red"], "unrecognized arguments: --colour red"),
+    "missing-question": ([], "the following arguments are required: --question"),
+    "unknown-provider": (["--question", "q", "--provider", "gpt"], "argument --provider: invalid choice: 'gpt'"),
+}
+
+
+@pytest.mark.parametrize("case", USAGE_ERRORS)
+def test_a_usage_error_is_one_json_line_with_status_2(capsys, case):
+    # argparse printed its usage and the error on several lines.
+    flags, text = USAGE_ERRORS[case]
+    with pytest.raises(SystemExit) as done:
+        main(["query", "--index", "i", *flags])
+    assert done.value.code == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err.count("\n")) == ("", 1)
+    error = json.loads(captured.err)
+    assert error["error"] == "ArgumentError"
+    assert text in error["message"]
 
 
 def _qa_line(**fields):
@@ -1104,7 +1158,7 @@ MALFORMED_INPUTS = {
     "dataset-unknown-key": (
         "dataset", _qa_line(filtres={"company": "ALPHA"}), "SchemaError", "'filtres'"
     ),
-    "pricing-not-object": ("pricing", "[1]", "ValueError", "pricing file"),
+    "pricing-not-object": ("pricing", "[1]", "ValueError", "pricing must be a JSON object, got [1]"),
     "pricing-group-not-object": ("pricing", {"per_token": [1]}, "ValueError", "per_token"),
     "pricing-null-rate": (
         "pricing", {"per_page": {"chart-to-table": None}}, "ValueError", "chart-to-table"
@@ -1204,7 +1258,7 @@ def test_unknown_key_errors_name_the_known_keys(tmp_path):
     with pytest.raises(ValueError) as info:
         _load_config(str(path))
     assert str(info.value) == (
-        "config key 'provder' is not a setting; the settings are chunk_size, k, eval_workers, "
+        "config key 'provder' is not one of chunk_size, k, eval_workers, "
         "table_format, charts, provider, model_tag, pricing"
     )
     path.write_text(json.dumps({"per_tokens": {}}), encoding="utf-8")
@@ -1224,7 +1278,7 @@ def test_unknown_key_errors_name_the_known_keys(tmp_path):
     with pytest.raises(SchemaError) as info:
         load_dataset(path)
     assert str(info.value) == (
-        "line 1: unknown key 'filtres'; the keys are question, gold_answer, difficulty, target, "
+        "line 1: example key 'filtres' is not one of question, gold_answer, difficulty, target, "
         "document_id, reference_count, filters"
     )
 

@@ -264,7 +264,7 @@ def test_qa_example_validation():
     "field,value,message",
     [
         ("question", 5, "question: expected a string, got 5"),
-        ("reference_count", True, "reference_count: expected an integer, got True"),
+        ("reference_count", True, "reference_count must be an integer >= 1, got True"),
         ("difficulty", "hard", "'hard' is not a valid Difficulty"),
     ],
     ids=["number-question", "bool-reference-count", "unknown-difficulty"],

@@ -323,7 +323,7 @@ def test_add_pages_refuses_a_chunk_size_that_is_no_integer_and_leaves_the_index(
     index = VectorIndex(dimension=16)
     index.add_pages([page("a", 1, "some text")], embedder)
     before = persisted(index, tmp_path)
-    with pytest.raises(ValueError, match="chunk_size must be an integer, got True"):
+    with pytest.raises(ValueError, match="chunk_size must be an integer >= 1, got True"):
         index.add_pages([page("b", 1, "alpha beta gamma")], embedder, chunk_size=True)
     assert persisted(index, tmp_path) == before
 
@@ -545,7 +545,7 @@ def test_retrieval_config_validation():
 @pytest.mark.parametrize("k", [True, 2.5, "3"])
 def test_retrieval_config_refuses_k_that_is_no_int(k):
     # A one-row search would otherwise return a result for any of these.
-    with pytest.raises(ValueError, match=re.escape(f"k must be an integer, got {k!r}")):
+    with pytest.raises(ValueError, match=re.escape(f"k must be an integer >= 1, got {k!r}")):
         RetrievalConfig(k=k)
 
 
@@ -1382,7 +1382,7 @@ def test_load_refuses_entry_whose_metadata_is_no_object_at_its_line(tmp_path, me
     record["metadata"] = metadata
     lines[2] = json.dumps(record).encode() + b"\n"
     path.write_bytes(b"".join(lines))
-    with pytest.raises(IndexLoadError, match="metadata must be an object") as info:
+    with pytest.raises(IndexLoadError, match="metadata must be a JSON object") as info:
         VectorIndex.load(path)
     assert info.value.byte_offset == len(lines[0]) + len(lines[1])
 
